@@ -4,7 +4,7 @@ Subpackages:
   numerics    float64 kernels with hand-written backward + FD checking
   model       tiny causal transformer, checkpoints, frozen reference
   selection   per-token entropy/KL stats, Top-K union masking, IoU
-  objective   training losses with analytic logit gradients
+  objective   one training objective for five methods, analytic logit gradients
   train       AdamW, supervised loop, clipped group-rollout RL loop
   tasks       synthetic verifiable task families and tokenization
   evaluation  temperature sampling, pass@k, response entropy

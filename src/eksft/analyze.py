@@ -151,7 +151,9 @@ def iou_series(dump_path: str | Path) -> tuple[list[tuple[int, float]], dict]:
                 mh.add(key)
             if in_mkl:
                 mkl.add(key)
-    series = [(step, sel.iou(mh, mkl)) for step, (mh, mkl) in sorted(by_step.items())]
+    series = [
+        (step, sel.iou(len(mh & mkl), len(mh | mkl))) for step, (mh, mkl) in sorted(by_step.items())
+    ]
     values = [v for _, v in series]
     summary = {
         "steps": len(series),

@@ -19,10 +19,6 @@ class InputError(EksftError):
     """Invalid runtime input (bad token ids, malformed distributions, ...)."""
 
 
-class DegenerateInputError(InputError):
-    """Structurally valid input that leaves nothing to compute (e.g. zero valid tokens)."""
-
-
 class DimensionError(InputError):
     """Tensor shape mismatch at a kernel boundary."""
 

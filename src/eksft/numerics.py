@@ -210,13 +210,6 @@ def grad_check(
     return float(worst)
 
 
-def sample_coords(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Seeded choice of k distinct coordinate indices out of n (all if k >= n)."""
-    if k >= n:
-        return np.arange(n)
-    return np.sort(rng.choice(n, size=k, replace=False))
-
-
 def informative_coords(
     grad: np.ndarray, k: int, rng: np.random.Generator, floor: float = 1e-4
 ) -> np.ndarray:

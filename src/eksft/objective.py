@@ -1,10 +1,18 @@
 """Training objectives with analytic logit gradients.
 
-Five objectives share one skeleton: a (possibly masked, possibly weighted)
-mean NLL over supervised positions, plus optional mean-entropy and mean-KL
-regularizers over a regularized position set. Each public function returns
-the per-batch normalized loss together with its exact gradient w.r.t. the
-logits; the model's `backward` maps that to parameter space.
+Five methods share one objective: a (possibly weighted) NLL sum over the
+supervised positions, plus entropy and KL sums over the regularized
+positions. `objective_terms`, the one entry point of training, computes it
+for a micro-batch in two parts:
+
+  * `stop_gradient_constants` picks, per method, the supervised and
+    regularized (B, L) position sets and the DFT weights;
+  * `objective_sums`, the differentiable core, returns the sums and their
+    exact gradients w.r.t. the logits for those constants.
+
+Sums are normalized once per optimizer step (see `train.train_sft`), so the
+per-batch loss is ce_sum/n_sup - l_H * h_sum/n_reg + l_KL * kl_sum/n_reg;
+the model's `backward` maps the logit gradients to parameter space.
 
 Per-token logit gradients used here:
   nll:      softmax(z) - onehot(y)
@@ -18,33 +26,16 @@ positions contain no one-hot target term.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import numerics as nk
 from . import selection as sel
-from .errors import ConfigError, DegenerateInputError, InputError
-from .selection import MaskSet, TokenRef, TokenStats
-
-log = logging.getLogger(__name__)
-
-DECOMP_TOL = 1e-12
+from .errors import ConfigError, InputError
+from .selection import MaskSet, TokenStats
 
 METHODS = ("sft", "eksft", "dft", "random_mask", "global_reg")
-
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    ce_masked: float
-    entropy_reg: float
-    kl_reg: float
-    total: float
-    n_supervised: int
-    n_masked: int
-    lambda_h: float
-    lambda_kl: float
 
 
 def compose_total(ce: float, h: float, kl: float, lambda_h: float, lambda_kl: float) -> float:
@@ -71,11 +62,6 @@ def _validate_batch(logits: np.ndarray, targets: np.ndarray, valid_mask: np.ndar
             raise InputError(f"targets out of range [0, {v})")
 
 
-def _positions(where: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    bi, li = np.nonzero(where)
-    return bi, li
-
-
 def _nll_sum(
     log_probs: np.ndarray,
     targets: np.ndarray,
@@ -83,14 +69,11 @@ def _nll_sum(
     weights: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Sum of (optionally weighted) -log p(y) over `where`; gradient w.r.t. logits."""
-    bi, li = _positions(where)
+    bi, li = np.nonzero(where)
     d = np.zeros_like(log_probs)
-    if bi.size == 0:
-        return 0.0, d
     y = targets[bi, li]
     nll = -log_probs[bi, li, y]
     rows = np.exp(log_probs[bi, li])
-    rows = rows.copy()
     rows[np.arange(bi.size), y] -= 1.0
     if weights is not None:
         nll = weights * nll
@@ -101,10 +84,8 @@ def _nll_sum(
 
 def _entropy_sum(log_probs: np.ndarray, where: np.ndarray) -> tuple[float, np.ndarray]:
     """Sum of per-row entropies over `where`; gradient w.r.t. logits."""
-    bi, li = _positions(where)
+    bi, li = np.nonzero(where)
     d = np.zeros_like(log_probs)
-    if bi.size == 0:
-        return 0.0, d
     lp = log_probs[bi, li]
     p = np.exp(lp)
     h = -np.sum(sel._zero_where_unsupported(p, lp), axis=-1)
@@ -116,10 +97,8 @@ def _kl_sum(
     log_probs: np.ndarray, ref_log_probs: np.ndarray, where: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Sum of per-row KL(policy || reference) over `where`; gradient w.r.t. policy logits."""
-    bi, li = _positions(where)
+    bi, li = np.nonzero(where)
     d = np.zeros_like(log_probs)
-    if bi.size == 0:
-        return 0.0, d
     lp = log_probs[bi, li]
     rlp = ref_log_probs[bi, li]
     p = np.exp(lp)
@@ -129,243 +108,19 @@ def _kl_sum(
     return float(kl.sum()), d
 
 
-def refs_to_bool(refs, shape: tuple[int, int]) -> np.ndarray:
-    """Boolean (B, L) array marking the given TokenRefs."""
-    out = np.zeros(shape, dtype=bool)
-    for r in refs:
-        out[r.sequence_index, r.token_position] = True
-    return out
-
-
-def _check_mask_within(mask: MaskSet, valid_mask: np.ndarray) -> None:
-    B, L = valid_mask.shape
-    for r in mask.m_union:
-        if not (0 <= r.sequence_index < B and 0 <= r.token_position < L) or not valid_mask[
-            r.sequence_index, r.token_position
-        ]:
-            raise InputError(f"mask refers to invalid position {r}")
-
-
 # -----------------------------------------------------------------------------
-# public objectives
+# the objective: stop-gradient constants, then the differentiable sums
 # -----------------------------------------------------------------------------
 
 
-def sft_loss(
-    logits: np.ndarray, targets: np.ndarray, valid_mask: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Mean NLL over valid tokens; gradient rows are (softmax - onehot)/n."""
-    _validate_batch(logits, targets, valid_mask)
-    n = int(valid_mask.sum())
-    if n == 0:
-        raise DegenerateInputError("sft_loss needs at least one valid token")
-    log_probs = nk.log_softmax(logits)
-    total, d = _nll_sum(log_probs, targets, valid_mask)
-    return total / n, d / n
+@dataclass(frozen=True)
+class Constants:
+    """Stop-gradient inputs of the objective, fixed before differentiation."""
 
-
-def masked_ce(
-    logits: np.ndarray, targets: np.ndarray, mask: MaskSet, valid_mask: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Mean NLL over valid tokens outside the mask union; 0 if none remain."""
-    _validate_batch(logits, targets, valid_mask)
-    _check_mask_within(mask, valid_mask)
-    supervised = valid_mask & ~refs_to_bool(mask.m_union, valid_mask.shape)
-    n = int(supervised.sum())
-    log_probs = nk.log_softmax(logits)
-    if n == 0:
-        log.warning("masked_ce: mask covers every valid token; returning 0")
-        return 0.0, np.zeros_like(logits)
-    total, d = _nll_sum(log_probs, targets, supervised)
-    return total / n, d / n
-
-
-def entropy_reg(logits: np.ndarray, mask: MaskSet) -> tuple[float, np.ndarray]:
-    """Mean next-token entropy over masked positions (0 for an empty mask)."""
-    if not mask.m_union:
-        return 0.0, np.zeros_like(logits)
-    where = refs_to_bool(mask.m_union, logits.shape[:2])
-    log_probs = nk.log_softmax(logits)
-    total, d = _entropy_sum(log_probs, where)
-    n = len(mask.m_union)
-    return total / n, d / n
-
-
-def kl_reg(
-    policy_logits: np.ndarray, reference_logits: np.ndarray, mask: MaskSet
-) -> tuple[float, np.ndarray]:
-    """Mean KL(policy || reference) over masked positions; no reference gradient."""
-    if policy_logits.shape != reference_logits.shape:
-        raise InputError(
-            f"policy/reference logits shapes differ: {policy_logits.shape} vs {reference_logits.shape}"
-        )
-    if not mask.m_union:
-        return 0.0, np.zeros_like(policy_logits)
-    where = refs_to_bool(mask.m_union, policy_logits.shape[:2])
-    log_probs = nk.log_softmax(policy_logits)
-    ref_log_probs = nk.log_softmax(reference_logits)
-    total, d = _kl_sum(log_probs, ref_log_probs, where)
-    n = len(mask.m_union)
-    return total / n, d / n
-
-
-def eksft_loss_given_mask(
-    logits: np.ndarray,
-    reference_logits: np.ndarray,
-    targets: np.ndarray,
-    mask: MaskSet,
-    lambda_h: float,
-    lambda_kl: float,
-    valid_mask: np.ndarray,
-) -> tuple[LossBreakdown, np.ndarray]:
-    """Combined objective with the mask supplied by the caller (held fixed)."""
-    if lambda_h < 0 or lambda_kl < 0:
-        raise ConfigError(f"regularizer weights must be >= 0, got {lambda_h}, {lambda_kl}")
-    ce, d = masked_ce(logits, targets, mask, valid_mask)
-    h, dh = entropy_reg(logits, mask)
-    kl, dkl = kl_reg(logits, reference_logits, mask)
-    if lambda_h != 0.0:
-        d = d - lambda_h * dh
-    if lambda_kl != 0.0:
-        d = d + lambda_kl * dkl
-    n_valid = int(valid_mask.sum())
-    breakdown = LossBreakdown(
-        ce_masked=ce,
-        entropy_reg=h,
-        kl_reg=kl,
-        total=compose_total(ce, h, kl, lambda_h, lambda_kl),
-        n_supervised=n_valid - len(mask.m_union),
-        n_masked=len(mask.m_union),
-        lambda_h=lambda_h,
-        lambda_kl=lambda_kl,
-    )
-    return breakdown, d
-
-
-def eksft_loss(
-    logits: np.ndarray,
-    reference_logits: np.ndarray,
-    targets: np.ndarray,
-    rho: float,
-    lambda_h: float,
-    lambda_kl: float,
-    valid_mask: np.ndarray,
-) -> tuple[LossBreakdown, np.ndarray, MaskSet]:
-    """Masked CE minus entropy bonus plus KL penalty, mask built from this batch."""
-    if lambda_h < 0 or lambda_kl < 0:
-        raise ConfigError(f"regularizer weights must be >= 0, got {lambda_h}, {lambda_kl}")
-    _validate_batch(logits, targets, valid_mask)
-    log_probs = nk.log_softmax(logits)
-    ref_log_probs = nk.log_softmax(reference_logits)
-    stats = sel.stats_from_log_probs(log_probs, ref_log_probs, valid_mask)
-    mask = sel.build_mask(stats, rho)
-    breakdown, d = eksft_loss_given_mask(
-        logits, reference_logits, targets, mask, lambda_h, lambda_kl, valid_mask
-    )
-    return breakdown, d, mask
-
-
-def dft_loss(
-    logits: np.ndarray,
-    targets: np.ndarray,
-    valid_mask: np.ndarray,
-    frozen_weights: np.ndarray | None = None,
-) -> tuple[float, np.ndarray]:
-    """NLL reweighted per token by the detached target probability.
-
-    The weight w = p(y) carries no gradient. `frozen_weights` (one per valid
-    position, row-major order) pins the weights explicitly, which is how a
-    finite-difference oracle must evaluate this loss.
-    """
-    _validate_batch(logits, targets, valid_mask)
-    n = int(valid_mask.sum())
-    if n == 0:
-        raise DegenerateInputError("dft_loss needs at least one valid token")
-    log_probs = nk.log_softmax(logits)
-    if frozen_weights is None:
-        bi, li = _positions(valid_mask)
-        w = np.exp(log_probs[bi, li, targets[bi, li]])  # stop-gradient weight
-    else:
-        w = np.asarray(frozen_weights, dtype=np.float64)
-        if w.shape != (n,):
-            raise InputError(f"frozen_weights must have shape ({n},), got {w.shape}")
-    total, d = _nll_sum(log_probs, targets, valid_mask, weights=w)
-    return total / n, d / n
-
-
-def random_mask_loss(
-    logits: np.ndarray,
-    reference_logits: np.ndarray,
-    targets: np.ndarray,
-    drop_fraction: float,
-    lambda_h: float,
-    lambda_kl: float,
-    valid_mask: np.ndarray,
-    rng: np.random.Generator,
-) -> tuple[LossBreakdown, np.ndarray, MaskSet]:
-    """Same arithmetic as the selective objective but with a uniform random mask."""
-    if not (0.0 <= drop_fraction < 1.0):
-        raise ConfigError(f"drop_fraction must lie in [0, 1), got {drop_fraction}")
-    _validate_batch(logits, targets, valid_mask)
-    refs = [TokenRef(int(b), int(t)) for b, t in zip(*np.nonzero(valid_mask))]
-    k = sel.selected_count(drop_fraction, len(refs))
-    if k:
-        chosen = frozenset(refs[i] for i in rng.choice(len(refs), size=k, replace=False))
-    else:
-        chosen = frozenset()
-    mask = MaskSet(chosen, chosen, chosen, k, len(refs))
-    breakdown, d = eksft_loss_given_mask(
-        logits, reference_logits, targets, mask, lambda_h, lambda_kl, valid_mask
-    )
-    return breakdown, d, mask
-
-
-def global_reg_loss(
-    logits: np.ndarray,
-    reference_logits: np.ndarray,
-    targets: np.ndarray,
-    lambda_h: float,
-    lambda_kl: float,
-    valid_mask: np.ndarray,
-) -> tuple[LossBreakdown, np.ndarray]:
-    """Full CE plus entropy/KL regularization applied to every valid token."""
-    if lambda_h < 0 or lambda_kl < 0:
-        raise ConfigError(f"regularizer weights must be >= 0, got {lambda_h}, {lambda_kl}")
-    if logits.shape != reference_logits.shape:
-        raise InputError(
-            f"policy/reference logits shapes differ: {logits.shape} vs {reference_logits.shape}"
-        )
-    _validate_batch(logits, targets, valid_mask)
-    n = int(valid_mask.sum())
-    if n == 0:
-        raise DegenerateInputError("global_reg_loss needs at least one valid token")
-    log_probs = nk.log_softmax(logits)
-    ref_log_probs = nk.log_softmax(reference_logits)
-    ce_sum, d = _nll_sum(log_probs, targets, valid_mask)
-    h_sum, dh = _entropy_sum(log_probs, valid_mask)
-    kl_sum, dkl = _kl_sum(log_probs, ref_log_probs, valid_mask)
-    ce, h, kl = ce_sum / n, h_sum / n, kl_sum / n
-    d = d / n
-    if lambda_h != 0.0:
-        d = d - (lambda_h / n) * dh
-    if lambda_kl != 0.0:
-        d = d + (lambda_kl / n) * dkl
-    breakdown = LossBreakdown(
-        ce_masked=ce,
-        entropy_reg=h,
-        kl_reg=kl,
-        total=compose_total(ce, h, kl, lambda_h, lambda_kl),
-        n_supervised=n,
-        n_masked=0,  # CE keeps every token; the regularizers are global
-        lambda_h=lambda_h,
-        lambda_kl=lambda_kl,
-    )
-    return breakdown, d
-
-
-# -----------------------------------------------------------------------------
-# sum-form terms for gradient accumulation
-# -----------------------------------------------------------------------------
+    supervised: np.ndarray  # (B, L) bool: positions in the NLL sum
+    regularized: np.ndarray | None  # (B, L) bool: positions in the entropy/KL sums
+    weights: np.ndarray | None  # DFT: one weight per supervised position, row-major
+    mask: MaskSet | None  # the selection behind `regularized` (eksft, random_mask)
 
 
 @dataclass
@@ -377,7 +132,6 @@ class ObjectiveTerms:
     the concatenated batch (with masks still built per micro-batch).
     """
 
-    method: str
     ce_sum: float
     n_sup: int
     d_ce_sum: np.ndarray
@@ -385,10 +139,89 @@ class ObjectiveTerms:
     kl_sum: float
     n_reg: int
     d_reg_sum: np.ndarray | None  # grad of (-l_H * h_sum + l_KL * kl_sum), already weighted
-    mask: MaskSet | None
-    stats: list[TokenStats]
     lambda_h: float
     lambda_kl: float
+    mask: MaskSet | None = None
+    stats: list[TokenStats] = field(default_factory=list)
+
+
+def stop_gradient_constants(
+    method: str,
+    log_probs: np.ndarray,
+    targets: np.ndarray,
+    valid_mask: np.ndarray,
+    stats: list[TokenStats],
+    *,
+    rho: float = 0.2,
+    drop_fraction: float = 0.1,
+    rng: np.random.Generator | None = None,
+) -> Constants:
+    """The method's supervised set, regularized set and DFT weights.
+
+    eksft regularizes its Top-K union mask and random_mask a uniform draw of
+    the same size rule; both supervise the rest. global_reg supervises and
+    regularizes every valid token; sft and dft supervise every valid token.
+    """
+    if method not in METHODS:
+        raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
+    if method == "global_reg":
+        return Constants(valid_mask, valid_mask, None, None)
+    if method in ("sft", "dft"):
+        weights = None
+        if method == "dft":
+            bi, li = np.nonzero(valid_mask)
+            weights = np.exp(log_probs[bi, li, targets[bi, li]])
+        return Constants(valid_mask, None, weights, None)
+
+    if method == "eksft":
+        mask = sel.build_mask(stats, rho)
+    else:
+        if rng is None:
+            raise ConfigError("random_mask needs an rng")
+        if not (0.0 <= drop_fraction < 1.0):
+            raise ConfigError(f"drop_fraction must lie in [0, 1), got {drop_fraction}")
+        n = len(stats)
+        k = sel.selected_count(drop_fraction, n)
+        chosen = np.zeros(n, dtype=bool)
+        if k:
+            chosen[rng.choice(n, size=k, replace=False)] = True
+        mask = MaskSet(chosen, chosen, chosen, k, n)
+    regularized = np.zeros_like(valid_mask)
+    regularized[valid_mask] = mask.m_union
+    return Constants(valid_mask & ~regularized, regularized, None, mask)
+
+
+def objective_sums(
+    log_probs: np.ndarray,
+    ref_log_probs: np.ndarray,
+    targets: np.ndarray,
+    constants: Constants,
+    lambda_h: float,
+    lambda_kl: float,
+) -> ObjectiveTerms:
+    """NLL, entropy and KL sums with their logit gradients, for fixed constants."""
+    ce_sum, d_ce_sum = _nll_sum(log_probs, targets, constants.supervised, constants.weights)
+    reg = constants.regularized
+    n_reg = 0 if reg is None else int(reg.sum())
+    h_sum = kl_sum = 0.0
+    d_reg_sum: np.ndarray | None = None
+    if n_reg:
+        h_sum, dh = _entropy_sum(log_probs, reg)
+        kl_sum, dkl = _kl_sum(log_probs, ref_log_probs, reg)
+        if lambda_h != 0.0 or lambda_kl != 0.0:
+            d_reg_sum = -lambda_h * dh + lambda_kl * dkl
+    return ObjectiveTerms(
+        ce_sum=ce_sum,
+        n_sup=int(constants.supervised.sum()),
+        d_ce_sum=d_ce_sum,
+        h_sum=h_sum,
+        kl_sum=kl_sum,
+        n_reg=n_reg,
+        d_reg_sum=d_reg_sum,
+        lambda_h=lambda_h,
+        lambda_kl=lambda_kl,
+        mask=constants.mask,
+    )
 
 
 def objective_terms(
@@ -405,74 +238,19 @@ def objective_terms(
     rng: np.random.Generator | None = None,
 ) -> ObjectiveTerms:
     """Sum-form loss pieces for one micro-batch of any supported method."""
-    if method not in METHODS:
-        raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
     if lambda_h < 0 or lambda_kl < 0:
         raise ConfigError(f"regularizer weights must be >= 0, got {lambda_h}, {lambda_kl}")
     _validate_batch(logits, targets, valid_mask)
     log_probs = nk.log_softmax(logits)
     ref_log_probs = nk.log_softmax(reference_logits)
     stats = sel.stats_from_log_probs(log_probs, ref_log_probs, valid_mask)
-
-    mask: MaskSet | None = None
-    if method == "eksft":
-        mask = sel.build_mask(stats, rho)
-    elif method == "random_mask":
-        if rng is None:
-            raise ConfigError("random_mask needs an rng")
-        if not (0.0 <= drop_fraction < 1.0):
-            raise ConfigError(f"drop_fraction must lie in [0, 1), got {drop_fraction}")
-        refs = [s.ref for s in stats]
-        k = sel.selected_count(drop_fraction, len(refs))
-        chosen = (
-            frozenset(refs[i] for i in rng.choice(len(refs), size=k, replace=False))
-            if k
-            else frozenset()
-        )
-        mask = MaskSet(chosen, chosen, chosen, k, len(refs))
-
-    if mask is not None:
-        supervised = valid_mask & ~refs_to_bool(mask.m_union, valid_mask.shape)
-        reg_where = refs_to_bool(mask.m_union, valid_mask.shape)
-        n_reg = len(mask.m_union)
-    elif method == "global_reg":
-        supervised = valid_mask
-        reg_where = valid_mask
-        n_reg = int(valid_mask.sum())
-    else:  # sft, dft: all valid tokens supervised, no regularizer
-        supervised = valid_mask
-        reg_where = None
-        n_reg = 0
-
-    weights = None
-    if method == "dft":
-        bi, li = _positions(supervised)
-        weights = np.exp(log_probs[bi, li, targets[bi, li]])
-    ce_sum, d_ce_sum = _nll_sum(log_probs, targets, supervised, weights=weights)
-    n_sup = int(supervised.sum())
-
-    h_sum = kl_sum = 0.0
-    d_reg_sum: np.ndarray | None = None
-    if n_reg:
-        h_sum, dh = _entropy_sum(log_probs, reg_where)
-        kl_sum, dkl = _kl_sum(log_probs, ref_log_probs, reg_where)
-        if lambda_h != 0.0 or lambda_kl != 0.0:
-            d_reg_sum = -lambda_h * dh + lambda_kl * dkl
-
-    return ObjectiveTerms(
-        method=method,
-        ce_sum=ce_sum,
-        n_sup=n_sup,
-        d_ce_sum=d_ce_sum,
-        h_sum=h_sum,
-        kl_sum=kl_sum,
-        n_reg=n_reg,
-        d_reg_sum=d_reg_sum,
-        mask=mask,
-        stats=stats,
-        lambda_h=lambda_h,
-        lambda_kl=lambda_kl,
+    constants = stop_gradient_constants(
+        method, log_probs, targets, valid_mask, stats,
+        rho=rho, drop_fraction=drop_fraction, rng=rng,
     )
+    terms = objective_sums(log_probs, ref_log_probs, targets, constants, lambda_h, lambda_kl)
+    terms.stats = stats
+    return terms
 
 
 # -----------------------------------------------------------------------------

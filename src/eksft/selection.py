@@ -3,15 +3,19 @@
 A batch's valid tokens T are ranked twice, once by next-token entropy and
 once by KL to the frozen reference model. Each criterion keeps exactly
 k = ceil(rho * |T|) tokens (ties broken by ascending (sequence, position)),
-and the final mask is the union of the two sets. Selection is a hard,
-non-differentiable choice: downstream losses treat the mask as a constant.
+and the final mask is the union of the two sets. Masks are bool vectors in
+the order of the batch's TokenStats list, which is the row-major order of
+its valid positions. Selection is a hard, non-differentiable choice:
+downstream losses treat the mask as a constant.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from fractions import Fraction
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,15 +43,18 @@ class TokenStats:
 
 @dataclass(frozen=True)
 class MaskSet:
-    m_entropy: frozenset[TokenRef]
-    m_kl: frozenset[TokenRef]
-    m_union: frozenset[TokenRef]
+    """Selected tokens as bool vectors aligned with the batch's TokenStats list."""
+
+    m_entropy: np.ndarray
+    m_kl: np.ndarray
+    m_union: np.ndarray
     k: int
     total_valid: int
 
     @staticmethod
     def empty(total_valid: int = 0) -> "MaskSet":
-        return MaskSet(frozenset(), frozenset(), frozenset(), 0, total_valid)
+        none = np.zeros(total_valid, dtype=bool)
+        return MaskSet(none, none, none, 0, total_valid)
 
 
 def _check_log_prob_row(row: np.ndarray, name: str) -> np.ndarray:
@@ -103,62 +110,46 @@ def batch_kl(policy_log_probs: np.ndarray, reference_log_probs: np.ndarray) -> n
     return np.where((kl < 0.0) & (kl >= KL_FLOOR), 0.0, kl)
 
 
-def rank(value: float, values: Iterable[float]) -> int:
-    """Number of elements >= value (so the unique maximum has rank 1)."""
-    return int(sum(1 for v in values if v >= value))
-
-
 def selected_count(rho: float, total: int) -> int:
-    """k = ceil(rho * total) for rho > 0; rho == 0 selects nothing."""
-    if rho < 0.0 or rho > 1.0:
+    """k = ceil(rho * total) for rho > 0; rho == 0 selects nothing.
+
+    rho is taken at its decimal value: in binary floating point 0.28 * 25
+    is 7.000000000000001, whose ceiling would select 8 tokens, not 7.
+    """
+    if not (0.0 <= rho <= 1.0):
         raise ConfigError(f"top-k ratio must lie in [0, 1], got {rho}")
     if rho == 0.0 or total == 0:
         return 0
-    return int(-(-rho * total // 1))  # ceil without importing math for floats
+    return math.ceil(Fraction(str(float(rho))) * total)
 
 
-def topk_select(stats: Sequence[tuple[TokenRef, float]], rho: float) -> frozenset[TokenRef]:
-    """Exactly ceil(rho*|T|) refs with the largest values; ties broken by ascending ref."""
-    k = selected_count(rho, len(stats))
-    if k == 0:
-        return frozenset()
-    ordered = sorted(stats, key=lambda item: (-item[1], item[0]))
-    return frozenset(ref for ref, _ in ordered[:k])
+def _top_k(values: np.ndarray, seq: np.ndarray, pos: np.ndarray, k: int) -> np.ndarray:
+    """Bool vector marking the k largest values; ties go to ascending (seq, pos)."""
+    out = np.zeros(values.size, dtype=bool)
+    out[np.lexsort((pos, seq, -values))[:k]] = True
+    return out
 
 
-def build_mask(stats: Sequence[TokenStats], rho: float, per_sequence: bool = False) -> MaskSet:
-    """Union of entropy Top-K and KL Top-K over one batch's valid tokens.
-
-    Ranking is batch-global. per_sequence=True is an experimental variant
-    that ranks within each sequence independently (k per sequence); it is
-    not used by any training path and is untested.
-    """
+def build_mask(stats: Sequence[TokenStats], rho: float) -> MaskSet:
+    """Union of entropy Top-K and KL Top-K over one batch's valid tokens (batch-global)."""
     k = selected_count(rho, len(stats))
     if not stats:
         log.warning("build_mask called with zero valid tokens; returning empty mask")
         return MaskSet.empty(0)
     if k == 0:
         return MaskSet.empty(len(stats))
-    if per_sequence:
-        by_seq: dict[int, list[TokenStats]] = {}
-        for s in stats:
-            by_seq.setdefault(s.ref.sequence_index, []).append(s)
-        m_entropy: frozenset[TokenRef] = frozenset()
-        m_kl: frozenset[TokenRef] = frozenset()
-        for group in by_seq.values():
-            m_entropy |= topk_select([(s.ref, s.entropy) for s in group], rho)
-            m_kl |= topk_select([(s.ref, s.kl) for s in group], rho)
-        return MaskSet(m_entropy, m_kl, m_entropy | m_kl, len(m_entropy), len(stats))
-    m_entropy = topk_select([(s.ref, s.entropy) for s in stats], rho)
-    m_kl = topk_select([(s.ref, s.kl) for s in stats], rho)
+    seq = np.array([s.ref.sequence_index for s in stats])
+    pos = np.array([s.ref.token_position for s in stats])
+    m_entropy = _top_k(np.array([s.entropy for s in stats]), seq, pos, k)
+    m_kl = _top_k(np.array([s.kl for s in stats]), seq, pos, k)
     return MaskSet(m_entropy, m_kl, m_entropy | m_kl, k, len(stats))
 
 
-def iou(a: frozenset | set, b: frozenset | set) -> float:
-    """Intersection over union; both empty counts as full agreement (1.0)."""
-    if not a and not b:
+def iou(n_both: int, n_either: int) -> float:
+    """Intersection over union from the two set sizes; both empty counts as 1.0."""
+    if n_either == 0:
         return 1.0
-    return len(a & b) / len(a | b)
+    return n_both / n_either
 
 
 def stats_from_log_probs(
@@ -169,12 +160,13 @@ def stats_from_log_probs(
     log_probs and reference_log_probs are (B, L, V); valid_mask is (B, L)
     bool selecting the response-token positions that make up T.
     """
-    ent = batch_entropy(log_probs)
-    kl = batch_kl(log_probs, reference_log_probs)
-    out = []
-    for b, t in zip(*np.nonzero(valid_mask)):
-        out.append(TokenStats(TokenRef(int(b), int(t)), float(ent[b, t]), float(kl[b, t])))
-    return out
+    bi, li = np.nonzero(valid_mask)
+    ent = batch_entropy(log_probs)[bi, li].tolist()
+    kl = batch_kl(log_probs, reference_log_probs)[bi, li].tolist()
+    return [
+        TokenStats(TokenRef(b, t), h, d)
+        for b, t, h, d in zip(bi.tolist(), li.tolist(), ent, kl)
+    ]
 
 
 def mask_dump_rows(step: int, stats: Sequence[TokenStats], mask: MaskSet, seq_offset: int = 0) -> list[dict]:
@@ -183,17 +175,15 @@ def mask_dump_rows(step: int, stats: Sequence[TokenStats], mask: MaskSet, seq_of
     seq_offset shifts sequence indices so micro-batches within one optimizer
     step get distinct ids.
     """
-    rows = []
-    for s in stats:
-        rows.append(
-            {
-                "step": step,
-                "seq": s.ref.sequence_index + seq_offset,
-                "pos": s.ref.token_position,
-                "entropy": s.entropy,
-                "kl": s.kl,
-                "in_mH": s.ref in mask.m_entropy,
-                "in_mKL": s.ref in mask.m_kl,
-            }
-        )
-    return rows
+    return [
+        {
+            "step": step,
+            "seq": s.ref.sequence_index + seq_offset,
+            "pos": s.ref.token_position,
+            "entropy": s.entropy,
+            "kl": s.kl,
+            "in_mH": in_mh,
+            "in_mKL": in_mkl,
+        }
+        for s, in_mh, in_mkl in zip(stats, mask.m_entropy.tolist(), mask.m_kl.tolist())
+    ]

@@ -289,9 +289,7 @@ def train_sft(
             group_idx = order[g0 : g0 + group_size]
             sup_grads = reg_grads = None
             ce_sum = h_sum = kl_sum = 0.0
-            n_sup = n_reg = n_masked = 0
-            step_mh: set = set()
-            step_mkl: set = set()
+            n_sup = n_reg = n_masked = n_both = 0
             ent_vals: list[float] = []
             kl_vals: list[float] = []
             lambda_h, lambda_kl = config.lambda_h, config.lambda_kl
@@ -330,17 +328,12 @@ def train_sft(
                 n_reg += terms.n_reg
                 ent_vals.extend(s.entropy for s in terms.stats)
                 kl_vals.extend(s.kl for s in terms.stats)
-                if terms.mask is not None:
-                    n_masked += len(terms.mask.m_union)
+                if uses_mask:
+                    mask = terms.mask
+                    n_masked += int(mask.m_union.sum())
+                    n_both += int((mask.m_entropy & mask.m_kl).sum())
                     offset = micro * config.batch_size
-                    if uses_mask:
-                        dump_rows.extend(sel.mask_dump_rows(step, terms.stats, terms.mask, offset))
-                    step_mh.update(
-                        (r.sequence_index + offset, r.token_position) for r in terms.mask.m_entropy
-                    )
-                    step_mkl.update(
-                        (r.sequence_index + offset, r.token_position) for r in terms.mask.m_kl
-                    )
+                    dump_rows.extend(sel.mask_dump_rows(step, terms.stats, mask, offset))
 
             grads = _combine_step_grads(params, sup_grads, n_sup, reg_grads, n_reg)
             adamw_step(
@@ -363,7 +356,7 @@ def train_sft(
                     n_masked=n_masked,
                     mean_entropy=float(np.mean(ent_vals)) if ent_vals else 0.0,
                     mean_kl=float(np.mean(kl_vals)) if kl_vals else 0.0,
-                    mask_iou=sel.iou(step_mh, step_mkl) if uses_mask else None,
+                    mask_iou=sel.iou(n_both, n_masked) if uses_mask else None,
                 )
             )
             timings.append((step, time.perf_counter() - t_start))

@@ -26,6 +26,8 @@ from eksft import train as tr
 from eksft.cli import main as cli_main
 from eksft.selection import TokenRef, TokenStats
 
+from conftest import normalized, pinned_objective
+
 
 def _report(number: int, name: str, ok: bool, detail: str = ""):
     status = "PASS" if ok else "FAIL"
@@ -76,34 +78,16 @@ def test_c01_gradient_fidelity():
             )
         ref_logits = mdl.forward(ref_params, ids, want_cache=False)[0]
         logits0 = mdl.forward(params, ids, want_cache=False)[0]
-        _, _, mask = obj.eksft_loss(logits0, ref_logits, targets, 0.2, 0.05, 0.05, valid)
-        rmask = obj.random_mask_loss(
-            logits0, ref_logits, targets, 0.10, 0.05, 0.05, valid,
-            np.random.default_rng([seed, 88]),
-        )[2]
-        lp0 = nk.log_softmax(logits0)
-        bi, li = np.nonzero(valid)
-        w0 = np.exp(lp0[bi, li, targets[bi, li]])  # frozen stop-gradient weights
 
         def make_f(kind):
+            # the training core, with masks and DFT weights pinned at x0
+            loss = pinned_objective(kind, logits0, ref_logits, targets, valid, rho=0.2,
+                                    drop_fraction=0.10, rng=np.random.default_rng([seed, 88]))
+
             def f(flat):
                 p = mdl.unflatten_params(cfg, flat)
                 logits, cache = mdl.forward(p, ids)
-                if kind == "sft":
-                    v, d = obj.sft_loss(logits, targets, valid)
-                elif kind == "dft":
-                    v, d = obj.dft_loss(logits, targets, valid, frozen_weights=w0)
-                elif kind == "eksft":
-                    bd, d = obj.eksft_loss_given_mask(
-                        logits, ref_logits, targets, mask, 0.05, 0.05, valid)
-                    v = bd.total
-                elif kind == "random_mask":
-                    bd, d = obj.eksft_loss_given_mask(
-                        logits, ref_logits, targets, rmask, 0.05, 0.05, valid)
-                    v = bd.total
-                else:
-                    bd, d = obj.global_reg_loss(logits, ref_logits, targets, 0.05, 0.05, valid)
-                    v = bd.total
+                v, d = loss(logits)
                 return v, mdl.flatten_grads(p, mdl.backward(p, cache, d))
             return f
 
@@ -128,9 +112,10 @@ def test_c02_reduction_identity():
         targets = rng.integers(0, 9, size=(2, 6))
         valid = rng.random((2, 6)) < 0.8
         valid[:, 0] = True
-        sft_val, sft_d = obj.sft_loss(logits, targets, valid)
-        bd, d, _ = obj.eksft_loss(logits, ref, targets, 0.0, 0.0, 0.0, valid)
-        max_dev = max(max_dev, abs(bd.total - sft_val))
+        sft_val, sft_d = normalized(obj.objective_terms("sft", logits, ref, targets, valid))
+        total, d = normalized(obj.objective_terms("eksft", logits, ref, targets, valid,
+                                                  rho=0.0, lambda_h=0.0, lambda_kl=0.0))
+        max_dev = max(max_dev, abs(total - sft_val))
         assert np.array_equal(d, sft_d)
 
     spec = tasks.TaskSpec(n_pretrain=0, n_sft=8, n_rl=0, n_eval=0, seed=3)
@@ -166,16 +151,18 @@ def test_c03_label_free_masked_gradient():
         ref_logits = mdl.forward(_conditioned(mdl.ModelConfig(seed=trial + 50, **GRAD_MODEL)),
                                  ids, want_cache=False)[0]
         logits, cache = mdl.forward(params, ids)
-        _, _, mask = obj.eksft_loss(logits, ref_logits, targets, 0.3, 0.05, 0.05, valid)
-        if not mask.m_union:
+        kw = dict(rho=0.3, lambda_h=0.05, lambda_kl=0.05)
+        t1 = obj.objective_terms("eksft", logits, ref_logits, targets, valid, **kw)
+        if not t1.mask.m_union.any():
             continue
-        _, d1 = obj.eksft_loss_given_mask(logits, ref_logits, targets, mask, 0.05, 0.05, valid)
-        g1 = mdl.backward(params, cache, d1)
+        g1 = mdl.backward(params, cache, normalized(t1)[1])
+        masked = np.zeros_like(valid)
+        masked[valid] = t1.mask.m_union
         permuted = targets.copy()
-        for r in mask.m_union:
-            permuted[r.sequence_index, r.token_position] = int(rng.integers(0, cfg.vocab_size))
-        _, d2 = obj.eksft_loss_given_mask(logits, ref_logits, permuted, mask, 0.05, 0.05, valid)
-        g2 = mdl.backward(params, cache, d2)
+        permuted[masked] = rng.integers(0, cfg.vocab_size, size=int(masked.sum()))
+        t2 = obj.objective_terms("eksft", logits, ref_logits, permuted, valid, **kw)
+        assert np.array_equal(t1.mask.m_union, t2.mask.m_union)
+        g2 = mdl.backward(params, cache, normalized(t2)[1])
         assert all(np.array_equal(g1[n], g2[n]) for n in g1)
         checked += 1
     _report(3, "label-free masked gradient", checked >= 10, f"{checked} batches checked exactly")
@@ -233,9 +220,13 @@ def test_c05_selection_matches_oracle():
             ordered = sorted(((key(s), s.ref) for s in stats), key=lambda t: (-t[0], t[1]))
             return frozenset(ref for _, ref in ordered[:k])
 
+        def chosen(selected):
+            return frozenset(s.ref for s, x in zip(stats, selected) if x)
+
         mh, mkl = oracle(lambda s: s.entropy), oracle(lambda s: s.kl)
-        assert mask.m_entropy == mh and mask.m_kl == mkl and mask.m_union == mh | mkl
-        assert len(mask.m_entropy) == len(mask.m_kl) == k == mask.k
+        assert chosen(mask.m_entropy) == mh and chosen(mask.m_kl) == mkl
+        assert chosen(mask.m_union) == mh | mkl
+        assert int(mask.m_entropy.sum()) == int(mask.m_kl.sum()) == k == mask.k
         checked += 1
     _report(5, "selection matches oracle", checked == 1000, f"{checked} batches incl. tie cases")
 
@@ -322,7 +313,6 @@ def stage1_runs():
 
 def test_c07_sft_vs_eksft_desk_run(stage1_runs):
     """Across seeds: EKSFT keeps entropy, drifts no more, holds pass@32."""
-    t0 = time.time()
     passes = 0
     details = []
     for seed in SEEDS:
@@ -340,7 +330,6 @@ def test_c07_sft_vs_eksft_desk_run(stage1_runs):
     ok = passes > len(SEEDS) / 2
     _report(7, "stage-1 desk comparison", ok,
             f"{passes}/{len(SEEDS)} seeds; " + " ".join(details))
-    assert time.time() - t0 < 900 or True  # budget guard is on the fixture, kept informational
 
 
 def test_c08_rl_from_sft_vs_eksft(stage1_runs):

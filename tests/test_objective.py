@@ -7,15 +7,9 @@ from eksft import model as mdl
 from eksft import numerics as nk
 from eksft import objective as obj
 from eksft import selection as sel
-from eksft.errors import ConfigError, DegenerateInputError, InputError
-from eksft.selection import MaskSet, TokenRef
+from eksft.errors import ConfigError, InputError
 
-from conftest import conditioned_point, random_batch
-
-
-def _mask_from(refs, n_valid):
-    s = frozenset(TokenRef(*r) for r in refs)
-    return MaskSet(s, s, s, len(s), n_valid)
+from conftest import conditioned_point, normalized, pinned_objective, random_batch
 
 
 def _logits_from_probs(rows):
@@ -23,11 +17,42 @@ def _logits_from_probs(rows):
     return np.log(np.asarray(rows, dtype=np.float64))
 
 
+def _terms(method, logits, targets, valid, reference=None, **kw):
+    ref = logits if reference is None else reference
+    return obj.objective_terms(method, logits, ref, targets, valid, **kw)
+
+
+def _masked(valid, positions):
+    """Constants that regularize `positions` and supervise the rest of `valid`."""
+    reg = np.zeros_like(valid)
+    for b, t in positions:
+        reg[b, t] = True
+    return obj.Constants(valid & ~reg, reg, None, None)
+
+
+def _sums(logits, constants, reference=None, targets=None, lambda_h=0.05, lambda_kl=0.05):
+    lp = nk.log_softmax(logits)
+    ref_lp = lp if reference is None else nk.log_softmax(reference)
+    if targets is None:
+        targets = np.zeros(logits.shape[:2], dtype=int)
+    return obj.objective_sums(lp, ref_lp, targets, constants, lambda_h, lambda_kl)
+
+
+def _fd_logits(loss, logits):
+    """Worst FD error of a logits -> (loss, dlogits) function."""
+
+    def f(flat):
+        v, d = loss(flat.reshape(logits.shape))
+        return v, d.reshape(-1)
+
+    return nk.grad_check(f, logits.reshape(-1))
+
+
 def test_sft_loss_perfect_model_is_zero():
     logits = np.zeros((1, 3, 6))
     targets = np.array([[1, 2, 3]])
     logits[0, np.arange(3), targets[0]] = 60.0  # probability ~1 on each target
-    loss, d = obj.sft_loss(logits, targets, np.ones((1, 3), bool))
+    loss, d = normalized(_terms("sft", logits, targets, np.ones((1, 3), bool)))
     assert loss <= 1e-12
     assert np.max(np.abs(d)) <= 1e-12
 
@@ -35,13 +60,15 @@ def test_sft_loss_perfect_model_is_zero():
 def test_sft_loss_uniform_is_log_v():
     logits = np.zeros((2, 4, 32))
     targets = np.zeros((2, 4), dtype=int)
-    loss, _ = obj.sft_loss(logits, targets, np.ones((2, 4), bool))
+    loss, _ = normalized(_terms("sft", logits, targets, np.ones((2, 4), bool)))
     assert loss == pytest.approx(math.log(32), abs=1e-12)
 
 
-def test_sft_rejects_zero_valid():
-    with pytest.raises(DegenerateInputError):
-        obj.sft_loss(np.zeros((1, 2, 4)), np.zeros((1, 2), int), np.zeros((1, 2), bool))
+def test_sft_zero_valid_gives_empty_terms():
+    terms = _terms("sft", np.zeros((1, 2, 4)), np.zeros((1, 2), int), np.zeros((1, 2), bool))
+    assert terms.n_sup == 0 and terms.ce_sum == 0.0 and terms.n_reg == 0
+    assert not terms.d_ce_sum.any() and terms.d_reg_sum is None
+    assert terms.stats == []
 
 
 def test_sft_logit_gradient_is_softmax_minus_onehot():
@@ -49,18 +76,12 @@ def test_sft_logit_gradient_is_softmax_minus_onehot():
     logits = rng.normal(0, 2, size=(1, 1, 9))
     targets = np.array([[4]])
     valid = np.ones((1, 1), bool)
-    _, d = obj.sft_loss(logits, targets, valid)
+    _, d = normalized(_terms("sft", logits, targets, valid))
     p = np.exp(nk.log_softmax(logits))[0, 0]
     e = np.zeros(9)
     e[4] = 1.0
     assert np.allclose(d[0, 0], p - e, atol=1e-15)
-
-    def f(flat):
-        z = flat.reshape(1, 1, 9)
-        loss, dz = obj.sft_loss(z, targets, valid)
-        return loss, dz.reshape(-1)
-
-    assert nk.grad_check(f, logits.reshape(-1)) <= 1e-5
+    assert _fd_logits(lambda z: normalized(_terms("sft", z, targets, valid)), logits) <= 1e-5
 
 
 def test_masked_ce_hand_case():
@@ -72,10 +93,9 @@ def test_masked_ce_hand_case():
     p2[0] = math.exp(-2)
     rows[0, 0] = np.log(p1)
     rows[0, 1] = np.log(p2)
-    targets = np.zeros((1, 2), dtype=int)
-    valid = np.ones((1, 2), bool)
-    loss, _ = obj.masked_ce(rows, targets, _mask_from([(0, 1)], 2), valid)
-    assert loss == pytest.approx(1.0, abs=1e-12)
+    terms = _sums(rows, _masked(np.ones((1, 2), bool), [(0, 1)]))
+    assert terms.n_sup == 1
+    assert terms.ce_sum == pytest.approx(1.0, abs=1e-12)
 
 
 def test_masked_ce_empty_mask_equals_sft():
@@ -84,92 +104,81 @@ def test_masked_ce_empty_mask_equals_sft():
     targets = rng.integers(0, 7, size=(2, 5))
     valid = rng.random((2, 5)) < 0.7
     valid[0, 0] = True
-    ref_loss, ref_d = obj.sft_loss(logits, targets, valid)
-    loss, d = obj.masked_ce(logits, targets, MaskSet.empty(int(valid.sum())), valid)
-    assert loss == ref_loss
-    assert np.array_equal(d, ref_d)
+    sft = _terms("sft", logits, targets, valid)
+    terms = _sums(logits, _masked(valid, []), targets=targets)
+    assert terms.ce_sum == sft.ce_sum and terms.n_sup == sft.n_sup
+    assert np.array_equal(terms.d_ce_sum, sft.d_ce_sum)
+    assert terms.n_reg == 0 and terms.d_reg_sum is None
 
 
-def test_masked_ce_full_mask_returns_zero_with_warning(caplog):
+def test_masked_ce_full_mask_returns_zero():
     rng = np.random.default_rng(2)
     logits = rng.normal(size=(1, 3, 5))
     targets = rng.integers(0, 5, size=(1, 3))
     valid = np.ones((1, 3), bool)
-    mask = _mask_from([(0, 0), (0, 1), (0, 2)], 3)
-    with caplog.at_level("WARNING"):
-        loss, d = obj.masked_ce(logits, targets, mask, valid)
-    assert loss == 0.0
-    assert np.all(d == 0.0)
-    assert any("every valid token" in r.message for r in caplog.records)
-
-
-def test_masked_ce_rejects_mask_outside_valid():
-    logits = np.zeros((1, 3, 5))
-    targets = np.zeros((1, 3), int)
-    valid = np.array([[True, True, False]])
-    with pytest.raises(InputError):
-        obj.masked_ce(logits, targets, _mask_from([(0, 2)], 2), valid)
+    terms = _terms("eksft", logits, targets, valid, reference=rng.normal(size=(1, 3, 5)), rho=1.0)
+    assert terms.n_sup == 0 and terms.n_reg == 3
+    assert terms.ce_sum == 0.0
+    assert np.all(terms.d_ce_sum == 0.0)
 
 
 def test_entropy_reg_uniform_rows():
-    logits = np.zeros((1, 2, 16))
-    mask = _mask_from([(0, 0), (0, 1)], 2)
-    val, _ = obj.entropy_reg(logits, mask)
-    assert val == pytest.approx(math.log(16), abs=1e-12)
+    terms = _sums(np.zeros((1, 2, 16)), _masked(np.ones((1, 2), bool), [(0, 0), (0, 1)]))
+    assert terms.h_sum / terms.n_reg == pytest.approx(math.log(16), abs=1e-12)
 
 
 def test_entropy_reg_peaked_rows_near_zero():
     logits = np.zeros((1, 2, 16))
     logits[:, :, 0] = 80.0
-    val, _ = obj.entropy_reg(logits, _mask_from([(0, 0), (0, 1)], 2))
-    assert val <= 1e-12
+    terms = _sums(logits, _masked(np.ones((1, 2), bool), [(0, 0), (0, 1)]))
+    assert terms.h_sum / terms.n_reg <= 1e-12
 
 
 def test_entropy_reg_gradient_formula_and_fd():
     rng = np.random.default_rng(3)
     logits = rng.normal(0, 2, size=(1, 3, 8))
-    mask = _mask_from([(0, 0), (0, 2)], 3)
-    val, d = obj.entropy_reg(logits, mask)
+    valid = np.ones((1, 3), bool)
+    # nothing supervised: the loss is -mean entropy over the two regularized rows
+    constants = obj.Constants(np.zeros_like(valid), _masked(valid, [(0, 0), (0, 2)]).regularized,
+                              None, None)
+    _, d = normalized(_sums(logits, constants, lambda_h=1.0, lambda_kl=0.0))
     lp = nk.log_softmax(logits)
     p = np.exp(lp)
     for (b, t) in [(0, 0), (0, 2)]:
         h = -(p[b, t] * lp[b, t]).sum()
-        expected = -p[b, t] * (lp[b, t] + h) / 2.0  # mean over the 2 masked rows
-        assert np.allclose(d[b, t], expected, atol=1e-14)
+        expected = -p[b, t] * (lp[b, t] + h) / 2.0  # d(mean entropy) over the 2 rows
+        assert np.allclose(-d[b, t], expected, atol=1e-14)
     assert np.all(d[0, 1] == 0.0)
-
-    def f(flat):
-        v, dz = obj.entropy_reg(flat.reshape(1, 3, 8), mask)
-        return v, dz.reshape(-1)
-
-    assert nk.grad_check(f, logits.reshape(-1)) <= 1e-5
+    loss = lambda z: normalized(_sums(z, constants, lambda_h=1.0, lambda_kl=0.0))  # noqa: E731
+    assert _fd_logits(loss, logits) <= 1e-5
 
 
 def test_kl_reg_zero_at_identity_with_zero_gradient():
     rng = np.random.default_rng(4)
     logits = rng.normal(0, 2, size=(1, 2, 6))
-    mask = _mask_from([(0, 0), (0, 1)], 2)
-    val, d = obj.kl_reg(logits, logits.copy(), mask)
-    assert val == 0.0
-    assert np.max(np.abs(d)) <= 1e-15
+    valid = np.ones((1, 2), bool)
+    terms = _sums(logits, _masked(valid, [(0, 0), (0, 1)]), reference=logits.copy(),
+                  lambda_h=0.0, lambda_kl=1.0)
+    assert terms.kl_sum == 0.0
+    assert np.max(np.abs(terms.d_reg_sum)) <= 1e-15
 
 
 def test_kl_reg_gradient_fd():
     rng = np.random.default_rng(5)
     logits = rng.normal(0, 2, size=(2, 3, 6))
     ref = rng.normal(0, 2, size=(2, 3, 6))
-    mask = _mask_from([(0, 1), (1, 0), (1, 2)], 6)
-
-    def f(flat):
-        v, dz = obj.kl_reg(flat.reshape(2, 3, 6), ref, mask)
-        return v, dz.reshape(-1)
-
-    assert nk.grad_check(f, logits.reshape(-1)) <= 1e-5
+    valid = np.ones((2, 3), bool)
+    reg = _masked(valid, [(0, 1), (1, 0), (1, 2)]).regularized
+    constants = obj.Constants(np.zeros_like(valid), reg, None, None)
+    loss = lambda z: normalized(  # noqa: E731
+        _sums(z, constants, reference=ref, lambda_h=0.0, lambda_kl=1.0))
+    assert _fd_logits(loss, logits) <= 1e-5
 
 
 def test_kl_reg_shape_mismatch():
     with pytest.raises(InputError):
-        obj.kl_reg(np.zeros((1, 2, 6)), np.zeros((1, 2, 7)), MaskSet.empty(0))
+        obj.objective_terms("eksft", np.zeros((1, 2, 6)), np.zeros((1, 2, 7)),
+                            np.zeros((1, 2), int), np.ones((1, 2), bool))
 
 
 def test_eksft_reduces_to_sft():
@@ -178,17 +187,23 @@ def test_eksft_reduces_to_sft():
     ref = rng.normal(0, 2, size=(2, 4, 9))
     targets = rng.integers(0, 9, size=(2, 4))
     valid = np.ones((2, 4), bool)
-    sft_val, sft_d = obj.sft_loss(logits, targets, valid)
-    bd, d, mask = obj.eksft_loss(logits, ref, targets, 0.0, 0.0, 0.0, valid)
-    assert abs(bd.total - sft_val) <= 1e-12
+    sft = _terms("sft", logits, targets, valid, reference=ref)
+    eksft = _terms("eksft", logits, targets, valid, reference=ref,
+                   rho=0.0, lambda_h=0.0, lambda_kl=0.0)
+    assert np.array_equal(eksft.d_ce_sum, sft.d_ce_sum)
+    assert eksft.d_reg_sum is None
+    sft_val, sft_d = normalized(sft)
+    total, d = normalized(eksft)
+    assert abs(total - sft_val) <= 1e-12
     assert np.array_equal(d, sft_d)
-    assert mask.k == 0
+    assert eksft.mask.k == 0
 
 
 def test_eksft_rejects_negative_weights():
     z = np.zeros((1, 2, 6))
     with pytest.raises(ConfigError):
-        obj.eksft_loss(z, z, np.zeros((1, 2), int), 0.2, -0.1, 0.0, np.ones((1, 2), bool))
+        obj.objective_terms("eksft", z, z, np.zeros((1, 2), int), np.ones((1, 2), bool),
+                            rho=0.2, lambda_h=-0.1, lambda_kl=0.0)
 
 
 def test_eksft_breakdown_recomposes():
@@ -199,11 +214,13 @@ def test_eksft_breakdown_recomposes():
         targets = rng.integers(0, 8, size=(2, 5))
         valid = rng.random((2, 5)) < 0.8
         valid[:, 0] = True
-        bd, _, mask = obj.eksft_loss(logits, ref, targets, 0.3, 0.05, 0.07, valid)
-        recomposed = bd.ce_masked - bd.lambda_h * bd.entropy_reg + bd.lambda_kl * bd.kl_reg
-        assert abs(bd.total - recomposed) <= 1e-12
-        assert bd.n_supervised + bd.n_masked == int(valid.sum())
-        assert bd.n_masked == len(mask.m_union)
+        terms = _terms("eksft", logits, targets, valid, reference=ref,
+                       rho=0.3, lambda_h=0.05, lambda_kl=0.07)
+        total, _ = normalized(terms)
+        ce, h, kl = terms.ce_sum / terms.n_sup, terms.h_sum / terms.n_reg, terms.kl_sum / terms.n_reg
+        assert abs(total - (ce - 0.05 * h + 0.07 * kl)) <= 1e-12
+        assert terms.n_sup + terms.n_reg == int(valid.sum())
+        assert terms.n_reg == int(terms.mask.m_union.sum())
 
 
 def test_eksft_masked_gradient_is_label_free():
@@ -214,18 +231,20 @@ def test_eksft_masked_gradient_is_label_free():
         targets = rng.integers(0, 9, size=(2, 6))
         valid = rng.random((2, 6)) < 0.9
         valid[:, 0] = True
-        _, _, mask = obj.eksft_loss(logits, ref, targets, 0.3, 0.05, 0.05, valid)
-        if not mask.m_union:
+        kw = dict(reference=ref, rho=0.3, lambda_h=0.05, lambda_kl=0.05)
+        t1 = _terms("eksft", logits, targets, valid, **kw)
+        if not t1.mask.m_union.any():
             continue
-        bd1, d1 = obj.eksft_loss_given_mask(logits, ref, targets, mask, 0.05, 0.05, valid)
         permuted = targets.copy()
-        for r in mask.m_union:
-            permuted[r.sequence_index, r.token_position] = int(
-                rng.integers(0, 9)
-            )
-        bd2, d2 = obj.eksft_loss_given_mask(logits, ref, permuted, mask, 0.05, 0.05, valid)
+        masked = np.zeros_like(valid)
+        masked[valid] = t1.mask.m_union
+        permuted[masked] = rng.integers(0, 9, size=int(masked.sum()))
+        t2 = _terms("eksft", logits, permuted, valid, **kw)
+        assert np.array_equal(t1.mask.m_union, t2.mask.m_union)
+        bd1, d1 = normalized(t1)
+        bd2, d2 = normalized(t2)
         assert np.array_equal(d1, d2)
-        assert bd1.total == bd2.total
+        assert bd1 == bd2
 
 
 def test_eksft_full_model_fd(tiny_config):
@@ -241,13 +260,13 @@ def test_eksft_full_model_fd(tiny_config):
             )
         ref_logits = mdl.forward(ref_params, ids, want_cache=False)[0]
         logits0 = mdl.forward(params, ids, want_cache=False)[0]
-        _, _, mask = obj.eksft_loss(logits0, ref_logits, targets, 0.2, 0.05, 0.05, valid)
+        loss = pinned_objective("eksft", logits0, ref_logits, targets, valid, rho=0.2)
 
         def f(flat):
             p = mdl.unflatten_params(tiny_config, flat)
             logits, cache = mdl.forward(p, ids)
-            bd, d = obj.eksft_loss_given_mask(logits, ref_logits, targets, mask, 0.05, 0.05, valid)
-            return bd.total, mdl.flatten_grads(p, mdl.backward(p, cache, d))
+            v, d = loss(logits)
+            return v, mdl.flatten_grads(p, mdl.backward(p, cache, d))
 
         x0 = mdl.flatten_params(params)
         _, g = f(x0)
@@ -260,7 +279,7 @@ def test_dft_perfect_model_is_zero():
     logits = np.zeros((1, 2, 6))
     targets = np.array([[1, 2]])
     logits[0, [0, 1], targets[0]] = 60.0
-    loss, _ = obj.dft_loss(logits, targets, np.ones((1, 2), bool))
+    loss, _ = normalized(_terms("dft", logits, targets, np.ones((1, 2), bool)))
     assert loss <= 1e-12
 
 
@@ -271,7 +290,7 @@ def test_dft_weight_vanishes_for_hard_tokens():
     logits = _logits_from_probs([[p]])
     targets = np.zeros((1, 1), int)
     valid = np.ones((1, 1), bool)
-    loss, d = obj.dft_loss(logits, targets, valid)
+    loss, d = normalized(_terms("dft", logits, targets, valid))
     assert loss == pytest.approx(1e-6 * -math.log(1e-6), rel=1e-9)
     assert np.max(np.abs(d)) <= 2e-6
 
@@ -281,15 +300,8 @@ def test_dft_fd_with_frozen_weights():
     logits = rng.normal(0, 2, size=(2, 4, 7))
     targets = rng.integers(0, 7, size=(2, 4))
     valid = np.ones((2, 4), bool)
-    lp = nk.log_softmax(logits)
-    bi, li = np.nonzero(valid)
-    w0 = np.exp(lp[bi, li, targets[bi, li]])
-
-    def f(flat):
-        loss, d = obj.dft_loss(flat.reshape(2, 4, 7), targets, valid, frozen_weights=w0)
-        return loss, d.reshape(-1)
-
-    assert nk.grad_check(f, logits.reshape(-1)) <= 1e-5
+    loss = pinned_objective("dft", logits, logits, targets, valid)
+    assert _fd_logits(loss, logits) <= 1e-5
 
 
 def test_random_mask_zero_drop_is_plain_ce():
@@ -298,13 +310,13 @@ def test_random_mask_zero_drop_is_plain_ce():
     ref = rng.normal(0, 2, size=(2, 4, 6))
     targets = rng.integers(0, 6, size=(2, 4))
     valid = np.ones((2, 4), bool)
-    bd, d, mask = obj.random_mask_loss(
-        logits, ref, targets, 0.0, 0.05, 0.05, valid, np.random.default_rng(0)
-    )
-    sft_val, sft_d = obj.sft_loss(logits, targets, valid)
-    assert bd.total == sft_val
+    terms = _terms("random_mask", logits, targets, valid, reference=ref,
+                   drop_fraction=0.0, rng=np.random.default_rng(0))
+    sft_val, sft_d = normalized(_terms("sft", logits, targets, valid, reference=ref))
+    total, d = normalized(terms)
+    assert total == sft_val
     assert np.array_equal(d, sft_d)
-    assert mask.k == 0
+    assert terms.mask.k == 0
 
 
 def test_random_mask_size_and_determinism():
@@ -312,27 +324,28 @@ def test_random_mask_size_and_determinism():
     logits = rng.normal(0, 2, size=(3, 10, 6))
     ref = rng.normal(0, 2, size=(3, 10, 6))
     targets = rng.integers(0, 6, size=(3, 10))
-    valid = np.ones((3, 10), bool)  # |T| = 30
-    masks = []
-    for seed in range(10):
-        _, _, mask = obj.random_mask_loss(
-            logits, ref, targets, 0.10, 0.05, 0.05, valid, np.random.default_rng(seed)
-        )
-        assert len(mask.m_union) == math.ceil(0.10 * 30) == 3
-        masks.append(mask.m_union)
-    again = obj.random_mask_loss(
-        logits, ref, targets, 0.10, 0.05, 0.05, valid, np.random.default_rng(4)
-    )[2]
-    assert again.m_union == masks[4]
+    valid = rng.random((3, 10)) < 0.8
+    n_valid = int(valid.sum())
+    for drop in (0.07, 0.10, 0.28, 0.55):
+        k = sel.selected_count(drop, n_valid)
+        masks = []
+        for seed in range(10):
+            terms = _terms("random_mask", logits, targets, valid, reference=ref,
+                           drop_fraction=drop, rng=np.random.default_rng(seed))
+            assert int(terms.mask.m_union.sum()) == terms.n_reg == terms.mask.k == k
+            assert terms.n_sup == n_valid - k
+            masks.append(terms.mask.m_union)
+        again = _terms("random_mask", logits, targets, valid, reference=ref,
+                       drop_fraction=drop, rng=np.random.default_rng(4)).mask
+        assert np.array_equal(again.m_union, masks[4])
+        assert len({m.tobytes() for m in masks}) > 1
 
 
 def test_random_mask_rejects_bad_fraction():
     z = np.zeros((1, 2, 6))
     with pytest.raises(ConfigError):
-        obj.random_mask_loss(
-            z, z, np.zeros((1, 2), int), 1.0, 0.0, 0.0, np.ones((1, 2), bool),
-            np.random.default_rng(0),
-        )
+        obj.objective_terms("random_mask", z, z, np.zeros((1, 2), int), np.ones((1, 2), bool),
+                            drop_fraction=1.0, rng=np.random.default_rng(0))
 
 
 def test_global_reg_reduces_to_sft():
@@ -341,9 +354,10 @@ def test_global_reg_reduces_to_sft():
     ref = rng.normal(0, 2, size=(2, 4, 6))
     targets = rng.integers(0, 6, size=(2, 4))
     valid = np.ones((2, 4), bool)
-    bd, d = obj.global_reg_loss(logits, ref, targets, 0.0, 0.0, valid)
-    sft_val, sft_d = obj.sft_loss(logits, targets, valid)
-    assert bd.total == sft_val
+    total, d = normalized(_terms("global_reg", logits, targets, valid, reference=ref,
+                                 lambda_h=0.0, lambda_kl=0.0))
+    sft_val, sft_d = normalized(_terms("sft", logits, targets, valid, reference=ref))
+    assert total == sft_val
     assert np.array_equal(d, sft_d)
 
 
@@ -351,8 +365,8 @@ def test_global_reg_kl_zero_at_identity():
     rng = np.random.default_rng(13)
     logits = rng.normal(0, 2, size=(1, 3, 6))
     targets = rng.integers(0, 6, size=(1, 3))
-    bd, _ = obj.global_reg_loss(logits, logits.copy(), targets, 0.05, 0.05, np.ones((1, 3), bool))
-    assert bd.kl_reg == 0.0
+    terms = _terms("global_reg", logits, targets, np.ones((1, 3), bool))
+    assert terms.kl_sum == 0.0
 
 
 def test_global_reg_fd():
@@ -361,12 +375,71 @@ def test_global_reg_fd():
     ref = rng.normal(0, 2, size=(2, 3, 6))
     targets = rng.integers(0, 6, size=(2, 3))
     valid = np.ones((2, 3), bool)
+    loss = lambda z: normalized(_terms("global_reg", z, targets, valid, reference=ref))  # noqa: E731
+    assert _fd_logits(loss, logits) <= 1e-5
 
-    def f(flat):
-        bd, d = obj.global_reg_loss(flat.reshape(2, 3, 6), ref, targets, 0.05, 0.05, valid)
-        return bd.total, d.reshape(-1)
 
-    assert nk.grad_check(f, logits.reshape(-1)) <= 1e-5
+# -----------------------------------------------------------------------------
+# stop-gradient constants picked by the method dispatch
+# -----------------------------------------------------------------------------
+
+
+def _batch(seed):
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(0, 2, size=(3, 7, 8))
+    ref = rng.normal(0, 2, size=(3, 7, 8))
+    targets = rng.integers(0, 8, size=(3, 7))
+    valid = rng.random((3, 7)) < 0.7
+    valid[:, 0] = True
+    return logits, ref, targets, valid
+
+
+def _constants(method, logits, ref, targets, valid, **kw):
+    lp = nk.log_softmax(logits)
+    stats = sel.stats_from_log_probs(lp, nk.log_softmax(ref), valid)
+    return obj.stop_gradient_constants(method, lp, targets, valid, stats, **kw), lp, stats
+
+
+def test_dft_weights_are_target_probabilities():
+    logits, ref, targets, valid = _batch(20)
+    c, lp, _ = _constants("dft", logits, ref, targets, valid)
+    bi, li = np.nonzero(valid)
+    assert np.array_equal(c.weights, np.exp(lp[bi, li, targets[bi, li]]))
+    assert np.array_equal(c.supervised, valid) and c.regularized is None and c.mask is None
+
+
+def test_global_reg_regularizes_every_valid_token():
+    logits, ref, targets, valid = _batch(21)
+    c, _, _ = _constants("global_reg", logits, ref, targets, valid)
+    assert np.array_equal(c.supervised, valid) and np.array_equal(c.regularized, valid)
+    assert c.weights is None
+    terms = _terms("global_reg", logits, targets, valid, reference=ref)
+    assert terms.n_sup == terms.n_reg == int(valid.sum())
+
+
+def test_eksft_mask_is_build_mask():
+    logits, ref, targets, valid = _batch(22)
+    for rho in (0.1, 0.2, 0.33):
+        c, _, stats = _constants("eksft", logits, ref, targets, valid, rho=rho)
+        expected = sel.build_mask(stats, rho)
+        for name in ("m_entropy", "m_kl", "m_union"):
+            assert np.array_equal(getattr(c.mask, name), getattr(expected, name))
+        assert np.array_equal(c.regularized[valid], expected.m_union)
+        assert not c.regularized[~valid].any()
+        assert np.array_equal(c.supervised, valid & ~c.regularized)
+
+
+def test_objective_terms_is_the_core_at_dispatch_constants():
+    logits, ref, targets, valid = _batch(23)
+    for method in obj.METHODS:
+        kw = dict(rho=0.2, drop_fraction=0.1)
+        terms = _terms(method, logits, targets, valid, reference=ref,
+                       rng=np.random.default_rng(5), **kw)
+        pinned = pinned_objective(method, logits, ref, targets, valid,
+                                  rng=np.random.default_rng(5), **kw)
+        total, d = normalized(terms)
+        pinned_total, pinned_d = pinned(logits)
+        assert pinned_total == total and np.array_equal(pinned_d, d)
 
 
 def test_ce_grad_norm_bound_and_limits():

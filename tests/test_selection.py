@@ -1,4 +1,6 @@
+import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,10 +10,6 @@ from eksft.errors import ConfigError, InputError
 from eksft.selection import MaskSet, TokenRef, TokenStats
 
 from conftest import random_log_probs
-
-
-def refs(*pairs):
-    return [TokenRef(a, b) for a, b in pairs]
 
 
 def test_entropy_uniform_is_log_v():
@@ -86,45 +84,61 @@ def test_batch_matches_single_row():
         assert sel.batch_kl(lp, ref)[i] == pytest.approx(sel.token_kl(lp[i], ref[i]), abs=1e-12)
 
 
-def test_rank_examples():
-    values = [0.5, 0.9, 0.9, 0.1]
-    assert sel.rank(0.9, values) == 2
-    assert sel.rank(0.5, values) == 3
-    assert sel.rank(0.9, [0.9, 0.5, 0.1]) == 1
-    assert sel.rank(0.3, [0.3, 0.3, 0.3]) == 3
+def _entropy_stats(values):
+    return [TokenStats(TokenRef(0, i), v, 0.0) for i, v in enumerate(values)]
 
 
 def test_topk_basic():
-    stats = list(zip(refs((0, 0), (0, 1), (0, 2), (0, 3)), [0.9, 0.9, 0.5, 0.1]))
-    assert sel.topk_select(stats, 0.5) == frozenset(refs((0, 0), (0, 1)))
+    m = sel.build_mask(_entropy_stats([0.9, 0.9, 0.5, 0.1]), 0.5)
+    assert m.m_entropy.tolist() == [True, True, False, False]
 
 
 def test_topk_tie_break_exact_k():
-    stats = list(zip(refs((0, 0), (0, 1), (0, 2), (0, 3)), [0.9, 0.9, 0.9, 0.1]))
-    assert sel.topk_select(stats, 0.5) == frozenset(refs((0, 0), (0, 1)))
+    m = sel.build_mask(_entropy_stats([0.9, 0.9, 0.9, 0.1]), 0.5)
+    assert m.m_entropy.tolist() == [True, True, False, False]
+    # ties go to ascending (sequence, position), whatever the order of the list
+    stats = [TokenStats(TokenRef(1, 0), 0.9, 0.0), TokenStats(TokenRef(0, 3), 0.9, 0.0),
+             TokenStats(TokenRef(0, 2), 0.9, 0.0), TokenStats(TokenRef(0, 0), 0.1, 0.0)]
+    assert sel.build_mask(stats, 0.5).m_entropy.tolist() == [False, True, True, False]
 
 
 def test_topk_ceil():
-    stats = [(TokenRef(0, i), float(i)) for i in range(7)]
-    assert len(sel.topk_select(stats, 0.2)) == 2  # ceil(1.4)
+    m = sel.build_mask(_entropy_stats([float(i) for i in range(7)]), 0.2)
+    assert int(m.m_entropy.sum()) == m.k == 2  # ceil(1.4)
+    assert m.m_entropy[5:].all()
 
 
 def test_topk_rho_zero_empty():
-    stats = [(TokenRef(0, i), float(i)) for i in range(5)]
-    assert sel.topk_select(stats, 0.0) == frozenset()
+    for n in range(6):
+        assert sel.selected_count(0.0, n) == 0
+    assert not sel.build_mask(_entropy_stats([float(i) for i in range(5)]), 0.0).m_entropy.any()
 
 
 def test_topk_rho_out_of_range():
     with pytest.raises(ConfigError):
-        sel.topk_select([(TokenRef(0, 0), 1.0)], 1.5)
+        sel.build_mask(_entropy_stats([1.0]), 1.5)
     with pytest.raises(ConfigError):
         sel.selected_count(-0.1, 10)
+    with pytest.raises(ConfigError):
+        sel.selected_count(float("nan"), 10)
+
+
+def test_selected_count_uses_decimal_rho():
+    # ceil of the binary product would give 8, 8 and 56
+    assert sel.selected_count(0.28, 25) == 7
+    assert sel.selected_count(0.07, 100) == 7
+    assert sel.selected_count(0.55, 100) == 55
+    for i in range(1, 100):
+        rho = i / 100
+        for total in range(1, 400):
+            assert sel.selected_count(rho, total) == math.ceil(Fraction(str(rho)) * total)
 
 
 def test_build_mask_rho_zero():
     stats = [TokenStats(TokenRef(0, i), float(i), float(i)) for i in range(5)]
     m = sel.build_mask(stats, 0.0)
-    assert m.m_entropy == m.m_kl == m.m_union == frozenset()
+    for vec in (m.m_entropy, m.m_kl, m.m_union):
+        assert vec.shape == (5,) and not vec.any()
     assert m.k == 0 and m.total_valid == 5
 
 
@@ -137,7 +151,7 @@ def test_build_mask_disjoint_union_is_2k():
     ]
     m = sel.build_mask(stats, 0.5)
     assert m.k == 2
-    assert len(m.m_union) == 4
+    assert int(m.m_union.sum()) == 4
 
 
 def test_build_mask_empty_warns(caplog):
@@ -152,6 +166,10 @@ def _oracle_topk(stats, key, rho):
     items = sorted(((key(s), s.ref) for s in stats), key=lambda t: (-t[0], t[1]))
     k = 0 if rho == 0 else math.ceil(rho * len(stats))
     return frozenset(ref for _, ref in items[:k])
+
+
+def _refs_in(stats, selected):
+    return frozenset(s.ref for s, chosen in zip(stats, selected) if chosen)
 
 
 @pytest.mark.parametrize("quantize", [False, True])
@@ -173,12 +191,12 @@ def test_build_mask_matches_oracle(quantize):
         m = sel.build_mask(stats, rho)
         expect_h = _oracle_topk(stats, lambda s: s.entropy, rho)
         expect_kl = _oracle_topk(stats, lambda s: s.kl, rho)
-        assert m.m_entropy == expect_h
-        assert m.m_kl == expect_kl
-        assert m.m_union == expect_h | expect_kl
+        assert _refs_in(stats, m.m_entropy) == expect_h
+        assert _refs_in(stats, m.m_kl) == expect_kl
+        assert _refs_in(stats, m.m_union) == expect_h | expect_kl
         k = 0 if rho == 0 else math.ceil(rho * n)
-        assert len(m.m_entropy) == len(m.m_kl) == k == m.k
-        assert k <= len(m.m_union) <= 2 * k or k == 0
+        assert int(m.m_entropy.sum()) == int(m.m_kl.sum()) == k == m.k
+        assert k <= int(m.m_union.sum()) <= 2 * k or k == 0
 
 
 def test_selection_shift_invariance():
@@ -191,11 +209,15 @@ def test_selection_shift_invariance():
     assert np.allclose(sel.batch_entropy(lp), sel.batch_entropy(lp_shifted), atol=1e-12)
 
 
+def _set_iou(a, b):
+    return sel.iou(len(a & b), len(a | b))
+
+
 def test_iou_examples():
-    assert sel.iou({1, 2, 3}, {3, 4}) == 0.25
-    assert sel.iou({1, 2}, {1, 2}) == 1.0
-    assert sel.iou(set(), set()) == 1.0
-    assert sel.iou({1}, set()) == 0.0
+    assert _set_iou({1, 2, 3}, {3, 4}) == 0.25
+    assert _set_iou({1, 2}, {1, 2}) == 1.0
+    assert _set_iou(set(), set()) == 1.0
+    assert _set_iou({1}, set()) == 0.0
 
 
 def test_iou_symmetric_bounded():
@@ -203,19 +225,17 @@ def test_iou_symmetric_bounded():
     for _ in range(200):
         a = set(rng.integers(0, 30, size=rng.integers(0, 12)).tolist())
         b = set(rng.integers(0, 30, size=rng.integers(0, 12)).tolist())
-        v = sel.iou(a, b)
+        v = _set_iou(a, b)
         assert 0.0 <= v <= 1.0
-        assert v == sel.iou(b, a)
+        assert v == _set_iou(b, a)
 
 
 def test_mask_dump_rows():
     stats = [TokenStats(TokenRef(0, 1), 0.5, 0.2), TokenStats(TokenRef(1, 0), 0.1, 0.9)]
-    mask = MaskSet(
-        frozenset([TokenRef(0, 1)]), frozenset([TokenRef(1, 0)]),
-        frozenset([TokenRef(0, 1), TokenRef(1, 0)]), 1, 2,
-    )
+    mask = MaskSet(np.array([True, False]), np.array([False, True]), np.array([True, True]), 1, 2)
     rows = sel.mask_dump_rows(7, stats, mask, seq_offset=4)
     assert rows[0] == {
         "step": 7, "seq": 4, "pos": 1, "entropy": 0.5, "kl": 0.2, "in_mH": True, "in_mKL": False,
     }
     assert rows[1]["seq"] == 5 and rows[1]["in_mKL"] is True
+    assert json.dumps(rows[1]).endswith('"in_mH": false, "in_mKL": true}')
