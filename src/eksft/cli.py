@@ -113,6 +113,16 @@ def _dataset_meta(path: Path) -> dict:
     return {"path": str(path), "sha256": tasks.dataset_hash(path)}
 
 
+def int_list(text: str) -> list[int]:
+    """argparse type for "1,4,8"; argparse turns a bad item into a usage error."""
+    return [int(item) for item in text.split(",")]
+
+
+def float_list(text: str) -> list[float]:
+    """argparse type for "0.1,0.2"; argparse turns a bad item into a usage error."""
+    return [float(item) for item in text.split(",")]
+
+
 def _add_model_flags(p: argparse.ArgumentParser):
     p.add_argument("--vocab-size", dest="vocab_size", type=int)
     p.add_argument("--d-model", dest="d_model", type=int)
@@ -232,9 +242,8 @@ def cmd_eval(args) -> int:
     params = mdl.load_checkpoint(_require_checkpoint(args.ckpt))
     data_path = _require_file(args.data, "eval set")
     eval_set = tasks.load_samples(data_path, context_len=params.config.context_len)
-    ks = [int(k) for k in args.ks.split(",")]
     report = ev.evaluate(
-        params, eval_set, args.n, ks, temperature=args.temperature,
+        params, eval_set, args.n, args.ks, temperature=args.temperature,
         seed=args.seed, max_len=args.max_gen_len,
     )
     report.config = {
@@ -257,12 +266,7 @@ def cmd_analyze(args) -> int:
     if args.what == "drift":
         before = mdl.load_checkpoint(_require_checkpoint(args.before))
         after = mdl.load_checkpoint(_require_checkpoint(args.after))
-        thresholds = (
-            tuple(float(t) for t in args.thresholds.split(","))
-            if args.thresholds
-            else ana.DEFAULT_DRIFT_THRESHOLDS
-        )
-        report = ana.parameter_drift(before, after, thresholds)
+        report = ana.parameter_drift(before, after, args.thresholds or ana.DEFAULT_DRIFT_THRESHOLDS)
         out = _resolve_out(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "drift.json").write_text(report.to_json(), encoding="utf-8")
@@ -290,10 +294,9 @@ def cmd_analyze(args) -> int:
         params = mdl.load_checkpoint(_require_checkpoint(args.init))
         dataset = tasks.load_samples(data_path, context_len=params.config.context_len)
         eval_set = tasks.load_samples(eval_path, context_len=params.config.context_len)
-        rhos = [float(r) for r in args.rhos.split(",")]
         ks = [k for k in (1, 4, 8, 16, 32) if k <= args.n]
         rows = ana.ratio_sweep(
-            params, dataset, eval_set, base_config, rhos, _resolve_out(args.out),
+            params, dataset, eval_set, base_config, args.rhos, _resolve_out(args.out),
             n_per_prompt=args.n, ks=ks, eval_seed=args.eval_seed, max_gen_len=args.max_gen_len,
         )
         for row in rows:
@@ -370,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--n", type=int, default=32)
-    p.add_argument("--ks", default="1,4,8,16,32")
+    p.add_argument("--ks", type=int_list, default="1,4,8,16,32")
     p.add_argument("--temperature", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-gen-len", dest="max_gen_len", type=int, default=64)
@@ -384,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     a = asub.add_parser("drift", help="parameter drift between two checkpoints")
     a.add_argument("--before", required=True)
     a.add_argument("--after", required=True)
-    a.add_argument("--thresholds")
+    a.add_argument("--thresholds", type=float_list)
     a.add_argument("--out", default="drift_reports")
     a.set_defaults(fn=cmd_analyze)
 
@@ -398,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--eval-data", dest="eval_data", required=True)
     a.add_argument("--init", required=True)
     a.add_argument("--out", required=True)
-    a.add_argument("--rhos", default="0.0,0.1,0.2,0.3,0.4")
+    a.add_argument("--rhos", type=float_list, default="0.0,0.1,0.2,0.3,0.4")
     a.add_argument("--n", type=int, default=32)
     a.add_argument("--eval-seed", dest="eval_seed", type=int, default=0)
     a.add_argument("--max-gen-len", dest="max_gen_len", type=int, default=64)

@@ -86,11 +86,6 @@ def log_softmax_backward(grad_out: np.ndarray, log_probs: np.ndarray) -> np.ndar
     return grad_out - probs * grad_out.sum(axis=-1, keepdims=True)
 
 
-def softmax(z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax over the last axis."""
-    return np.exp(log_softmax(z))
-
-
 # -----------------------------------------------------------------------------
 # layer norm
 # -----------------------------------------------------------------------------

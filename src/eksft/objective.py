@@ -10,9 +10,10 @@ for a micro-batch in two parts:
   * `objective_sums`, the differentiable core, returns the sums and their
     exact gradients w.r.t. the logits for those constants.
 
-Sums are normalized once per optimizer step (see `train.train_sft`), so the
-per-batch loss is ce_sum/n_sup - l_H * h_sum/n_reg + l_KL * kl_sum/n_reg;
-the model's `backward` maps the logit gradients to parameter space.
+`normalize_step` normalizes an optimizer step's G micro-batch sums once, in
+logit space: the loss is ce_sum/N_sup - l_H * h_sum/N_reg + l_KL * kl_sum/N_reg
+(counts summed over the step) and a micro-batch's logit gradient is
+d_ce_sum/N_sup + d_reg_sum/N_reg, on which training runs one model `backward`.
 
 Per-token logit gradients used here:
   nll:      softmax(z) - onehot(y)
@@ -36,11 +37,6 @@ from .errors import ConfigError, InputError
 from .selection import MaskSet, TokenStats
 
 METHODS = ("sft", "eksft", "dft", "random_mask", "global_reg")
-
-
-def compose_total(ce: float, h: float, kl: float, lambda_h: float, lambda_kl: float) -> float:
-    """The one place the combined objective is assembled: ce - l_H*h + l_KL*kl."""
-    return ce - lambda_h * h + lambda_kl * kl
 
 
 # -----------------------------------------------------------------------------
@@ -125,12 +121,7 @@ class Constants:
 
 @dataclass
 class ObjectiveTerms:
-    """Unnormalized per-micro-batch pieces of one objective.
-
-    Accumulating (sums, counts) across micro-batches and normalizing once at
-    step time makes G accumulated micro-batches exactly equal to one step on
-    the concatenated batch (with masks still built per micro-batch).
-    """
+    """Unnormalized per-micro-batch pieces of one objective; see `normalize_step`."""
 
     ce_sum: float
     n_sup: int
@@ -251,6 +242,40 @@ def objective_terms(
     terms = objective_sums(log_probs, ref_log_probs, targets, constants, lambda_h, lambda_kl)
     terms.stats = stats
     return terms
+
+
+@dataclass(frozen=True)
+class StepObjective:
+    """One optimizer step's objective, normalized over all its micro-batches."""
+
+    total: float  # ce - l_H * h + l_KL * kl
+    ce: float  # ce_sum / N_sup
+    h: float  # h_sum / N_reg
+    kl: float  # kl_sum / N_reg
+    n_sup: int  # N_sup
+    dlogits: list[np.ndarray | None]  # per micro-batch; None: nothing to back-propagate
+
+
+def normalize_step(terms: list[ObjectiveTerms]) -> StepObjective:
+    """Normalize a step's micro-batch sums once; an empty position set contributes zero.
+
+    A micro-batch's logit gradient is d_ce_sum/N_sup + d_reg_sum/N_reg, or None
+    when it supervises nothing and has no regularizer gradient.
+    """
+    n_sup = sum(t.n_sup for t in terms)
+    n_reg = sum(t.n_reg for t in terms)
+    ce = sum(t.ce_sum for t in terms) / n_sup if n_sup else 0.0
+    h = sum(t.h_sum for t in terms) / n_reg if n_reg else 0.0
+    kl = sum(t.kl_sum for t in terms) / n_reg if n_reg else 0.0
+    dlogits = []
+    for t in terms:
+        d = t.d_ce_sum / n_sup if t.n_sup else None
+        if t.d_reg_sum is not None:
+            d_reg = t.d_reg_sum / n_reg
+            d = d_reg if d is None else d + d_reg
+        dlogits.append(d)
+    total = ce - terms[0].lambda_h * h + terms[0].lambda_kl * kl
+    return StepObjective(total, ce, h, kl, n_sup, dlogits)
 
 
 # -----------------------------------------------------------------------------

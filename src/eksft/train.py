@@ -1,10 +1,11 @@
 """Optimizer and the two training loops (supervised stage, then RL stage).
 
-Supervised stage: per optimizer step, G micro-batches are processed; each
-contributes unnormalized loss sums (and their logit-gradient sums), which
-are normalized once per step. That makes accumulation over G micro-batches
-numerically equal to a single step on the concatenated batch, with masks
-still built per micro-batch (the unit whose logits coexist).
+Supervised stage: per optimizer step, G micro-batch forwards give loss sums
+and their logit-gradient sums; `objective.normalize_step` normalizes them
+once, in logit space, and one backward per micro-batch maps them to
+parameter space. So G accumulated micro-batches equal one step on the
+concatenated batch, with masks still built per micro-batch (the unit whose
+logits coexist).
 
 RL stage: group rollouts per prompt, binary verifier rewards, group-mean
 normalized advantages, and an asymmetrically clipped policy-gradient
@@ -22,7 +23,7 @@ import csv
 import json
 import logging
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -60,7 +61,6 @@ class SftConfig:
     drop_fraction: float = 0.10
     weight_decay: float = 0.0
     seed: int = 0
-    max_sample_len: int | None = None
     supervise_prompt: bool = False
 
     def __post_init__(self):
@@ -144,12 +144,29 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_metrics_csv(path: Path, columns: list[str], records: Sequence) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for rec in records:
-            writer.writerow([_fmt(getattr(rec, col)) for col in columns])
+def _write_run_outputs(
+    out_dir: Path,
+    params: mdl.ParameterSet,
+    columns: list[str],
+    records: Sequence,
+    timings: list[tuple[int, float]],
+    dump_rows: Sequence[dict] = (),
+) -> None:
+    """metrics.csv, mask_dump.jsonl (if any rows), timings.csv and checkpoints/final."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with open(out_dir / "metrics.csv", "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(columns)
+        w.writerows([_fmt(getattr(rec, col)) for col in columns] for rec in records)
+    if dump_rows:
+        with open(out_dir / "mask_dump.jsonl", "w", encoding="utf-8") as fh:
+            for row in dump_rows:
+                fh.write(json.dumps(row) + "\n")
+    with open(out_dir / "timings.csv", "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["step", "seconds"])
+        w.writerows(timings)
+    mdl.save_checkpoint(params, out_dir / "checkpoints" / "final")
 
 
 # -----------------------------------------------------------------------------
@@ -238,25 +255,6 @@ def batchify(samples: Sequence[Sample], supervise_prompt: bool = False):
 # -----------------------------------------------------------------------------
 
 
-def _accumulate(total: dict[str, np.ndarray] | None, part: dict[str, np.ndarray]):
-    if total is None:
-        return {k: v.copy() for k, v in part.items()}
-    for k, v in part.items():
-        total[k] += v
-    return total
-
-
-def _combine_step_grads(params, sup, n_sup, reg, n_reg):
-    grads = mdl.zero_grads(params)
-    if sup is not None and n_sup > 0:
-        for k in grads:
-            grads[k] += sup[k] / n_sup
-    if reg is not None and n_reg > 0:
-        for k in grads:
-            grads[k] += reg[k] / n_reg
-    return grads
-
-
 def train_sft(
     params: mdl.ParameterSet,
     reference: mdl.ReferenceModel,
@@ -267,19 +265,18 @@ def train_sft(
     """Algorithmic core of the supervised stage; mutates and returns params."""
     if not dataset:
         raise InputError("empty dataset")
-    cfg_model = params.config
-    limit = config.max_sample_len or cfg_model.context_len
+    limit = params.config.context_len
     for i, s in enumerate(dataset):
-        if len(s.tokens) - 1 > min(limit, cfg_model.context_len):
+        if len(s.tokens) - 1 > limit:
             raise LengthError(f"sample {i} has {len(s.tokens)} tokens, limit is {limit}")
 
-    out_dir = Path(run_dir) if run_dir is not None else None
     dump_rows: list[dict] = []
     records: list[SftMetricsRecord] = []
     timings: list[tuple[int, float]] = []
     opt = adamw_init(params)
     shuffle_rng = np.random.default_rng([config.seed, 1])
     group_size = config.batch_size * config.grad_accum
+    uses_mask = config.method in ("eksft", "random_mask")
     step = 0
 
     for epoch in range(config.epochs):
@@ -287,13 +284,11 @@ def train_sft(
         for g0 in range(0, len(order), group_size):
             t_start = time.perf_counter()
             group_idx = order[g0 : g0 + group_size]
-            sup_grads = reg_grads = None
-            ce_sum = h_sum = kl_sum = 0.0
-            n_sup = n_reg = n_masked = n_both = 0
+            caches: list[dict] = []
+            step_terms: list[obj.ObjectiveTerms] = []
+            n_masked = n_both = 0
             ent_vals: list[float] = []
             kl_vals: list[float] = []
-            lambda_h, lambda_kl = config.lambda_h, config.lambda_kl
-            uses_mask = config.method in ("eksft", "random_mask")
 
             for micro, m0 in enumerate(range(0, len(group_idx), config.batch_size)):
                 batch = [dataset[i] for i in group_idx[m0 : m0 + config.batch_size]]
@@ -312,20 +307,13 @@ def train_sft(
                     targets,
                     valid,
                     rho=config.rho,
-                    lambda_h=lambda_h,
-                    lambda_kl=lambda_kl,
+                    lambda_h=config.lambda_h,
+                    lambda_kl=config.lambda_kl,
                     drop_fraction=config.drop_fraction,
                     rng=rng,
                 )
-                if terms.n_sup > 0:
-                    sup_grads = _accumulate(sup_grads, mdl.backward(params, cache, terms.d_ce_sum))
-                if terms.d_reg_sum is not None:
-                    reg_grads = _accumulate(reg_grads, mdl.backward(params, cache, terms.d_reg_sum))
-                ce_sum += terms.ce_sum
-                h_sum += terms.h_sum
-                kl_sum += terms.kl_sum
-                n_sup += terms.n_sup
-                n_reg += terms.n_reg
+                caches.append(cache)
+                step_terms.append(terms)
                 ent_vals.extend(s.entropy for s in terms.stats)
                 kl_vals.extend(s.kl for s in terms.stats)
                 if uses_mask:
@@ -335,24 +323,26 @@ def train_sft(
                     offset = micro * config.batch_size
                     dump_rows.extend(sel.mask_dump_rows(step, terms.stats, mask, offset))
 
-            grads = _combine_step_grads(params, sup_grads, n_sup, reg_grads, n_reg)
+            step_obj = obj.normalize_step(step_terms)
+            grads = mdl.zero_grads(params)
+            for cache, dlogits in zip(caches, step_obj.dlogits):
+                if dlogits is not None:
+                    for k, g in mdl.backward(params, cache, dlogits).items():
+                        grads[k] += g
             adamw_step(
                 params, grads, opt, config.learning_rate, weight_decay=config.weight_decay
             )
 
-            ce = ce_sum / n_sup if n_sup else 0.0
-            h = h_sum / n_reg if n_reg else 0.0
-            kl = kl_sum / n_reg if n_reg else 0.0
             records.append(
                 SftMetricsRecord(
                     step=step,
                     epoch=epoch,
                     method=config.method,
-                    loss_total=obj.compose_total(ce, h, kl, lambda_h, lambda_kl),
-                    ce_masked=ce,
-                    entropy_reg=h,
-                    kl_reg=kl,
-                    n_supervised=n_sup,
+                    loss_total=step_obj.total,
+                    ce_masked=step_obj.ce,
+                    entropy_reg=step_obj.h,
+                    kl_reg=step_obj.kl,
+                    n_supervised=step_obj.n_sup,
                     n_masked=n_masked,
                     mean_entropy=float(np.mean(ent_vals)) if ent_vals else 0.0,
                     mean_kl=float(np.mean(kl_vals)) if kl_vals else 0.0,
@@ -362,18 +352,8 @@ def train_sft(
             timings.append((step, time.perf_counter() - t_start))
             step += 1
 
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_metrics_csv(out_dir / "metrics.csv", SFT_METRICS_COLUMNS, records)
-        if dump_rows:
-            with open(out_dir / "mask_dump.jsonl", "w", encoding="utf-8") as fh:
-                for row in dump_rows:
-                    fh.write(json.dumps(row) + "\n")
-        with open(out_dir / "timings.csv", "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["step", "seconds"])
-            w.writerows(timings)
-        mdl.save_checkpoint(params, out_dir / "checkpoints" / "final")
+    if run_dir is not None:
+        _write_run_outputs(Path(run_dir), params, SFT_METRICS_COLUMNS, records, timings, dump_rows)
     return params, records
 
 
@@ -429,7 +409,6 @@ def train_rl(
     opt = adamw_init(params)
     records: list[RlMetricsRecord] = []
     timings: list[tuple[int, float]] = []
-    out_dir = Path(run_dir) if run_dir is not None else None
     G = config.rollout_group_size
 
     for step in range(config.total_steps):
@@ -481,14 +460,8 @@ def train_rl(
         )
         timings.append((step, time.perf_counter() - t_start))
 
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_metrics_csv(out_dir / "metrics.csv", RL_METRICS_COLUMNS, records)
-        with open(out_dir / "timings.csv", "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["step", "seconds"])
-            w.writerows(timings)
-        mdl.save_checkpoint(params, out_dir / "checkpoints" / "final")
+    if run_dir is not None:
+        _write_run_outputs(Path(run_dir), params, RL_METRICS_COLUMNS, records, timings)
     return params, records
 
 
@@ -523,12 +496,12 @@ def _rl_update(params, opt, episodes, config: RlConfig) -> float:
 
     loss, d_lp = clipped_pg_loss(new_lp, np.array(old_lp), np.array(adv), config.clip_low, config.clip_high)
 
+    d_lp_rows = np.zeros((tok.size, logits.shape[-1]))
+    d_lp_rows[np.arange(tok.size), tok] = d_lp
+    d_rows = nk.log_softmax_backward(d_lp_rows, log_probs[rows[:, 0], rows[:, 1]])
+    # log_probs = log_softmax(logits / T), hence the 1/T; adding onto zeros normalizes -0.0
     dlogits = np.zeros_like(logits)
-    probs = np.exp(log_probs[rows[:, 0], rows[:, 1]])
-    contrib = -d_lp[:, None] * probs
-    contrib[np.arange(tok.size), tok] += d_lp
-    # d log_softmax(z/T)/dz = (onehot - softmax) / T
-    np.add.at(dlogits, (rows[:, 0], rows[:, 1]), contrib / config.temperature)
+    np.add.at(dlogits, (rows[:, 0], rows[:, 1]), d_rows / config.temperature)
 
     grads = mdl.backward(params, cache, dlogits)
     if any(np.any(g != 0.0) for g in grads.values()):

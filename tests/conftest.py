@@ -36,28 +36,18 @@ def conditioned_point(cfg: mdl.ModelConfig, seed: int) -> mdl.ParameterSet:
     return params
 
 
-def normalized(terms: obj.ObjectiveTerms) -> tuple[float, np.ndarray]:
-    """Per-batch loss and logit gradient of sum-form terms, normalized as train_sft does.
-
-    loss = ce_sum/n_sup - l_H * h_sum/n_reg + l_KL * kl_sum/n_reg; an empty
-    position set has zero sums and contributes nothing.
-    """
-    n_sup, n_reg = max(terms.n_sup, 1), max(terms.n_reg, 1)
-    d = terms.d_ce_sum / n_sup
-    if terms.d_reg_sum is not None:
-        d = d + terms.d_reg_sum / n_reg
-    total = obj.compose_total(
-        terms.ce_sum / n_sup, terms.h_sum / n_reg, terms.kl_sum / n_reg,
-        terms.lambda_h, terms.lambda_kl,
-    )
-    return total, d
+def single_step(terms: obj.ObjectiveTerms) -> tuple[float, np.ndarray | None]:
+    """(loss, logit gradient) of a step of one micro-batch, by `objective.normalize_step`."""
+    step = obj.normalize_step([terms])
+    return step.total, step.dlogits[0]
 
 
 def pinned_objective(method, logits0, reference_logits, targets, valid, *,
                      lambda_h=0.05, lambda_kl=0.05, **dispatch):
-    """logits -> (normalized loss, logit gradient) through `objective_sums`, the
-    core that training runs, with the method's stop-gradient constants (mask,
-    DFT weights) pinned at logits0, as a finite-difference oracle needs."""
+    """logits -> (normalized loss, logit gradient) through `objective_sums` and
+    `normalize_step`, the code that training runs, with the method's
+    stop-gradient constants (mask, DFT weights) pinned at logits0, as a
+    finite-difference oracle needs."""
     lp0 = nk.log_softmax(logits0)
     ref_lp = nk.log_softmax(reference_logits)
     stats = sel.stats_from_log_probs(lp0, ref_lp, valid)
@@ -67,6 +57,6 @@ def pinned_objective(method, logits0, reference_logits, targets, valid, *,
         terms = obj.objective_sums(
             nk.log_softmax(logits), ref_lp, targets, constants, lambda_h, lambda_kl
         )
-        return normalized(terms)
+        return single_step(terms)
 
     return loss

@@ -26,7 +26,7 @@ from eksft import train as tr
 from eksft.cli import main as cli_main
 from eksft.selection import TokenRef, TokenStats
 
-from conftest import normalized, pinned_objective
+from conftest import pinned_objective, single_step
 
 
 def _report(number: int, name: str, ok: bool, detail: str = ""):
@@ -112,9 +112,9 @@ def test_c02_reduction_identity():
         targets = rng.integers(0, 9, size=(2, 6))
         valid = rng.random((2, 6)) < 0.8
         valid[:, 0] = True
-        sft_val, sft_d = normalized(obj.objective_terms("sft", logits, ref, targets, valid))
-        total, d = normalized(obj.objective_terms("eksft", logits, ref, targets, valid,
-                                                  rho=0.0, lambda_h=0.0, lambda_kl=0.0))
+        sft_val, sft_d = single_step(obj.objective_terms("sft", logits, ref, targets, valid))
+        total, d = single_step(obj.objective_terms("eksft", logits, ref, targets, valid,
+                                                    rho=0.0, lambda_h=0.0, lambda_kl=0.0))
         max_dev = max(max_dev, abs(total - sft_val))
         assert np.array_equal(d, sft_d)
 
@@ -155,14 +155,14 @@ def test_c03_label_free_masked_gradient():
         t1 = obj.objective_terms("eksft", logits, ref_logits, targets, valid, **kw)
         if not t1.mask.m_union.any():
             continue
-        g1 = mdl.backward(params, cache, normalized(t1)[1])
+        g1 = mdl.backward(params, cache, single_step(t1)[1])
         masked = np.zeros_like(valid)
         masked[valid] = t1.mask.m_union
         permuted = targets.copy()
         permuted[masked] = rng.integers(0, cfg.vocab_size, size=int(masked.sum()))
         t2 = obj.objective_terms("eksft", logits, ref_logits, permuted, valid, **kw)
         assert np.array_equal(t1.mask.m_union, t2.mask.m_union)
-        g2 = mdl.backward(params, cache, normalized(t2)[1])
+        g2 = mdl.backward(params, cache, single_step(t2)[1])
         assert all(np.array_equal(g1[n], g2[n]) for n in g1)
         checked += 1
     _report(3, "label-free masked gradient", checked >= 10, f"{checked} batches checked exactly")

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from eksft import model as mdl
 from eksft.cli import main
 
 MODEL_FLAGS = ["--vocab-size", "32", "--d-model", "16", "--n-layers", "1",
@@ -205,3 +206,20 @@ def test_bad_config_file_exits_2(tmp_path):
         "train-sft", "--method", "sft", "--data", str(data / "sft.jsonl"),
         "--out", str(tmp_path / "x"), "--config", str(cfg),
     ]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--ks", "--thresholds", "--rhos"])
+def test_malformed_list_flag_exits_2(tmp_path, capsys, flag):
+    data = _gen(tmp_path)
+    ckpt = str(tmp_path / "base")
+    mdl.save_checkpoint(mdl.init(mdl.ModelConfig(d_model=16, context_len=48)), ckpt)
+    argv = {
+        "--ks": ["eval", "--ckpt", ckpt, "--data", str(data / "eval.jsonl")],
+        "--thresholds": ["analyze", "drift", "--before", ckpt, "--after", ckpt],
+        "--rhos": ["analyze", "sweep", "--data", str(data / "sft.jsonl"),
+                   "--eval-data", str(data / "eval.jsonl"), "--init", ckpt],
+    }[flag]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, "1,x", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err

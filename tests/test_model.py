@@ -17,7 +17,7 @@ from eksft.errors import (
     TruncatedBlobError,
 )
 
-from conftest import conditioned_point, normalized, random_batch
+from conftest import conditioned_point, random_batch, single_step
 
 
 def test_init_deterministic(tiny_config):
@@ -88,7 +88,7 @@ def test_full_nll_gradient_matches_fd(tiny_config):
         def f(flat):
             p = mdl.unflatten_params(tiny_config, flat)
             logits, cache = mdl.forward(p, ids)
-            loss, d = normalized(obj.objective_terms("sft", logits, logits, targets, valid))
+            loss, d = single_step(obj.objective_terms("sft", logits, logits, targets, valid))
             return loss, mdl.flatten_grads(p, mdl.backward(p, cache, d))
 
         x0 = mdl.flatten_params(params)
@@ -118,7 +118,7 @@ def test_reference_immutable_after_update(tiny_config):
     targets = np.array([[4, 5, 6, 7, 2]])
     valid = np.ones((1, 5), dtype=bool)
     logits, cache = mdl.forward(params, ids)
-    _, d = normalized(obj.objective_terms("sft", logits, logits, targets, valid))
+    _, d = single_step(obj.objective_terms("sft", logits, logits, targets, valid))
     grads = mdl.backward(params, cache, d)
     tr.adamw_step(params, grads, tr.adamw_init(params), lr=1e-2)
 

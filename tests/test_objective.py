@@ -9,7 +9,7 @@ from eksft import objective as obj
 from eksft import selection as sel
 from eksft.errors import ConfigError, InputError
 
-from conftest import conditioned_point, normalized, pinned_objective, random_batch
+from conftest import conditioned_point, pinned_objective, random_batch, single_step
 
 
 def _logits_from_probs(rows):
@@ -52,7 +52,7 @@ def test_sft_loss_perfect_model_is_zero():
     logits = np.zeros((1, 3, 6))
     targets = np.array([[1, 2, 3]])
     logits[0, np.arange(3), targets[0]] = 60.0  # probability ~1 on each target
-    loss, d = normalized(_terms("sft", logits, targets, np.ones((1, 3), bool)))
+    loss, d = single_step(_terms("sft", logits, targets, np.ones((1, 3), bool)))
     assert loss <= 1e-12
     assert np.max(np.abs(d)) <= 1e-12
 
@@ -60,7 +60,7 @@ def test_sft_loss_perfect_model_is_zero():
 def test_sft_loss_uniform_is_log_v():
     logits = np.zeros((2, 4, 32))
     targets = np.zeros((2, 4), dtype=int)
-    loss, _ = normalized(_terms("sft", logits, targets, np.ones((2, 4), bool)))
+    loss, _ = single_step(_terms("sft", logits, targets, np.ones((2, 4), bool)))
     assert loss == pytest.approx(math.log(32), abs=1e-12)
 
 
@@ -76,12 +76,12 @@ def test_sft_logit_gradient_is_softmax_minus_onehot():
     logits = rng.normal(0, 2, size=(1, 1, 9))
     targets = np.array([[4]])
     valid = np.ones((1, 1), bool)
-    _, d = normalized(_terms("sft", logits, targets, valid))
+    _, d = single_step(_terms("sft", logits, targets, valid))
     p = np.exp(nk.log_softmax(logits))[0, 0]
     e = np.zeros(9)
     e[4] = 1.0
     assert np.allclose(d[0, 0], p - e, atol=1e-15)
-    assert _fd_logits(lambda z: normalized(_terms("sft", z, targets, valid)), logits) <= 1e-5
+    assert _fd_logits(lambda z: single_step(_terms("sft", z, targets, valid)), logits) <= 1e-5
 
 
 def test_masked_ce_hand_case():
@@ -141,7 +141,7 @@ def test_entropy_reg_gradient_formula_and_fd():
     # nothing supervised: the loss is -mean entropy over the two regularized rows
     constants = obj.Constants(np.zeros_like(valid), _masked(valid, [(0, 0), (0, 2)]).regularized,
                               None, None)
-    _, d = normalized(_sums(logits, constants, lambda_h=1.0, lambda_kl=0.0))
+    _, d = single_step(_sums(logits, constants, lambda_h=1.0, lambda_kl=0.0))
     lp = nk.log_softmax(logits)
     p = np.exp(lp)
     for (b, t) in [(0, 0), (0, 2)]:
@@ -149,7 +149,7 @@ def test_entropy_reg_gradient_formula_and_fd():
         expected = -p[b, t] * (lp[b, t] + h) / 2.0  # d(mean entropy) over the 2 rows
         assert np.allclose(-d[b, t], expected, atol=1e-14)
     assert np.all(d[0, 1] == 0.0)
-    loss = lambda z: normalized(_sums(z, constants, lambda_h=1.0, lambda_kl=0.0))  # noqa: E731
+    loss = lambda z: single_step(_sums(z, constants, lambda_h=1.0, lambda_kl=0.0))  # noqa: E731
     assert _fd_logits(loss, logits) <= 1e-5
 
 
@@ -170,7 +170,7 @@ def test_kl_reg_gradient_fd():
     valid = np.ones((2, 3), bool)
     reg = _masked(valid, [(0, 1), (1, 0), (1, 2)]).regularized
     constants = obj.Constants(np.zeros_like(valid), reg, None, None)
-    loss = lambda z: normalized(  # noqa: E731
+    loss = lambda z: single_step(  # noqa: E731
         _sums(z, constants, reference=ref, lambda_h=0.0, lambda_kl=1.0))
     assert _fd_logits(loss, logits) <= 1e-5
 
@@ -192,8 +192,8 @@ def test_eksft_reduces_to_sft():
                    rho=0.0, lambda_h=0.0, lambda_kl=0.0)
     assert np.array_equal(eksft.d_ce_sum, sft.d_ce_sum)
     assert eksft.d_reg_sum is None
-    sft_val, sft_d = normalized(sft)
-    total, d = normalized(eksft)
+    sft_val, sft_d = single_step(sft)
+    total, d = single_step(eksft)
     assert abs(total - sft_val) <= 1e-12
     assert np.array_equal(d, sft_d)
     assert eksft.mask.k == 0
@@ -216,7 +216,7 @@ def test_eksft_breakdown_recomposes():
         valid[:, 0] = True
         terms = _terms("eksft", logits, targets, valid, reference=ref,
                        rho=0.3, lambda_h=0.05, lambda_kl=0.07)
-        total, _ = normalized(terms)
+        total, _ = single_step(terms)
         ce, h, kl = terms.ce_sum / terms.n_sup, terms.h_sum / terms.n_reg, terms.kl_sum / terms.n_reg
         assert abs(total - (ce - 0.05 * h + 0.07 * kl)) <= 1e-12
         assert terms.n_sup + terms.n_reg == int(valid.sum())
@@ -241,8 +241,8 @@ def test_eksft_masked_gradient_is_label_free():
         permuted[masked] = rng.integers(0, 9, size=int(masked.sum()))
         t2 = _terms("eksft", logits, permuted, valid, **kw)
         assert np.array_equal(t1.mask.m_union, t2.mask.m_union)
-        bd1, d1 = normalized(t1)
-        bd2, d2 = normalized(t2)
+        bd1, d1 = single_step(t1)
+        bd2, d2 = single_step(t2)
         assert np.array_equal(d1, d2)
         assert bd1 == bd2
 
@@ -279,7 +279,7 @@ def test_dft_perfect_model_is_zero():
     logits = np.zeros((1, 2, 6))
     targets = np.array([[1, 2]])
     logits[0, [0, 1], targets[0]] = 60.0
-    loss, _ = normalized(_terms("dft", logits, targets, np.ones((1, 2), bool)))
+    loss, _ = single_step(_terms("dft", logits, targets, np.ones((1, 2), bool)))
     assert loss <= 1e-12
 
 
@@ -290,7 +290,7 @@ def test_dft_weight_vanishes_for_hard_tokens():
     logits = _logits_from_probs([[p]])
     targets = np.zeros((1, 1), int)
     valid = np.ones((1, 1), bool)
-    loss, d = normalized(_terms("dft", logits, targets, valid))
+    loss, d = single_step(_terms("dft", logits, targets, valid))
     assert loss == pytest.approx(1e-6 * -math.log(1e-6), rel=1e-9)
     assert np.max(np.abs(d)) <= 2e-6
 
@@ -312,8 +312,8 @@ def test_random_mask_zero_drop_is_plain_ce():
     valid = np.ones((2, 4), bool)
     terms = _terms("random_mask", logits, targets, valid, reference=ref,
                    drop_fraction=0.0, rng=np.random.default_rng(0))
-    sft_val, sft_d = normalized(_terms("sft", logits, targets, valid, reference=ref))
-    total, d = normalized(terms)
+    sft_val, sft_d = single_step(_terms("sft", logits, targets, valid, reference=ref))
+    total, d = single_step(terms)
     assert total == sft_val
     assert np.array_equal(d, sft_d)
     assert terms.mask.k == 0
@@ -354,9 +354,9 @@ def test_global_reg_reduces_to_sft():
     ref = rng.normal(0, 2, size=(2, 4, 6))
     targets = rng.integers(0, 6, size=(2, 4))
     valid = np.ones((2, 4), bool)
-    total, d = normalized(_terms("global_reg", logits, targets, valid, reference=ref,
-                                 lambda_h=0.0, lambda_kl=0.0))
-    sft_val, sft_d = normalized(_terms("sft", logits, targets, valid, reference=ref))
+    total, d = single_step(_terms("global_reg", logits, targets, valid, reference=ref,
+                                   lambda_h=0.0, lambda_kl=0.0))
+    sft_val, sft_d = single_step(_terms("sft", logits, targets, valid, reference=ref))
     assert total == sft_val
     assert np.array_equal(d, sft_d)
 
@@ -375,7 +375,7 @@ def test_global_reg_fd():
     ref = rng.normal(0, 2, size=(2, 3, 6))
     targets = rng.integers(0, 6, size=(2, 3))
     valid = np.ones((2, 3), bool)
-    loss = lambda z: normalized(_terms("global_reg", z, targets, valid, reference=ref))  # noqa: E731
+    loss = lambda z: single_step(_terms("global_reg", z, targets, valid, reference=ref))  # noqa: E731
     assert _fd_logits(loss, logits) <= 1e-5
 
 
@@ -437,9 +437,33 @@ def test_objective_terms_is_the_core_at_dispatch_constants():
                        rng=np.random.default_rng(5), **kw)
         pinned = pinned_objective(method, logits, ref, targets, valid,
                                   rng=np.random.default_rng(5), **kw)
-        total, d = normalized(terms)
+        total, d = single_step(terms)
         pinned_total, pinned_d = pinned(logits)
         assert pinned_total == total and np.array_equal(pinned_d, d)
+
+
+def test_normalize_step_splits_like_one_batch():
+    """Two micro-batches normalized together give the logit gradient of one batch."""
+    logits, ref, targets, valid = _batch(24)
+    valid[2] = False  # the second micro-batch's last row has no valid token
+    for method in ("sft", "dft", "global_reg"):
+        whole = obj.normalize_step([_terms(method, logits, targets, valid, reference=ref)])
+        parts = obj.normalize_step([
+            _terms(method, logits[sl], targets[sl], valid[sl], reference=ref[sl])
+            for sl in (slice(0, 2), slice(2, 3))
+        ])
+        assert parts.dlogits[1] is None
+        assert np.array_equal(parts.dlogits[0], whole.dlogits[0][:2])
+        assert not whole.dlogits[0][2].any()
+        assert parts.n_sup == whole.n_sup
+        for name in ("total", "ce", "h", "kl"):
+            assert getattr(parts, name) == pytest.approx(getattr(whole, name), abs=1e-12)
+    # nothing supervised: the regularizer gradient alone, over the step's N_reg
+    a = _terms("eksft", logits[:1], targets[:1], valid[:1], reference=ref[:1], rho=1.0)
+    b = _terms("eksft", logits[1:2], targets[1:2], valid[1:2], reference=ref[1:2], rho=1.0)
+    step = obj.normalize_step([a, b])
+    assert a.n_sup == b.n_sup == 0
+    assert np.array_equal(step.dlogits[0], a.d_reg_sum / (a.n_reg + b.n_reg))
 
 
 def test_ce_grad_norm_bound_and_limits():

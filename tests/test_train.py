@@ -211,6 +211,22 @@ def test_grad_accumulation_matches_concatenated_batch(method):
         assert np.max(np.abs(params_a.tensors[name] - params_b.tensors[name])) <= 1e-9
 
 
+@pytest.mark.parametrize("method,kw", [
+    ("sft", {}), ("eksft", {}), ("dft", {}), ("random_mask", {}), ("global_reg", {}),
+    ("eksft", dict(rho=1.0, lambda_h=0.0, lambda_kl=0.0)),  # no micro-batch has a gradient
+], ids=["sft", "eksft", "dft", "random_mask", "global_reg", "eksft_nothing_to_backprop"])
+def test_backward_runs_once_per_micro_batch(monkeypatch, method, kw):
+    """One step of two micro-batches: one backward for each that has a gradient."""
+    calls = []
+    backward = mdl.backward
+    monkeypatch.setattr(mdl, "backward", lambda *a: calls.append(1) or backward(*a))
+    params = mdl.init(small_model_config(seed=11))
+    config = tr.SftConfig(method=method, learning_rate=1e-3, epochs=1, grad_accum=2,
+                          batch_size=2, seed=13, **kw)
+    tr.train_sft(params, mdl.snapshot_reference(params), small_dataset(n=4, seed=5), config)
+    assert len(calls) == (0 if kw else 2)
+
+
 # -----------------------------------------------------------------------------
 # RL pieces
 # -----------------------------------------------------------------------------
