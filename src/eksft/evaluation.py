@@ -35,7 +35,11 @@ def sample_group(
     rng: np.random.Generator,
     greedy: bool = False,
 ) -> list[SampledSequence]:
-    """Sample n continuations of one prompt in lockstep (one forward per step)."""
+    """Sample n continuations of one prompt in lockstep.
+
+    One forward prefills the prompt's K/V cache; each later step feeds only
+    the column of tokens just sampled, one cached position per row.
+    """
     if temperature <= 0:
         raise ConfigError(f"temperature must be > 0, got {temperature}")
     if n < 1 or max_len < 0:
@@ -44,13 +48,14 @@ def sample_group(
     if prompt.size == 0:
         raise InputError("empty prompt")
     cfg = params.config
-    ids = np.tile(prompt, (n, 1))
+    ids = np.tile(prompt, (n, 1))  # the prompt, then each step's sampled column
+    past: list = []
     out = [SampledSequence([], [], []) for _ in range(n)]
     active = np.ones(n, dtype=bool)
-    for _ in range(max_len):
-        if ids.shape[1] >= cfg.context_len or not active.any():
+    for step in range(max_len):
+        if prompt.size + step >= cfg.context_len or not active.any():
             break
-        logits, _ = mdl.forward(params, ids, want_cache=False)
+        logits, _ = mdl.forward(params, ids, want_cache=False, past=past)
         lp = nk.log_softmax(logits[:, -1, :] / temperature)
         probs = np.exp(lp)
         if greedy:
@@ -68,7 +73,7 @@ def sample_group(
                 out[i].entropies.append(float(ent[i]))
                 if token == EOS:
                     active[i] = False
-        ids = np.concatenate([ids, nxt[:, None]], axis=1)
+        ids = nxt[:, None]
     return out
 
 

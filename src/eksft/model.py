@@ -3,8 +3,10 @@
 Pre-norm blocks, learned absolute positions, separate output head, all math
 in float64. `forward` returns logits plus a cache; `backward` consumes the
 cache and a gradient w.r.t. the logits and returns per-tensor parameter
-gradients. Checkpoints are a JSON manifest plus a little-endian float32
-blob.
+gradients. For incremental decoding, `forward` also takes `past`, a list of
+per-layer (K, V) arrays that the call extends in place: the new ids then sit
+at the positions after the cached ones and attend to all of them.
+Checkpoints are a JSON manifest plus a little-endian float32 blob.
 """
 
 from __future__ import annotations
@@ -161,14 +163,16 @@ def snapshot_reference(params: ParameterSet) -> ReferenceModel:
 # -----------------------------------------------------------------------------
 
 
-def _check_ids(config: ModelConfig, token_ids: np.ndarray) -> np.ndarray:
+def _check_ids(config: ModelConfig, token_ids: np.ndarray, offset: int = 0) -> np.ndarray:
     ids = np.asarray(token_ids)
     if ids.ndim == 1:
         ids = ids[None, :]
     if ids.ndim != 2:
         raise InputError(f"token ids must be (B, L), got shape {ids.shape}")
-    if ids.shape[1] > config.context_len:
-        raise LengthError(f"sequence length {ids.shape[1]} exceeds context_len {config.context_len}")
+    if offset + ids.shape[1] > config.context_len:
+        raise LengthError(
+            f"sequence length {offset + ids.shape[1]} exceeds context_len {config.context_len}"
+        )
     if ids.shape[1] == 0:
         raise InputError("empty sequence")
     if ids.min() < 0 or ids.max() >= config.vocab_size:
@@ -186,18 +190,30 @@ def _att_softmax(scores: np.ndarray) -> np.ndarray:
 
 
 def forward(
-    params: ParameterSet, token_ids: np.ndarray, want_cache: bool = True
+    params: ParameterSet,
+    token_ids: np.ndarray,
+    want_cache: bool = True,
+    past: list | None = None,
 ) -> tuple[np.ndarray, dict | None]:
-    """Causal forward pass: (B, L) ids -> (B, L, V) logits (+ backward cache)."""
+    """Causal forward pass: (B, L) ids -> (B, L, V) logits (+ backward cache).
+
+    With `past` (a list, empty before the first call), the ids continue the
+    P positions cached there: they take positions P..P+L-1 and attend to the
+    cached keys and values, and each layer's (K, V) in `past` is extended by
+    the new ones. `backward` has no such path, so `past` needs want_cache=False.
+    """
+    if past is not None and want_cache:
+        raise InputError("a forward with past cannot return a backward cache")
     cfg = params.config
-    ids = _check_ids(cfg, token_ids)
+    P = past[0][0].shape[1] if past else 0
+    ids = _check_ids(cfg, token_ids, P)
     B, L = ids.shape
     t = params.tensors
     H, dh = cfg.n_heads, cfg.head_dim
     inv_sqrt_dh = 1.0 / math.sqrt(dh)
 
-    x = nk.embedding_lookup(t["tok_emb"], ids) + t["pos_emb"][:L]
-    causal_bias = np.triu(np.full((L, L), -1e30), k=1)[None, None, :, :]
+    x = nk.embedding_lookup(t["tok_emb"], ids) + t["pos_emb"][P : P + L]
+    causal_bias = np.triu(np.full((L, P + L), -1e30), k=P + 1)[None, None, :, :]
 
     cache: dict | None = {"ids": ids, "layers": []} if want_cache else None
     for i in range(cfg.n_layers):
@@ -209,6 +225,13 @@ def forward(
         qh = q.reshape(B, L, H, dh)
         kh = k.reshape(B, L, H, dh)
         vh = v.reshape(B, L, H, dh)
+        if past is not None:
+            if P:
+                kh = np.concatenate([past[i][0], kh], axis=1)
+                vh = np.concatenate([past[i][1], vh], axis=1)
+                past[i] = (kh, vh)
+            else:
+                past.append((kh, vh))
         scores = np.einsum("blhd,bmhd->bhlm", qh, kh) * inv_sqrt_dh + causal_bias
         att = _att_softmax(scores)
         ctx = np.einsum("bhlm,bmhd->blhd", att, vh).reshape(B, L, cfg.d_model)

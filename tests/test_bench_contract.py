@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from eksft import evaluation as ev
 from eksft import model as mdl
 from eksft import objective as obj
 from eksft import tasks
@@ -69,3 +70,24 @@ def test_objective_hook_arguments_and_token_stats(monkeypatch):
     for a, out in calls:
         assert checks.check_token_stats(a[1], a[2], a[4], out.stats) == []
         assert len(out.stats) == int(a[4].sum()) > 0
+
+
+def test_sample_group_one_forward_per_step(monkeypatch):
+    """deskbench counts row_steps as n x model.forward calls under sample_group and
+    positions as the ids those calls get: a prefill of the prompt, then (n, 1) columns."""
+    shapes = []
+    forward = mdl.forward
+
+    def recorded(params, token_ids, *args, **kwargs):
+        shapes.append(np.shape(token_ids))
+        return forward(params, token_ids, *args, **kwargs)
+
+    monkeypatch.setattr(mdl, "forward", recorded)
+    params = mdl.init(mdl.ModelConfig(vocab_size=32, d_model=16, n_layers=1, n_heads=2,
+                                      context_len=32, seed=1))
+    prompt = [tasks.BOS] + tasks.VOCAB.tokenize("12+3=")
+    n = 5
+    groups = ev.sample_group(params, prompt, n, 1.0, 9, np.random.default_rng(0))
+    steps = max(len(g.tokens) for g in groups)
+    assert steps == 9
+    assert shapes == [(n, len(prompt))] + [(n, 1)] * (steps - 1)

@@ -56,6 +56,64 @@ def test_sample_stops_at_eos(small_model):
         assert g.tokens == [tasks.EOS]
 
 
+def _full_recompute_sampler(params, prompt_tokens, n, temperature, max_len, rng, greedy=False):
+    """The sampler before K/V caching: every step re-runs the whole prefix."""
+    import eksft.numerics as nk
+
+    cfg = params.config
+    ids = np.tile(np.asarray(prompt_tokens, dtype=np.int64), (n, 1))
+    out = [ev.SampledSequence([], [], []) for _ in range(n)]
+    active = np.ones(n, dtype=bool)
+    for _ in range(max_len):
+        if ids.shape[1] >= cfg.context_len or not active.any():
+            break
+        logits, _ = mdl.forward(params, ids, want_cache=False)
+        lp = nk.log_softmax(logits[:, -1, :] / temperature)
+        probs = np.exp(lp)
+        if greedy:
+            nxt = np.argmax(lp, axis=-1)
+        else:
+            cdf = np.cumsum(probs, axis=-1)
+            u = rng.random(n)
+            nxt = np.minimum((cdf < u[:, None]).sum(axis=-1), cfg.vocab_size - 1)
+        ent = -np.sum(probs * np.where(probs > 0.0, lp, 0.0), axis=-1)
+        for i in range(n):
+            if active[i]:
+                token = int(nxt[i])
+                out[i].tokens.append(token)
+                out[i].logprobs.append(float(lp[i, token]))
+                out[i].entropies.append(float(ent[i]))
+                if token == tasks.EOS:
+                    active[i] = False
+        ids = np.concatenate([ids, nxt[:, None]], axis=1)
+    return out
+
+
+@pytest.mark.parametrize("case", ["eos", "context", "greedy"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sample_group_matches_full_recompute(small_model, case, seed):
+    params = small_model.copy()
+    rng = np.random.default_rng(seed)
+    for name in params.tensors:
+        params.tensors[name] += rng.normal(0.0, 0.3, params.tensors[name].shape)
+    text = "1+2+3+4+5+6+7+8+9+10+11+12=" if case == "context" else "1+2="
+    prompt = [tasks.BOS] + tasks.VOCAB.tokenize(text)
+    args = (params, prompt, 16, 1.0, 20)
+    greedy = case == "greedy"
+    got = ev.sample_group(*args, np.random.default_rng(seed), greedy=greedy)
+    want = _full_recompute_sampler(*args, np.random.default_rng(seed), greedy=greedy)
+    lengths = [len(g.tokens) for g in got]
+    stopped = [g.tokens[-1] == tasks.EOS for g in got if g.tokens]
+    if case == "eos":  # some rows stop at EOS while others decode on
+        assert any(stopped) and max(lengths) > min(lengths)
+    if case == "context":  # the context fills before max_len
+        assert max(lengths) == small_model.config.context_len - len(prompt) < 20
+    for g, w in zip(got, want):
+        assert g.tokens == w.tokens
+        assert np.abs(np.subtract(g.logprobs, w.logprobs)).max(initial=0.0) <= 1e-12
+        assert np.abs(np.subtract(g.entropies, w.entropies)).max(initial=0.0) <= 1e-12
+
+
 def test_sample_rejects_bad_temperature(small_model):
     with pytest.raises(ConfigError):
         ev.sample(small_model, [1], temperature=0.0, max_len=4, seed=0)

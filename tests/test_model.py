@@ -78,6 +78,43 @@ def test_forward_rejects_bad_ids(tiny_config):
         mdl.forward(params, np.zeros((1, tiny_config.context_len + 1), dtype=int))
 
 
+def test_forward_past_rejects_overlong_continuation(tiny_config):
+    params = mdl.init(tiny_config)
+    past = []
+    mdl.forward(params, np.ones((2, tiny_config.context_len - 1), dtype=int),
+                want_cache=False, past=past)
+    mdl.forward(params, np.ones((2, 1), dtype=int), want_cache=False, past=past)
+    with pytest.raises(LengthError):
+        mdl.forward(params, np.ones((2, 1), dtype=int), want_cache=False, past=past)
+
+
+def test_forward_past_rejects_backward_cache(tiny_config):
+    params = mdl.init(tiny_config)
+    with pytest.raises(InputError):
+        mdl.forward(params, np.ones((1, 3), dtype=int), past=[])
+
+
+@pytest.mark.parametrize("prefill", [1, 3, 9])
+def test_incremental_forward_matches_full_prefix(prefill):
+    cfg = mdl.ModelConfig(vocab_size=11, d_model=16, n_layers=2, n_heads=2, context_len=16, seed=5)
+    params = conditioned_point(cfg, 5)
+    rng = np.random.default_rng(prefill)
+    for name in params.tensors:  # move the norm gains and biases off their init values too
+        params.tensors[name] += rng.normal(0.0, 0.1, params.tensors[name].shape)
+    ids = rng.integers(0, cfg.vocab_size, size=(3, cfg.context_len))
+    past = []
+    logits, cache = mdl.forward(params, ids[:, :prefill], want_cache=False, past=past)
+    assert cache is None and len(past) == cfg.n_layers
+    full, _ = mdl.forward(params, ids[:, :prefill], want_cache=False)
+    assert np.array_equal(logits, full)
+    for t in range(prefill, cfg.context_len):
+        step, _ = mdl.forward(params, ids[:, t : t + 1], want_cache=False, past=past)
+        full, _ = mdl.forward(params, ids[:, : t + 1], want_cache=False)
+        assert step.shape == (3, 1, cfg.vocab_size)
+        assert np.abs(step[:, 0] - full[:, -1]).max() <= 1e-12
+    assert past[0][0].shape == (3, cfg.context_len, cfg.n_heads, cfg.head_dim)
+
+
 def test_full_nll_gradient_matches_fd(tiny_config):
     worst = 0.0
     for seed in range(5):
