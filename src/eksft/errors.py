@@ -44,7 +44,7 @@ class ShapeMismatchError(CheckpointError):
 
 
 class TruncatedBlobError(CheckpointError):
-    """Weight blob shorter than the manifest promises."""
+    """Weight blob missing, or its length differs from what the manifest promises."""
 
 
 class GenerationError(EksftError):

@@ -57,14 +57,13 @@ def sample_group(
             break
         logits, _ = mdl.forward(params, ids, want_cache=False, past=past)
         lp = nk.log_softmax(logits[:, -1, :] / temperature)
-        probs = np.exp(lp)
         if greedy:
             nxt = np.argmax(lp, axis=-1)
         else:
-            cdf = np.cumsum(probs, axis=-1)
+            cdf = np.cumsum(np.exp(lp), axis=-1)
             u = rng.random(n)
             nxt = np.minimum((cdf < u[:, None]).sum(axis=-1), cfg.vocab_size - 1)
-        ent = -np.sum(probs * np.where(probs > 0.0, lp, 0.0), axis=-1)
+        ent = nk.entropy(lp)
         for i in range(n):
             if active[i]:
                 token = int(nxt[i])

@@ -308,31 +308,6 @@ def zero_grads(params: ParameterSet) -> dict[str, np.ndarray]:
 
 
 # -----------------------------------------------------------------------------
-# flat parameter vector helpers (used by the finite-difference checks)
-# -----------------------------------------------------------------------------
-
-
-def flatten_params(params: ParameterSet) -> np.ndarray:
-    return np.concatenate([params.tensors[n].reshape(-1) for n in params.names()])
-
-
-def unflatten_params(config: ModelConfig, flat: np.ndarray) -> ParameterSet:
-    tensors = {}
-    offset = 0
-    for name, shape, _ in parameter_layout(config):
-        size = int(np.prod(shape))
-        tensors[name] = flat[offset : offset + size].reshape(shape).copy()
-        offset += size
-    if offset != flat.size:
-        raise ShapeMismatchError(f"flat vector has {flat.size} entries, layout expects {offset}")
-    return ParameterSet(config, tensors)
-
-
-def flatten_grads(params: ParameterSet, grads: dict[str, np.ndarray]) -> np.ndarray:
-    return np.concatenate([grads[n].reshape(-1) for n in params.names()])
-
-
-# -----------------------------------------------------------------------------
 # checkpoints: <prefix>.manifest.json + <prefix>.weights.bin (little-endian f32)
 # -----------------------------------------------------------------------------
 
@@ -396,7 +371,7 @@ def load_checkpoint(prefix: str | Path) -> ParameterSet:
     blob = weights_path.read_bytes() if weights_path.exists() else None
     if blob is None:
         raise TruncatedBlobError(f"missing weights blob {weights_path}")
-    if len(blob) < manifest["total_nbytes"]:
+    if len(blob) != manifest["total_nbytes"]:
         raise TruncatedBlobError(
             f"weights blob has {len(blob)} bytes, manifest promises {manifest['total_nbytes']}"
         )

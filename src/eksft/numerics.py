@@ -3,8 +3,8 @@
 Every kernel here is a pure function of numpy arrays: float64 in, float64
 out, no hidden state. Backward functions take the upstream gradient plus
 whatever the forward cached and return gradients for each differentiable
-input. `grad_check` is the finite-difference harness used to verify all of
-them (and the full model on top of them).
+input. `entropy` and `kl` are the one implementation of the per-token
+entropy and KL that selection, the objective and the sampler all use.
 
 Reductions rely on numpy's fixed evaluation order, so identical inputs give
 bit-identical outputs run to run.
@@ -13,7 +13,6 @@ bit-identical outputs run to run.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -84,6 +83,33 @@ def log_softmax_backward(grad_out: np.ndarray, log_probs: np.ndarray) -> np.ndar
     """dz for y = log_softmax(z): grad_out - softmax(z) * sum(grad_out)."""
     probs = np.exp(log_probs)
     return grad_out - probs * grad_out.sum(axis=-1, keepdims=True)
+
+
+# -----------------------------------------------------------------------------
+# entropy and KL of log-probability rows
+# -----------------------------------------------------------------------------
+
+
+def prob_weighted(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """p * x with the convention 0 * x == 0 (x = -inf included), without NaN warnings."""
+    return p * np.where(p > 0.0, x, 0.0)
+
+
+def entropy(log_probs: np.ndarray) -> np.ndarray:
+    """Shannon entropy -sum(p log p) in nats of each row of log_probs (..., V), unclamped."""
+    return -np.sum(prob_weighted(np.exp(log_probs), log_probs), axis=-1)
+
+
+def kl(log_probs: np.ndarray, ref_log_probs: np.ndarray) -> np.ndarray:
+    """KL(p || q) = sum(p (log p - log q)) in nats per row of aligned (..., V) arrays.
+
+    No clamping: roundoff can leave a row a hair below zero.
+    """
+    if log_probs.shape != ref_log_probs.shape:
+        raise DimensionError(
+            f"policy/reference shapes differ: {log_probs.shape} vs {ref_log_probs.shape}"
+        )
+    return np.sum(prob_weighted(np.exp(log_probs), log_probs - ref_log_probs), axis=-1)
 
 
 # -----------------------------------------------------------------------------
@@ -163,65 +189,3 @@ def embedding_lookup_backward(grad_out: np.ndarray, ids: np.ndarray, vocab_size:
     dtable = np.zeros((vocab_size, d), dtype=F64)
     np.add.at(dtable, np.asarray(ids).reshape(-1), grad_out.reshape(-1, d))
     return dtable
-
-
-# -----------------------------------------------------------------------------
-# finite-difference gradient check
-# -----------------------------------------------------------------------------
-
-
-def grad_check(
-    f: Callable[[np.ndarray], tuple[float, np.ndarray]],
-    point: np.ndarray,
-    h: float = 1e-4,
-    coords: Sequence[int] | None = None,
-) -> float:
-    """Compare f's analytic gradient against central finite differences.
-
-    f maps a flat float64 vector to (scalar value, gradient of same shape).
-    Returns max over checked coordinates of
-    |analytic - fd| / (|fd| + 1e-8). `coords` restricts the check to a
-    subset of coordinates (all by default); use this when evaluating f is
-    expensive and the coordinate count is large.
-    """
-    point = as_f64(point).reshape(-1)
-    _, analytic = f(point)
-    analytic = as_f64(analytic).reshape(-1)
-    if analytic.shape != point.shape:
-        raise DimensionError(f"gradient shape {analytic.shape} does not match point {point.shape}")
-    if coords is None:
-        coords = range(point.size)
-    worst = 0.0
-    for i in coords:
-        bumped = point.copy()
-        bumped[i] = point[i] + h
-        up, _ = f(bumped)
-        bumped[i] = point[i] - h
-        down, _ = f(bumped)
-        fd = (up - down) / (2.0 * h)
-        rel = abs(analytic[i] - fd) / (abs(fd) + 1e-8)
-        if rel > worst:
-            worst = rel
-    return float(worst)
-
-
-def informative_coords(
-    grad: np.ndarray, k: int, rng: np.random.Generator, floor: float = 1e-4
-) -> np.ndarray:
-    """Coordinates worth finite-difference checking: |grad| above `floor`.
-
-    At h=1e-4 a central difference of an O(1) loss carries ~1e-12 of rounding
-    noise and ~(h^2/6)*f''' of truncation error, so coordinates with tiny
-    true gradients measure oracle error rather than the formula under test.
-    Picks k seeded coordinates among the informative ones (the single
-    largest-|grad| coordinate always included).
-    """
-    flat = np.abs(np.asarray(grad).reshape(-1))
-    candidates = np.nonzero(flat >= floor)[0]
-    if candidates.size == 0:
-        return np.array([int(flat.argmax())])
-    if candidates.size <= k:
-        return candidates
-    chosen = set(rng.choice(candidates, size=k - 1, replace=False).tolist())
-    chosen.add(int(flat.argmax()))
-    return np.sort(np.fromiter(chosen, dtype=np.int64))

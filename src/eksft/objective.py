@@ -15,6 +15,10 @@ logit space: the loss is ce_sum/N_sup - l_H * h_sum/N_reg + l_KL * kl_sum/N_reg
 (counts summed over the step) and a micro-batch's logit gradient is
 d_ce_sum/N_sup + d_reg_sum/N_reg, on which training runs one model `backward`.
 
+The per-row entropy and KL are `numerics.entropy` and `numerics.kl`, the
+same kernels that rank tokens in `selection`; their logit gradients are
+analytic, and the finite-difference checks test them through this module.
+
 Per-token logit gradients used here:
   nll:      softmax(z) - onehot(y)
   entropy:  dH/dz_j  = -p_j (log p_j + H)
@@ -83,9 +87,8 @@ def _entropy_sum(log_probs: np.ndarray, where: np.ndarray) -> tuple[float, np.nd
     bi, li = np.nonzero(where)
     d = np.zeros_like(log_probs)
     lp = log_probs[bi, li]
-    p = np.exp(lp)
-    h = -np.sum(sel._zero_where_unsupported(p, lp), axis=-1)
-    d[bi, li] = -sel._zero_where_unsupported(p, lp + h[:, None])
+    h = nk.entropy(lp)
+    d[bi, li] = -nk.prob_weighted(np.exp(lp), lp + h[:, None])
     return float(h.sum()), d
 
 
@@ -97,10 +100,8 @@ def _kl_sum(
     d = np.zeros_like(log_probs)
     lp = log_probs[bi, li]
     rlp = ref_log_probs[bi, li]
-    p = np.exp(lp)
-    diff = lp - rlp
-    kl = np.sum(sel._zero_where_unsupported(p, diff), axis=-1)
-    d[bi, li] = sel._zero_where_unsupported(p, diff - kl[:, None])
+    kl = nk.kl(lp, rlp)
+    d[bi, li] = nk.prob_weighted(np.exp(lp), lp - rlp - kl[:, None])
     return float(kl.sum()), d
 
 
@@ -277,13 +278,3 @@ def normalize_step(terms: list[ObjectiveTerms]) -> StepObjective:
     total = ce - terms[0].lambda_h * h + terms[0].lambda_kl * kl
     return StepObjective(total, ce, h, kl, n_sup, dlogits)
 
-
-# -----------------------------------------------------------------------------
-# gradient-scale diagnostics
-# -----------------------------------------------------------------------------
-
-
-def ce_grad_sq_norm(probs_row: np.ndarray, target: int) -> float:
-    """||softmax - onehot(y)||^2 = sum(p^2) + 1 - 2 p[y] for one position."""
-    p = np.asarray(probs_row, dtype=np.float64)
-    return float(np.sum(p * p) + 1.0 - 2.0 * p[target])

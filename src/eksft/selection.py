@@ -1,12 +1,14 @@
 """Per-token uncertainty statistics and Top-K union masking.
 
-A batch's valid tokens T are ranked twice, once by next-token entropy and
-once by KL to the frozen reference model. Each criterion keeps exactly
-k = ceil(rho * |T|) tokens (ties broken by ascending (sequence, position)),
-and the final mask is the union of the two sets. Masks are bool vectors in
-the order of the batch's TokenStats list, which is the row-major order of
-its valid positions. Selection is a hard, non-differentiable choice:
-downstream losses treat the mask as a constant.
+`stats_from_log_probs` turns a batch's policy and reference log-probs into
+one TokenStats per valid token, with the entropy and KL of `numerics`
+(KL roundoff negatives above KL_FLOOR clamped to 0). The valid tokens T are
+then ranked twice, once by entropy and once by KL. Each criterion keeps
+exactly k = ceil(rho * |T|) tokens (ties broken by ascending (sequence,
+position)), and the final mask is the union of the two sets. Masks are bool
+vectors in the order of the batch's TokenStats list, which is the row-major
+order of its valid positions. Selection is a hard, non-differentiable
+choice: downstream losses treat the mask as a constant.
 """
 
 from __future__ import annotations
@@ -19,12 +21,12 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from . import numerics as nk
+from .errors import ConfigError
 
 log = logging.getLogger(__name__)
 
-DIST_TOL = 1e-9  # exp(log_probs) must sum to 1 within this much
-KL_FLOOR = -1e-9  # tolerated negative KL before we call it an input problem
+KL_FLOOR = -1e-9  # KL in [KL_FLOOR, 0) is roundoff and reads as 0
 
 
 class TokenRef(NamedTuple):
@@ -55,59 +57,6 @@ class MaskSet:
     def empty(total_valid: int = 0) -> "MaskSet":
         none = np.zeros(total_valid, dtype=bool)
         return MaskSet(none, none, none, 0, total_valid)
-
-
-def _check_log_prob_row(row: np.ndarray, name: str) -> np.ndarray:
-    row = np.asarray(row, dtype=np.float64)
-    if row.ndim != 1 or row.size < 2:
-        raise InputError(f"{name} must be a vector of >= 2 log-probabilities, got shape {row.shape}")
-    total = np.exp(row).sum()
-    if not np.isfinite(total) or abs(total - 1.0) > DIST_TOL:
-        raise InputError(f"{name} is not a normalized log-probability vector (exp-sum {total})")
-    return row
-
-
-def _zero_where_unsupported(p: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # p * x with the convention 0 * (-inf) == 0, without tripping NaN warnings.
-    return p * np.where(p > 0.0, x, 0.0)
-
-
-def token_entropy(log_probs_row: np.ndarray) -> float:
-    """Shannon entropy -sum(p log p) in nats from one row of log-probabilities."""
-    lp = _check_log_prob_row(log_probs_row, "log_probs_row")
-    p = np.exp(lp)
-    h = -float(np.sum(_zero_where_unsupported(p, lp)))
-    return max(h, 0.0)
-
-
-def token_kl(policy_log_probs: np.ndarray, reference_log_probs: np.ndarray) -> float:
-    """KL(policy || reference) in nats; tiny negatives from roundoff clip to 0."""
-    plp = _check_log_prob_row(policy_log_probs, "policy_log_probs")
-    rlp = _check_log_prob_row(reference_log_probs, "reference_log_probs")
-    if plp.shape != rlp.shape:
-        raise InputError(f"vocabulary sizes differ: {plp.shape} vs {rlp.shape}")
-    p = np.exp(plp)
-    kl = float(np.sum(_zero_where_unsupported(p, plp - rlp)))
-    if kl < 0.0:
-        kl = 0.0 if kl >= KL_FLOOR else kl
-    return kl
-
-
-def batch_entropy(log_probs: np.ndarray) -> np.ndarray:
-    """Entropy per row for log_probs (..., V)."""
-    p = np.exp(log_probs)
-    return -np.sum(_zero_where_unsupported(p, log_probs), axis=-1)
-
-
-def batch_kl(policy_log_probs: np.ndarray, reference_log_probs: np.ndarray) -> np.ndarray:
-    """KL per row for aligned (..., V) log-prob arrays."""
-    if policy_log_probs.shape != reference_log_probs.shape:
-        raise InputError(
-            f"policy/reference shapes differ: {policy_log_probs.shape} vs {reference_log_probs.shape}"
-        )
-    p = np.exp(policy_log_probs)
-    kl = np.sum(_zero_where_unsupported(p, policy_log_probs - reference_log_probs), axis=-1)
-    return np.where((kl < 0.0) & (kl >= KL_FLOOR), 0.0, kl)
 
 
 def selected_count(rho: float, total: int) -> int:
@@ -158,11 +107,13 @@ def stats_from_log_probs(
     """TokenStats for every valid (sequence, position) in a batch.
 
     log_probs and reference_log_probs are (B, L, V); valid_mask is (B, L)
-    bool selecting the response-token positions that make up T.
+    bool selecting the response-token positions that make up T. KL values
+    in [KL_FLOOR, 0) are clamped to 0, so the ranking never sees roundoff.
     """
     bi, li = np.nonzero(valid_mask)
-    ent = batch_entropy(log_probs)[bi, li].tolist()
-    kl = batch_kl(log_probs, reference_log_probs)[bi, li].tolist()
+    ent = nk.entropy(log_probs)[bi, li].tolist()
+    kl = nk.kl(log_probs, reference_log_probs)
+    kl = np.where((kl < 0.0) & (kl >= KL_FLOOR), 0.0, kl)[bi, li].tolist()
     return [
         TokenStats(TokenRef(b, t), h, d)
         for b, t, h, d in zip(bi.tolist(), li.tolist(), ent, kl)

@@ -78,6 +78,8 @@ class SftConfig:
             raise ConfigError("regularizer weights must be >= 0")
         if not (0.0 <= self.drop_fraction < 1.0):
             raise ConfigError("drop_fraction must lie in [0, 1)")
+        if self.weight_decay < 0:
+            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
 @dataclass(frozen=True)
@@ -104,6 +106,10 @@ class RlConfig:
             raise ConfigError("total_steps and prompts_per_step must be >= 1")
         if self.temperature <= 0:
             raise ConfigError("temperature must be > 0")
+        if self.max_gen_len < 1:
+            raise ConfigError(f"max_gen_len must be >= 1, got {self.max_gen_len}")
+        if self.weight_decay < 0:
+            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be > 0")
         if self.seed < 0:

@@ -18,7 +18,6 @@ import pytest
 from eksft import analyze as ana
 from eksft import evaluation as ev
 from eksft import model as mdl
-from eksft import numerics as nk
 from eksft import objective as obj
 from eksft import selection as sel
 from eksft import tasks
@@ -26,7 +25,7 @@ from eksft import train as tr
 from eksft.cli import main as cli_main
 from eksft.selection import TokenRef, TokenStats
 
-from conftest import pinned_objective, single_step
+from conftest import ce_grad_sq_norm, model_fd_worst, pinned_objective, single_step
 
 
 def _report(number: int, name: str, ok: bool, detail: str = ""):
@@ -79,24 +78,12 @@ def test_c01_gradient_fidelity():
         ref_logits = mdl.forward(ref_params, ids, want_cache=False)[0]
         logits0 = mdl.forward(params, ids, want_cache=False)[0]
 
-        def make_f(kind):
-            # the training core, with masks and DFT weights pinned at x0
+        for kind in obj.METHODS:
+            # the training core, with masks and DFT weights pinned at logits0
             loss = pinned_objective(kind, logits0, ref_logits, targets, valid, rho=0.2,
                                     drop_fraction=0.10, rng=np.random.default_rng([seed, 88]))
-
-            def f(flat):
-                p = mdl.unflatten_params(cfg, flat)
-                logits, cache = mdl.forward(p, ids)
-                v, d = loss(logits)
-                return v, mdl.flatten_grads(p, mdl.backward(p, cache, d))
-            return f
-
-        x0 = mdl.flatten_params(params)
-        for kind in obj.METHODS:
-            f = make_f(kind)
-            _, g = f(x0)
-            coords = nk.informative_coords(g, 50, np.random.default_rng([seed, 99]))
-            worst[kind] = max(worst[kind], nk.grad_check(f, x0, h=1e-4, coords=coords))
+            worst[kind] = max(worst[kind],
+                              model_fd_worst(params, ids, loss, 50, [seed, 99], h=1e-4))
     elapsed = time.time() - t0
     detail = " ".join(f"{m}={worst[m]:.2e}" for m in obj.METHODS) + f" in {elapsed:.0f}s"
     _report(1, "gradient fidelity", max(worst.values()) <= 1e-5 and elapsed < 60, detail)
@@ -184,14 +171,14 @@ def test_c04_ce_gradient_norm_bounds():
     jitter = rng.uniform(-1e-6, 1e-6, size=v)
     jitter -= jitter.mean()
     near_u = u + jitter
-    near_u_ok = abs(obj.ce_grad_sq_norm(near_u, 3) - (1.0 - 1.0 / v)) <= 1e-4
+    near_u_ok = abs(ce_grad_sq_norm(near_u, 3) - (1.0 - 1.0 / v)) <= 1e-4
 
     conf_ok = True
     for eps in (1e-2, 1e-3):
         row = np.zeros(v)
         row[0] = 1.0 - eps
         row[1] = eps  # residual mass on a single competitor
-        conf_ok &= abs(obj.ce_grad_sq_norm(row, 0) - 2.0 * eps**2) <= 10.0 * eps**3
+        conf_ok &= abs(ce_grad_sq_norm(row, 0) - 2.0 * eps**2) <= 10.0 * eps**3
     _report(4, "ce gradient norm bounds", violations == 0 and near_u_ok and conf_ok,
             f"{violations} bound violations over {n} draws")
 

@@ -106,6 +106,18 @@ def test_missing_checkpoint_exits_2_with_path(tmp_path, capsys):
     assert "nope/final" in capsys.readouterr().err
 
 
+def test_train_rl_rejects_nonpositive_max_gen_len(tmp_path, capsys):
+    data = _gen(tmp_path)
+    ckpt = tmp_path / "base"
+    mdl.save_checkpoint(mdl.init(mdl.ModelConfig(d_model=16, context_len=48)), ckpt)
+    assert main([
+        "train-rl", "--init", str(ckpt), "--prompts", str(data / "rl_prompts.jsonl"),
+        "--out", str(tmp_path / "rl"), "--max-gen-len", "0",
+    ]) == 2
+    assert "max_gen_len" in capsys.readouterr().err
+    assert not (tmp_path / "rl").exists()
+
+
 def test_pretrain_then_rl_reward_curve(tmp_path):
     data = _gen(tmp_path)
     assert main([

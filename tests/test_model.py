@@ -17,7 +17,7 @@ from eksft.errors import (
     TruncatedBlobError,
 )
 
-from conftest import conditioned_point, random_batch, single_step
+from conftest import conditioned_point, model_fd_worst, random_batch, single_step
 
 
 def test_init_deterministic(tiny_config):
@@ -122,28 +122,20 @@ def test_full_nll_gradient_matches_fd(tiny_config):
         rng = np.random.default_rng(seed)
         ids, targets, valid = random_batch(rng, tiny_config)
 
-        def f(flat):
-            p = mdl.unflatten_params(tiny_config, flat)
-            logits, cache = mdl.forward(p, ids)
-            loss, d = single_step(obj.objective_terms("sft", logits, logits, targets, valid))
-            return loss, mdl.flatten_grads(p, mdl.backward(p, cache, d))
+        def loss(logits):
+            return single_step(obj.objective_terms("sft", logits, logits, targets, valid))
 
-        x0 = mdl.flatten_params(params)
-        _, g = f(x0)
-        coords = nk.informative_coords(g, 40, np.random.default_rng([seed, 1]))
-        worst = max(worst, nk.grad_check(f, x0, coords=coords))
+        worst = max(worst, model_fd_worst(params, ids, loss, 40, [seed, 1]))
     assert worst <= 1e-5
 
 
 def test_reference_snapshot_kl_zero(tiny_config):
-    from eksft.selection import batch_kl
-
     params = mdl.init(tiny_config)
     ref = mdl.snapshot_reference(params)
     ids = np.array([[1, 4, 5, 6, 7]])
     logits, _ = mdl.forward(params, ids, want_cache=False)
     lp = nk.log_softmax(logits)
-    assert np.allclose(batch_kl(lp, nk.log_softmax(ref.logits(ids))), 0.0)
+    assert np.allclose(nk.kl(lp, nk.log_softmax(ref.logits(ids))), 0.0)
 
 
 def test_reference_immutable_after_update(tiny_config):
@@ -208,6 +200,14 @@ def test_checkpoint_truncated_blob(tmp_path, tiny_config):
     data = weights_path.read_bytes()
     weights_path.write_bytes(data[: len(data) // 2])
     with pytest.raises(TruncatedBlobError):
+        mdl.load_checkpoint(tmp_path / "ckpt")
+
+
+def test_checkpoint_overlong_blob(tmp_path, tiny_config):
+    params = mdl.init(tiny_config)
+    _, weights_path = mdl.save_checkpoint(params, tmp_path / "ckpt")
+    weights_path.write_bytes(weights_path.read_bytes() + b"\0" * 4)
+    with pytest.raises(TruncatedBlobError, match="manifest promises"):
         mdl.load_checkpoint(tmp_path / "ckpt")
 
 

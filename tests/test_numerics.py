@@ -4,6 +4,8 @@ import pytest
 from eksft import numerics as nk
 from eksft.errors import DimensionError, NumericError
 
+from conftest import grad_check
+
 
 def test_matmul_identity():
     rng = np.random.default_rng(0)
@@ -41,7 +43,7 @@ def test_matmul_grad_check():
             _, grad_b = nk.matmul_backward(c, a, b_)
             return val, grad_b.reshape(-1)
 
-        worst = max(worst, nk.grad_check(f, a.reshape(-1)), nk.grad_check(g, b.reshape(-1)))
+        worst = max(worst, grad_check(f, a.reshape(-1)), grad_check(g, b.reshape(-1)))
     assert worst <= 1e-5
 
 
@@ -80,7 +82,7 @@ def test_log_softmax_grad_check():
             out = nk.log_softmax(flat)
             return float((out * c).sum()), nk.log_softmax_backward(c, out)
 
-        worst = max(worst, nk.grad_check(f, z))
+        worst = max(worst, grad_check(f, z))
     assert worst <= 1e-5
 
 
@@ -116,9 +118,9 @@ def test_layer_norm_grad_check():
 
         worst = max(
             worst,
-            nk.grad_check(fx, x.reshape(-1)),
-            nk.grad_check(fg, gain),
-            nk.grad_check(fb, bias),
+            grad_check(fx, x.reshape(-1)),
+            grad_check(fg, gain),
+            grad_check(fb, bias),
         )
     assert worst <= 1e-5
 
@@ -139,7 +141,7 @@ def test_gelu_grad_check():
         def f(flat):
             return float((nk.gelu(flat) * c).sum()), nk.gelu_backward(c, flat)
 
-        worst = max(worst, nk.grad_check(f, x))
+        worst = max(worst, grad_check(f, x))
     assert worst <= 1e-5
 
 
@@ -165,21 +167,21 @@ def test_embedding_grad_check():
         out = nk.embedding_lookup(table, ids)
         return float((out * c).sum()), nk.embedding_lookup_backward(c, ids, 4).reshape(-1)
 
-    assert nk.grad_check(f, rng.normal(size=12)) <= 1e-6
+    assert grad_check(f, rng.normal(size=12)) <= 1e-6
 
 
 def test_grad_check_quadratic():
     def f(x):
         return float(x[0] ** 2), np.array([2.0 * x[0]])
 
-    assert nk.grad_check(f, np.array([3.0])) <= 1e-8
+    assert grad_check(f, np.array([3.0])) <= 1e-8
 
 
 def test_grad_check_flags_wrong_gradient():
     def f(x):
         return float(x[0] ** 2), np.array([2.0 * x[0] + 0.1])  # injected bug
 
-    assert nk.grad_check(f, np.array([3.0])) >= 1e-2
+    assert grad_check(f, np.array([3.0])) >= 1e-2
 
 
 def test_kernels_are_pure():

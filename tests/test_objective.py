@@ -9,7 +9,8 @@ from eksft import objective as obj
 from eksft import selection as sel
 from eksft.errors import ConfigError, InputError
 
-from conftest import conditioned_point, pinned_objective, random_batch, single_step
+from conftest import (ce_grad_sq_norm, conditioned_point, grad_check, model_fd_worst,
+                      pinned_objective, random_batch, single_step)
 
 
 def _logits_from_probs(rows):
@@ -45,7 +46,7 @@ def _fd_logits(loss, logits):
         v, d = loss(flat.reshape(logits.shape))
         return v, d.reshape(-1)
 
-    return nk.grad_check(f, logits.reshape(-1))
+    return grad_check(f, logits.reshape(-1))
 
 
 def test_sft_loss_perfect_model_is_zero():
@@ -261,17 +262,7 @@ def test_eksft_full_model_fd(tiny_config):
         ref_logits = mdl.forward(ref_params, ids, want_cache=False)[0]
         logits0 = mdl.forward(params, ids, want_cache=False)[0]
         loss = pinned_objective("eksft", logits0, ref_logits, targets, valid, rho=0.2)
-
-        def f(flat):
-            p = mdl.unflatten_params(tiny_config, flat)
-            logits, cache = mdl.forward(p, ids)
-            v, d = loss(logits)
-            return v, mdl.flatten_grads(p, mdl.backward(p, cache, d))
-
-        x0 = mdl.flatten_params(params)
-        _, g = f(x0)
-        coords = nk.informative_coords(g, 40, np.random.default_rng([seed, 8]))
-        worst = max(worst, nk.grad_check(f, x0, coords=coords))
+        worst = max(worst, model_fd_worst(params, ids, loss, 40, [seed, 8]))
     assert worst <= 1e-5
 
 
@@ -400,6 +391,23 @@ def _constants(method, logits, ref, targets, valid, **kw):
     return obj.stop_gradient_constants(method, lp, targets, valid, stats, **kw), lp, stats
 
 
+def test_selection_and_objective_share_one_kernel():
+    """global_reg regularizes exactly the valid set, so its entropy and KL sums
+    are the sums (same numpy reduction) of the stats that selection ranks."""
+    rng = np.random.default_rng(25)
+    for _ in range(50):
+        b, length, v = (int(x) for x in rng.integers([1, 1, 2], [5, 12, 65]))
+        logits = rng.normal(0, 2, size=(b, length, v))
+        ref = rng.normal(0, 2, size=(b, length, v))
+        targets = rng.integers(0, v, size=(b, length))
+        valid = rng.random((b, length)) < 0.8
+        valid[0, 0] = True
+        terms = _terms("global_reg", logits, targets, valid, reference=ref)
+        assert terms.n_reg == len(terms.stats) == int(valid.sum())
+        assert terms.h_sum == float(np.sum([s.entropy for s in terms.stats]))
+        assert terms.kl_sum == float(np.sum([s.kl for s in terms.stats]))
+
+
 def test_dft_weights_are_target_probabilities():
     logits, ref, targets, valid = _batch(20)
     c, lp, _ = _constants("dft", logits, ref, targets, valid)
@@ -478,10 +486,10 @@ def test_ce_grad_norm_bound_and_limits():
     assert np.all(sq <= 2.0 * (1.0 - p[np.arange(p.shape[0]), y]) + 1e-15)
     # near-uniform limit
     u = np.full(v, 1.0 / v)
-    assert obj.ce_grad_sq_norm(u, 3) == pytest.approx(1.0 - 1.0 / v, abs=1e-12)
+    assert ce_grad_sq_norm(u, 3) == pytest.approx(1.0 - 1.0 / v, abs=1e-12)
     # high-confidence limit with the leftover mass on one competitor
     for eps in (1e-2, 1e-3):
         row = np.zeros(v)
         row[0] = 1.0 - eps
         row[1] = eps
-        assert obj.ce_grad_sq_norm(row, 0) == pytest.approx(2.0 * eps**2, abs=10 * eps**3)
+        assert ce_grad_sq_norm(row, 0) == pytest.approx(2.0 * eps**2, abs=10 * eps**3)

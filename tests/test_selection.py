@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from eksft import numerics as nk
 from eksft import selection as sel
 from eksft.errors import ConfigError, InputError
 from eksft.selection import MaskSet, TokenRef, TokenStats
@@ -12,9 +13,17 @@ from eksft.selection import MaskSet, TokenRef, TokenStats
 from conftest import random_log_probs
 
 
+def _entropy(row) -> float:  # the one kernel, through a 1-row input
+    return float(nk.entropy(np.asarray(row)[None])[0])
+
+
+def _kl(row, ref_row) -> float:
+    return float(nk.kl(np.asarray(row)[None], np.asarray(ref_row)[None])[0])
+
+
 def test_entropy_uniform_is_log_v():
     lp = np.full(32, -math.log(32))
-    assert abs(sel.token_entropy(lp) - math.log(32)) <= 1e-12
+    assert abs(_entropy(lp) - math.log(32)) <= 1e-12
 
 
 def test_entropy_one_hot_is_zero():
@@ -22,66 +31,61 @@ def test_entropy_one_hot_is_zero():
     p[3] = 1.0
     with np.errstate(divide="ignore"):
         lp = np.log(p)
-    assert sel.token_entropy(lp) == 0.0
+    assert _entropy(lp) == 0.0
 
 
 def test_entropy_two_point():
     lp = np.log(np.array([0.25, 0.75]))
     # direct summation oracle
     expected = -(0.25 * math.log(0.25) + 0.75 * math.log(0.75))
-    assert abs(sel.token_entropy(lp) - expected) <= 1e-12
+    assert abs(_entropy(lp) - expected) <= 1e-12
     assert abs(expected - 0.5623) <= 5e-5
-
-
-def test_entropy_rejects_unnormalized():
-    with pytest.raises(InputError):
-        sel.token_entropy(np.array([-1.0, -1.0, -1.0]))
 
 
 def test_entropy_bounds_random():
     rng = np.random.default_rng(0)
     for _ in range(500):
         v = int(rng.integers(2, 40))
-        h = sel.token_entropy(random_log_probs(rng, v, scale=3.0))
+        h = _entropy(random_log_probs(rng, v, scale=3.0))
         assert 0.0 <= h <= math.log(v) + 1e-12
 
 
 def test_kl_identity_zero():
     rng = np.random.default_rng(1)
     lp = random_log_probs(rng, 12)
-    assert sel.token_kl(lp, lp.copy()) == 0.0
+    assert _kl(lp, lp.copy()) == 0.0
 
 
 def test_kl_two_point():
     lp = np.log(np.array([0.75, 0.25]))
     ref = np.log(np.array([0.5, 0.5]))
     expected = 0.75 * math.log(1.5) + 0.25 * math.log(0.5)  # direct summation
-    assert abs(sel.token_kl(lp, ref) - expected) <= 1e-12
+    assert abs(_kl(lp, ref) - expected) <= 1e-12
     assert abs(expected - 0.13081) <= 5e-6
 
 
 def test_kl_size_mismatch():
     with pytest.raises(InputError):
-        sel.token_kl(np.full(3, -math.log(3)), np.full(4, -math.log(4)))
+        _kl(np.full(3, -math.log(3)), np.full(4, -math.log(4)))
 
 
 def test_kl_nonnegative_many_pairs():
-    from eksft import numerics as nk
-
     rng = np.random.default_rng(2)
     lp = nk.log_softmax(rng.normal(0, 3.0, size=(100_000, 16)))
     ref = nk.log_softmax(rng.normal(0, 3.0, size=(100_000, 16)))
-    kl = sel.batch_kl(lp, ref)
+    kl = nk.kl(lp, ref)
     assert kl.min() >= -1e-9
 
 
-def test_batch_matches_single_row():
-    rng = np.random.default_rng(3)
-    lp = np.stack([random_log_probs(rng, 9) for _ in range(20)])
-    ref = np.stack([random_log_probs(rng, 9) for _ in range(20)])
-    for i in range(20):
-        assert sel.batch_entropy(lp)[i] == pytest.approx(sel.token_entropy(lp[i]), abs=1e-12)
-        assert sel.batch_kl(lp, ref)[i] == pytest.approx(sel.token_kl(lp[i], ref[i]), abs=1e-12)
+def test_stats_clamp_only_roundoff_kl():
+    lp = np.log(np.full((1, 3, 2), 0.5))
+    ref = lp.copy()
+    ref[0, 1] += 1e-12  # KL -1e-12: roundoff, read as 0
+    ref[0, 2] += 1e-6  # KL -1e-6: below KL_FLOOR, kept
+    stats = sel.stats_from_log_probs(lp, ref, np.ones((1, 3), bool))
+    assert [s.kl for s in stats][:2] == [0.0, 0.0]
+    assert stats[2].kl == pytest.approx(-1e-6, rel=1e-6)
+    assert [s.entropy for s in stats] == [math.log(2)] * 3
 
 
 def _entropy_stats(values):
@@ -200,13 +204,11 @@ def test_build_mask_matches_oracle(quantize):
 
 
 def test_selection_shift_invariance():
-    from eksft import numerics as nk
-
     rng = np.random.default_rng(9)
     z = rng.normal(0, 2, size=(3, 7))
     lp = nk.log_softmax(z)
     lp_shifted = nk.log_softmax(z + 123.0)
-    assert np.allclose(sel.batch_entropy(lp), sel.batch_entropy(lp_shifted), atol=1e-12)
+    assert np.allclose(nk.entropy(lp), nk.entropy(lp_shifted), atol=1e-12)
 
 
 def _set_iou(a, b):

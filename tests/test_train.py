@@ -10,6 +10,8 @@ from eksft import tasks
 from eksft import train as tr
 from eksft.errors import ConfigError, InputError, NumericError
 
+from conftest import grad_check
+
 
 def small_model_config(seed=0):
     return mdl.ModelConfig(vocab_size=32, d_model=32, n_layers=2, n_heads=2, context_len=48, seed=seed)
@@ -84,6 +86,16 @@ def test_config_validation():
         tr.RlConfig(clip_low=1.5)
     with pytest.raises(ConfigError):
         tr.RlConfig(rollout_group_size=1)
+    with pytest.raises(ConfigError):
+        tr.SftConfig(weight_decay=-1.0)
+    with pytest.raises(ConfigError):
+        tr.RlConfig(weight_decay=-0.5)
+    with pytest.raises(ConfigError):
+        tr.RlConfig(max_gen_len=-3)
+    with pytest.raises(ConfigError):
+        tr.RlConfig(max_gen_len=0)
+    tr.SftConfig(weight_decay=0.0)
+    tr.RlConfig(weight_decay=0.0, max_gen_len=1)
 
 
 def test_overfit_single_sample():
@@ -285,8 +297,6 @@ def test_clipped_pg_nonfinite_ratio():
 
 
 def test_clipped_pg_gradient_fd():
-    from eksft import numerics as nk
-
     rng = np.random.default_rng(3)
     old = rng.normal(-1, 0.3, size=12)
     adv = rng.normal(0, 1, size=12)
@@ -295,7 +305,7 @@ def test_clipped_pg_gradient_fd():
     def f(flat):
         return tr.clipped_pg_loss(flat, old, adv, 0.2, 0.28)
 
-    assert nk.grad_check(f, new0) <= 1e-5
+    assert grad_check(f, new0) <= 1e-5
 
 
 # -----------------------------------------------------------------------------
