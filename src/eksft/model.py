@@ -239,13 +239,13 @@ def forward(
 
         h2, ln2_cache = nk.layer_norm(x, t[p + "ln2.g"], t[p + "ln2.b"])
         u = nk.matmul(h2, t[p + "w1"])
-        a = nk.gelu(u)
+        a, cdf = nk.gelu(u)
         x = x + nk.matmul(a, t[p + "w2"])
 
         if cache is not None:
             cache["layers"].append(
                 {"ln1": ln1_cache, "h": h, "qh": qh, "kh": kh, "vh": vh, "att": att,
-                 "ctx": ctx, "ln2": ln2_cache, "h2": h2, "u": u, "a": a}
+                 "ctx": ctx, "ln2": ln2_cache, "h2": h2, "u": u, "cdf": cdf}
             )
 
     xf, lnf_cache = nk.layer_norm(x, t["lnf.g"], t["lnf.b"])
@@ -273,8 +273,9 @@ def backward(params: ParameterSet, cache: dict, dlogits: np.ndarray) -> dict[str
         p = f"layer{i}."
         c = cache["layers"][i]
 
-        da, grads[p + "w2"] = nk.matmul_backward(dx, c["a"], t[p + "w2"])
-        du = nk.gelu_backward(da, c["u"])
+        # a = gelu(u) is not cached; u * cdf rebuilds it bit for bit
+        da, grads[p + "w2"] = nk.matmul_backward(dx, c["u"] * c["cdf"], t[p + "w2"])
+        du = nk.gelu_backward(da, c["u"], c["cdf"])
         dh2, grads[p + "w1"] = nk.matmul_backward(du, c["h2"], t[p + "w1"])
         dx_mid, grads[p + "ln2.g"], grads[p + "ln2.b"] = nk.layer_norm_backward(dh2, c["ln2"])
         dx = dx + dx_mid

@@ -155,16 +155,21 @@ def layer_norm_backward(grad_out: np.ndarray, cache: tuple) -> tuple[np.ndarray,
 # -----------------------------------------------------------------------------
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    """Exact Gaussian-error-linear unit: x * Phi(x)."""
+def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact Gaussian-error-linear unit: x * Phi(x).
+
+    Returns (out, Phi(x)); the cdf feeds gelu_backward, so the backward calls
+    no erf. Halving is exact, so x * (0.5 * (1 + erf)) is the same rounded
+    product as 0.5 * x * (1 + erf).
+    """
     x = as_f64(x)
-    return 0.5 * x * (1.0 + erf(x * _INV_SQRT2))
-
-
-def gelu_backward(grad_out: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """d/dx gelu(x) = Phi(x) + x * phi(x)."""
-    phi = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
     cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    return x * cdf, cdf
+
+
+def gelu_backward(grad_out: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """d/dx gelu(x) = Phi(x) + x * phi(x), with Phi(x) = cdf from `gelu`."""
+    phi = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
     return grad_out * (cdf + x * phi)
 
 

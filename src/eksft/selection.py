@@ -1,14 +1,15 @@
 """Per-token uncertainty statistics and Top-K union masking.
 
-`stats_from_log_probs` turns a batch's policy and reference log-probs into
-one TokenStats per valid token, with the entropy and KL of `numerics`
-(KL roundoff negatives above KL_FLOOR clamped to 0). The valid tokens T are
-then ranked twice, once by entropy and once by KL. Each criterion keeps
-exactly k = ceil(rho * |T|) tokens (ties broken by ascending (sequence,
-position)), and the final mask is the union of the two sets. Masks are bool
-vectors in the order of the batch's TokenStats list, which is the row-major
-order of its valid positions. Selection is a hard, non-differentiable
-choice: downstream losses treat the mask as a constant.
+`stats_from_log_probs` gathers a batch's valid rows of policy and reference
+log-probs and turns them into one TokenStats per valid token, with the
+entropy and KL of `numerics` (KL roundoff negatives above KL_FLOOR clamped
+to 0). The valid tokens T are then ranked twice, once by entropy and once
+by KL. Each criterion keeps exactly k = ceil(rho * |T|) tokens (ties
+broken by ascending (sequence, position)), and the final mask is the union
+of the two sets. Masks are bool vectors in the order of the batch's
+TokenStats list, which is the row-major order of its valid positions.
+Selection is a hard, non-differentiable choice: downstream losses treat the
+mask as a constant.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import numerics as nk
-from .errors import ConfigError
+from .errors import ConfigError, DimensionError
 
 log = logging.getLogger(__name__)
 
@@ -107,13 +108,19 @@ def stats_from_log_probs(
     """TokenStats for every valid (sequence, position) in a batch.
 
     log_probs and reference_log_probs are (B, L, V); valid_mask is (B, L)
-    bool selecting the response-token positions that make up T. KL values
-    in [KL_FLOOR, 0) are clamped to 0, so the ranking never sees roundoff.
+    bool selecting the response-token positions that make up T. Only those
+    rows reach the kernels. KL values in [KL_FLOOR, 0) are clamped to 0, so
+    the ranking never sees roundoff.
     """
+    if log_probs.shape != reference_log_probs.shape:
+        raise DimensionError(
+            f"policy/reference shapes differ: {log_probs.shape} vs {reference_log_probs.shape}"
+        )
     bi, li = np.nonzero(valid_mask)
-    ent = nk.entropy(log_probs)[bi, li].tolist()
-    kl = nk.kl(log_probs, reference_log_probs)
-    kl = np.where((kl < 0.0) & (kl >= KL_FLOOR), 0.0, kl)[bi, li].tolist()
+    lp = log_probs[bi, li]
+    ent = nk.entropy(lp).tolist()
+    kl = nk.kl(lp, reference_log_probs[bi, li])
+    kl = np.where((kl < 0.0) & (kl >= KL_FLOOR), 0.0, kl).tolist()
     return [
         TokenStats(TokenRef(b, t), h, d)
         for b, t, h, d in zip(bi.tolist(), li.tolist(), ent, kl)

@@ -5,7 +5,9 @@ and their logit-gradient sums; `objective.normalize_step` normalizes them
 once, in logit space, and one backward per micro-batch maps them to
 parameter space. So G accumulated micro-batches equal one step on the
 concatenated batch, with masks still built per micro-batch (the unit whose
-logits coexist).
+logits coexist). The reference is frozen and the samples are fixed, so
+`reference_rows` runs the reference forward once per run, before the first
+epoch, and each micro-batch gathers its samples' rows from it.
 
 RL stage: group rollouts per prompt, binary verifier rewards, group-mean
 normalized advantages, and an asymmetrically clipped policy-gradient
@@ -261,6 +263,25 @@ def batchify(samples: Sequence[Sample], supervise_prompt: bool = False):
 # -----------------------------------------------------------------------------
 
 
+def reference_rows(
+    reference: mdl.ReferenceModel, dataset: Sequence[Sample], batch_size: int
+) -> list[np.ndarray]:
+    """Each sample's (len(tokens) - 1, V) reference logits, in dataset order.
+
+    One reference forward per chunk of batch_size samples; the rows are
+    copied out so the padded chunk arrays are freed. A causal row sees
+    neither its batch mates nor the padding after it, so the rows equal, bit
+    for bit, those of a forward over any micro-batch that holds the sample
+    (tests/test_train.py checks this on every sample of a mixed-length set).
+    """
+    rows: list[np.ndarray] = []
+    for c0 in range(0, len(dataset), batch_size):
+        chunk = list(dataset[c0 : c0 + batch_size])
+        logits = reference.logits(batchify(chunk)[0])
+        rows += [logits[i, : len(s.tokens) - 1].copy() for i, s in enumerate(chunk)]
+    return rows
+
+
 def train_sft(
     params: mdl.ParameterSet,
     reference: mdl.ReferenceModel,
@@ -279,6 +300,7 @@ def train_sft(
     dump_rows: list[dict] = []
     records: list[SftMetricsRecord] = []
     timings: list[tuple[int, float]] = []
+    ref_rows = reference_rows(reference, dataset, config.batch_size)
     opt = adamw_init(params)
     shuffle_rng = np.random.default_rng([config.seed, 1])
     group_size = config.batch_size * config.grad_accum
@@ -297,10 +319,13 @@ def train_sft(
             kl_vals: list[float] = []
 
             for micro, m0 in enumerate(range(0, len(group_idx), config.batch_size)):
-                batch = [dataset[i] for i in group_idx[m0 : m0 + config.batch_size]]
-                inputs, targets, valid = batchify(batch, config.supervise_prompt)
+                idx = group_idx[m0 : m0 + config.batch_size]
+                inputs, targets, valid = batchify([dataset[i] for i in idx], config.supervise_prompt)
                 logits, cache = mdl.forward(params, inputs)
-                ref_logits = reference.logits(inputs)
+                # padding rows stay 0: past the row-wise log_softmax only valid rows are read
+                ref_logits = np.zeros_like(logits)
+                for row, i in enumerate(idx):
+                    ref_logits[row, : len(ref_rows[i])] = ref_rows[i]
                 rng = (
                     np.random.default_rng([config.seed, 2, step, micro])
                     if config.method == "random_mask"

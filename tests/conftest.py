@@ -64,14 +64,21 @@ def pinned_objective(method, logits0, reference_logits, targets, valid, *,
     return loss
 
 
-def ce_grad_sq_norm(probs_row, target: int) -> float:
-    """||softmax - onehot(y)||^2 of one position, read off the logit gradient
-    that training uses: the `d_ce_sum` row of `objective_terms("sft", ...)`
-    for a (1, 1, V) batch whose logits are log(probs_row), -1e3 where it is 0."""
+def ce_grad_rows(probs, targets) -> np.ndarray:
+    """softmax - onehot(y) for each row of probs (n, V), read off the logit
+    gradient that training uses: the `d_ce_sum` of one `objective_terms("sft", ...)`
+    call on a (1, n, V) batch whose logits are log(probs), -1e3 where a prob is 0.
+    Row i's entry at targets[i] is p_hat_y - 1 of that same softmax."""
     with np.errstate(divide="ignore"):
-        logits = np.maximum(np.log(np.asarray(probs_row, dtype=np.float64)), -1e3)[None, None]
-    terms = obj.objective_terms("sft", logits, logits, np.array([[target]]), np.ones((1, 1), bool))
-    row = terms.d_ce_sum[0, 0]
+        logits = np.maximum(np.log(np.atleast_2d(np.asarray(probs, dtype=np.float64))), -1e3)[None]
+    y = np.atleast_1d(np.asarray(targets))[None]
+    terms = obj.objective_terms("sft", logits, logits, y, np.ones(y.shape, bool))
+    return terms.d_ce_sum[0]
+
+
+def ce_grad_sq_norm(probs_row, target: int) -> float:
+    """||softmax - onehot(y)||^2 of one position, from `ce_grad_rows`."""
+    row = ce_grad_rows(probs_row, [target])[0]
     return float(row @ row)
 
 

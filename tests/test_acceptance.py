@@ -25,7 +25,7 @@ from eksft import train as tr
 from eksft.cli import main as cli_main
 from eksft.selection import TokenRef, TokenStats
 
-from conftest import ce_grad_sq_norm, model_fd_worst, pinned_objective, single_step
+from conftest import ce_grad_rows, ce_grad_sq_norm, model_fd_worst, pinned_objective, single_step
 
 
 def _report(number: int, name: str, ok: bool, detail: str = ""):
@@ -163,9 +163,10 @@ def test_c04_ce_gradient_norm_bounds():
     gam = rng.gamma(shape=rng.uniform(0.1, 3.0, size=(n, 1)), scale=1.0, size=(n, v))
     p = gam / gam.sum(axis=1, keepdims=True)
     y = rng.integers(0, v, size=n)
-    py = p[np.arange(n), y]
-    sq = (p * p).sum(axis=1) + 1.0 - 2.0 * py
-    violations = int((sq > 2.0 * (1.0 - py) + 1e-12).sum())
+    # the trained gradient p_hat - e_y of every draw; its y entry is p_hat_y - 1
+    d = ce_grad_rows(p, y)
+    sq = (d * d).sum(axis=1)
+    violations = int((sq > 2.0 * -d[np.arange(n), y] + 1e-12).sum())
 
     u = np.full(v, 1.0 / v)
     jitter = rng.uniform(-1e-6, 1e-6, size=v)

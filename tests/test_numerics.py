@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.special import erf, ndtr
 
 from eksft import numerics as nk
 from eksft.errors import DimensionError, NumericError
@@ -126,7 +129,22 @@ def test_layer_norm_grad_check():
 
 
 def test_gelu_zero():
-    assert nk.gelu(np.array([0.0]))[0] == 0.0
+    out, cdf = nk.gelu(np.array([0.0]))
+    assert out[0] == 0.0 and cdf[0] == 0.5
+
+
+def test_gelu_closed_form_bit_exact_and_cdf():
+    """out is 0.5 * x * (1 + erf(x / sqrt 2)) to the last bit; the returned cdf is Phi."""
+    rng = np.random.default_rng(12)
+    x = np.concatenate([
+        rng.normal(0.0, 3.0, size=20_000),
+        rng.uniform(-40.0, 40.0, size=20_000),  # |x| > 10: Phi saturates at 0 or 1
+        [0.0, -0.0, 1e-300, -1e-300, 10.0, -10.0, 38.5, -38.5],
+    ])
+    out, cdf = nk.gelu(x)
+    assert np.array_equal(out, 0.5 * x * (1.0 + erf(x * (1.0 / math.sqrt(2.0)))))
+    assert np.max(np.abs(cdf - ndtr(x))) <= 1e-15
+    assert np.sum(np.abs(x) > 10.0) > 1000
 
 
 def test_gelu_grad_check():
@@ -139,7 +157,8 @@ def test_gelu_grad_check():
         c = rng.normal(size=9)
 
         def f(flat):
-            return float((nk.gelu(flat) * c).sum()), nk.gelu_backward(c, flat)
+            out, cdf = nk.gelu(flat)
+            return float((out * c).sum()), nk.gelu_backward(c, flat, cdf)
 
         worst = max(worst, grad_check(f, x))
     assert worst <= 1e-5
@@ -190,4 +209,4 @@ def test_kernels_are_pure():
     assert np.array_equal(nk.log_softmax(z), nk.log_softmax(z))
     a, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 5))
     assert np.array_equal(nk.matmul(a, b), nk.matmul(a, b))
-    assert np.array_equal(nk.gelu(z), nk.gelu(z))
+    assert all(np.array_equal(a, b) for a, b in zip(nk.gelu(z), nk.gelu(z)))

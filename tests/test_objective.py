@@ -9,8 +9,8 @@ from eksft import objective as obj
 from eksft import selection as sel
 from eksft.errors import ConfigError, InputError
 
-from conftest import (ce_grad_sq_norm, conditioned_point, grad_check, model_fd_worst,
-                      pinned_objective, random_batch, single_step)
+from conftest import (ce_grad_rows, ce_grad_sq_norm, conditioned_point, grad_check,
+                      model_fd_worst, pinned_objective, random_batch, single_step)
 
 
 def _logits_from_probs(rows):
@@ -482,8 +482,10 @@ def test_ce_grad_norm_bound_and_limits():
     p = rng.dirichlet(np.ones(v), size=1)  # warm up
     p = np.stack([rng.dirichlet(a) for a in alphas[:2000]])  # sampled subset per-row alphas
     y = rng.integers(0, v, size=p.shape[0])
-    sq = (p * p).sum(axis=1) + 1.0 - 2.0 * p[np.arange(p.shape[0]), y]
-    assert np.all(sq <= 2.0 * (1.0 - p[np.arange(p.shape[0]), y]) + 1e-15)
+    # the trained gradient p_hat - e_y of every draw; its y entry is p_hat_y - 1
+    d = ce_grad_rows(p, y)
+    sq = (d * d).sum(axis=1)
+    assert np.all(sq <= 2.0 * -d[np.arange(p.shape[0]), y] + 1e-15)
     # near-uniform limit
     u = np.full(v, 1.0 / v)
     assert ce_grad_sq_norm(u, 3) == pytest.approx(1.0 - 1.0 / v, abs=1e-12)

@@ -7,7 +7,7 @@ import pytest
 
 from eksft import numerics as nk
 from eksft import selection as sel
-from eksft.errors import ConfigError, InputError
+from eksft.errors import ConfigError, DimensionError, InputError
 from eksft.selection import MaskSet, TokenRef, TokenStats
 
 from conftest import random_log_probs
@@ -86,6 +86,33 @@ def test_stats_clamp_only_roundoff_kl():
     assert [s.kl for s in stats][:2] == [0.0, 0.0]
     assert stats[2].kl == pytest.approx(-1e-6, rel=1e-6)
     assert [s.entropy for s in stats] == [math.log(2)] * 3
+
+
+def test_stats_gathered_equal_full_array_stats():
+    """Gathering the valid rows before the kernels changes no bit of any statistic."""
+    rng = np.random.default_rng(21)
+    for _ in range(50):
+        b, length, v = (int(rng.integers(1, 5)), int(rng.integers(1, 10)), int(rng.integers(2, 41)))
+        lp = nk.log_softmax(rng.normal(0.0, 3.0, size=(b, length, v)))
+        ref = nk.log_softmax(rng.normal(0.0, 3.0, size=(b, length, v)))
+        ref[0, 0] = lp[0, 0]  # one exactly-zero KL
+        valid = rng.random((b, length)) < 0.5
+        stats = sel.stats_from_log_probs(lp, ref, valid)
+        bi, li = np.nonzero(valid)
+        kl = nk.kl(lp, ref)
+        kl = np.where((kl < 0.0) & (kl >= sel.KL_FLOOR), 0.0, kl)
+        assert [(s.ref.sequence_index, s.ref.token_position) for s in stats] == list(
+            zip(bi.tolist(), li.tolist()))
+        assert np.array_equal([s.entropy for s in stats], nk.entropy(lp)[bi, li])
+        assert np.array_equal([s.kl for s in stats], kl[bi, li])
+
+
+def test_stats_reject_shape_mismatch():
+    lp = nk.log_softmax(np.zeros((1, 3, 5)))
+    valid = np.ones((1, 3), bool)
+    for ref in (nk.log_softmax(np.zeros((1, 4, 5))), nk.log_softmax(np.zeros((1, 3, 6)))):
+        with pytest.raises(DimensionError):
+            sel.stats_from_log_probs(lp, ref, valid)
 
 
 def _entropy_stats(values):

@@ -239,6 +239,105 @@ def test_backward_runs_once_per_micro_batch(monkeypatch, method, kw):
     assert len(calls) == (0 if kw else 2)
 
 
+@pytest.mark.parametrize("method", obj.METHODS)
+def test_reference_forward_once_per_run(monkeypatch, method):
+    """ceil(N / batch_size) reference forwards per run, whatever epochs and grad_accum are."""
+    calls = []
+    logits = mdl.ReferenceModel.logits
+    monkeypatch.setattr(mdl.ReferenceModel, "logits",
+                        lambda self, ids: calls.append(1) or logits(self, ids))
+    dataset = small_dataset(n=7, seed=5)
+    for epochs, grad_accum, batch_size, supervise_prompt in (
+        (1, 1, 2, False), (3, 2, 3, False), (2, 3, 1, True), (2, 1, 7, True),
+    ):
+        calls.clear()
+        params = mdl.init(mdl.ModelConfig(vocab_size=32, d_model=16, n_layers=1, n_heads=2,
+                                          context_len=48, seed=2))
+        config = tr.SftConfig(method=method, learning_rate=1e-3, epochs=epochs,
+                              grad_accum=grad_accum, batch_size=batch_size, seed=1,
+                              supervise_prompt=supervise_prompt)
+        tr.train_sft(params, mdl.snapshot_reference(params), dataset, config)
+        assert len(calls) == math.ceil(len(dataset) / batch_size)
+
+
+def _spread_reference():
+    """A reference whose attention and logits are far from uniform."""
+    params = mdl.init(small_model_config(seed=4))
+    rng = np.random.default_rng(0)
+    for name in params.tensors:
+        params.tensors[name] += rng.normal(0.0, 0.3, params.tensors[name].shape)
+    return mdl.snapshot_reference(params)
+
+
+def _mixed_lengths_dataset():
+    """24 task samples (9-16 tokens) and 12 random ones of 3-49 tokens, up to context_len."""
+    splits = tasks.generate_splits(tasks.TaskSpec(n_pretrain=12, n_sft=12, n_rl=0, n_eval=0, seed=6))
+    rng = np.random.default_rng(3)
+    long = [
+        tasks.Sample("", "", "", (tasks.BOS, *rng.integers(3, 32, size=n // 2).tolist()),
+                     (*rng.integers(3, 32, size=n - n // 2 - 2).tolist(), tasks.EOS))
+        for n in [49, *rng.integers(3, 49, size=11).tolist()]
+    ]
+    return splits["pretrain"] + long + splits["sft"]
+
+
+def test_reference_rows_match_any_batch():
+    """Every sample's cached rows equal, bit for bit, its rows in micro-batches of
+    shuffled compositions and different padded lengths."""
+    reference = _spread_reference()
+    dataset = _mixed_lengths_dataset()
+    lengths = {len(s.tokens) for s in dataset}
+    assert len(lengths) >= 10 and max(lengths) == 49
+    rows = tr.reference_rows(reference, dataset, 5)
+    assert [r.shape for r in rows] == [(len(s.tokens) - 1, 32) for s in dataset]
+    padded = [set() for _ in dataset]
+    for seed in range(3):
+        order = np.random.default_rng(seed).permutation(len(dataset))
+        for batch_size in (1, 3, 7, len(dataset)):
+            for m0 in range(0, len(order), batch_size):
+                idx = order[m0 : m0 + batch_size]
+                inputs, _, _ = tr.batchify([dataset[i] for i in idx])
+                logits = reference.logits(inputs)
+                for row, i in enumerate(idx):
+                    assert np.array_equal(logits[row, : len(rows[i])], rows[i])
+                    padded[i].add(inputs.shape[1])
+    # each sample but the longest sat in batches of at least two padded lengths
+    longest = max(lengths)
+    assert all(len(p) >= 2 for p, s in zip(padded, dataset) if len(s.tokens) < longest)
+
+
+def test_train_sft_feeds_each_batch_its_reference_rows(monkeypatch):
+    """The objective sees the reference logits of its micro-batch at every real
+    position, and zeros at the padding."""
+    seen_ids, seen_ref = [], []
+    forward, objective_terms = mdl.forward, obj.objective_terms
+
+    def recorded_forward(params, ids, want_cache=True, past=None):
+        if want_cache:
+            seen_ids.append(np.array(ids))
+        return forward(params, ids, want_cache, past)
+
+    def recorded_objective(method, logits, ref_logits, *args, **kwargs):
+        seen_ref.append(ref_logits)
+        return objective_terms(method, logits, ref_logits, *args, **kwargs)
+
+    monkeypatch.setattr(mdl, "forward", recorded_forward)
+    monkeypatch.setattr(obj, "objective_terms", recorded_objective)
+    reference = _spread_reference()
+    params = mdl.init(small_model_config(seed=4))
+    dataset = _mixed_lengths_dataset()
+    config = tr.SftConfig(method="eksft", learning_rate=1e-3, epochs=2, grad_accum=2,
+                          batch_size=3, seed=7)
+    tr.train_sft(params, reference, dataset, config)
+    assert len(seen_ids) == len(seen_ref) == 2 * math.ceil(len(dataset) / 3)
+    monkeypatch.setattr(mdl, "forward", forward)
+    for ids, ref in zip(seen_ids, seen_ref):
+        full = reference.logits(ids)
+        for row, n in enumerate((ids != tasks.PAD).sum(axis=1)):
+            assert np.array_equal(ref[row, :n], full[row, :n])
+            assert not ref[row, n:].any()
+
+
 # -----------------------------------------------------------------------------
 # RL pieces
 # -----------------------------------------------------------------------------
