@@ -239,6 +239,9 @@ def cmd_train_rl(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.n < 1 or args.max_gen_len < 1:
+        raise ConfigError(f"n and max_gen_len must be >= 1, got n={args.n}, "
+                          f"max_gen_len={args.max_gen_len}")
     params = mdl.load_checkpoint(_require_checkpoint(args.ckpt))
     data_path = _require_file(args.data, "eval set")
     eval_set = tasks.load_samples(data_path, context_len=params.config.context_len)

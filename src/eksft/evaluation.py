@@ -1,4 +1,4 @@
-"""Temperature sampling, pass@k estimation, and response-entropy probes.
+"""Temperature sampling and pass@k evaluation.
 
 pass@k follows the unbiased estimator convention: with n samples of which
 c are correct, pass@k = 1 - C(n-c, k) / C(n, k), computed in product form
@@ -35,10 +35,15 @@ def sample_group(
     rng: np.random.Generator,
     greedy: bool = False,
 ) -> list[SampledSequence]:
-    """Sample n continuations of one prompt in lockstep.
+    """Sample n continuations of one prompt, each until EOS, max_len or the context.
 
-    One forward prefills the prompt's K/V cache; each later step feeds only
-    the column of tokens just sampled, one cached position per row.
+    One (1, P) forward prefills the prompt, and its last log-probs and its K/V
+    cache are repeated to the n rows. Each later step feeds one position for
+    each row still sampling: a row that emits EOS leaves the batch and the
+    cache. Every step still draws rng.random(n), indexed by the live
+    rows, so the stream and each row's draws do not depend on which rows stop.
+    Tokens, log-probs and entropies go into (n, steps) arrays that become the
+    returned lists once, at the end.
     """
     if temperature <= 0:
         raise ConfigError(f"temperature must be > 0, got {temperature}")
@@ -48,32 +53,42 @@ def sample_group(
     if prompt.size == 0:
         raise InputError("empty prompt")
     cfg = params.config
-    ids = np.tile(prompt, (n, 1))  # the prompt, then each step's sampled column
+    steps = max(min(max_len, cfg.context_len - prompt.size), 0)
+    tokens = np.zeros((n, steps), dtype=np.int64)
+    logprobs = np.zeros((n, steps))
+    entropies = np.zeros((n, steps))
+    lengths = np.zeros(n, dtype=np.int64)
+    rows = np.arange(n)  # the rows still sampling
     past: list = []
-    out = [SampledSequence([], [], []) for _ in range(n)]
-    active = np.ones(n, dtype=bool)
-    for step in range(max_len):
-        if prompt.size + step >= cfg.context_len or not active.any():
-            break
-        logits, _ = mdl.forward(params, ids, want_cache=False, past=past)
-        lp = nk.log_softmax(logits[:, -1, :] / temperature)
+    for step in range(steps):
+        if step == 0:
+            logits, _ = mdl.forward(params, prompt[None, :], want_cache=False, past=past)
+            lp = np.repeat(nk.log_softmax(logits[:, -1, :] / temperature), n, axis=0)
+            past[:] = [(np.repeat(k, n, axis=0), np.repeat(v, n, axis=0)) for k, v in past]
+        else:
+            logits, _ = mdl.forward(params, nxt[:, None], want_cache=False, past=past)
+            lp = nk.log_softmax(logits[:, -1, :] / temperature)
         if greedy:
             nxt = np.argmax(lp, axis=-1)
         else:
             cdf = np.cumsum(np.exp(lp), axis=-1)
-            u = rng.random(n)
+            u = rng.random(n)[rows]
             nxt = np.minimum((cdf < u[:, None]).sum(axis=-1), cfg.vocab_size - 1)
-        ent = nk.entropy(lp)
-        for i in range(n):
-            if active[i]:
-                token = int(nxt[i])
-                out[i].tokens.append(token)
-                out[i].logprobs.append(float(lp[i, token]))
-                out[i].entropies.append(float(ent[i]))
-                if token == EOS:
-                    active[i] = False
-        ids = nxt[:, None]
-    return out
+        tokens[rows, step] = nxt
+        logprobs[rows, step] = lp[np.arange(rows.size), nxt]
+        entropies[rows, step] = nk.entropy(lp)
+        lengths[rows] = step + 1
+        live = nxt != EOS
+        if not live.all():
+            rows, nxt = rows[live], nxt[live]
+            if rows.size == 0:
+                break
+            past[:] = [(k[live], v[live]) for k, v in past]
+    return [
+        SampledSequence(tok[:m], lp[:m], ent[:m])
+        for tok, lp, ent, m in zip(tokens.tolist(), logprobs.tolist(), entropies.tolist(),
+                                   lengths.tolist())
+    ]
 
 
 def sample(
@@ -174,25 +189,6 @@ def evaluate(
         avg_at_n=float(np.mean([c / n for n, c in per_prompt])),
         mean_response_entropy=float(np.mean(entropies)) if entropies else 0.0,
     )
-
-
-def mean_response_entropy(
-    params: mdl.ParameterSet,
-    prompts: list[Sample],
-    n: int,
-    temperature: float,
-    seed: int,
-    max_len: int = 64,
-) -> float:
-    """Average next-token entropy along n sampled responses per prompt."""
-    if n < 1:
-        raise InputError(f"need n >= 1, got {n}")
-    entropies: list[float] = []
-    for j, s in enumerate(prompts):
-        rng = np.random.default_rng([seed, j])
-        for g in sample_group(params, s.prompt_tokens, n, temperature, max_len, rng):
-            entropies.extend(g.entropies)
-    return float(np.mean(entropies)) if entropies else 0.0
 
 
 def write_eval_report(report: EvalReport, out_dir: str | Path, label: str = "eval") -> tuple[Path, Path]:

@@ -200,7 +200,10 @@ def forward(
     With `past` (a list, empty before the first call), the ids continue the
     P positions cached there: they take positions P..P+L-1 and attend to the
     cached keys and values, and each layer's (K, V) in `past` is extended by
-    the new ones. `backward` has no such path, so `past` needs want_cache=False.
+    the new ones. Rows are independent, so between calls a caller may repeat
+    or re-index the rows of every (K, V) in `past`, as long as the next ids
+    have one row per cached row. `backward` has no such path, so `past` needs
+    want_cache=False.
     """
     if past is not None and want_cache:
         raise InputError("a forward with past cannot return a backward cache")

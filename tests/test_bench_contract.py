@@ -74,7 +74,8 @@ def test_objective_hook_arguments_and_token_stats(monkeypatch):
 
 def test_sample_group_one_forward_per_step(monkeypatch):
     """deskbench counts row_steps as n x model.forward calls under sample_group and
-    positions as the ids those calls get: a prefill of the prompt, then (n, 1) columns."""
+    positions as the ids those calls get: a (1, prompt_len) prefill, then one
+    (live rows, 1) column per step, a row leaving once it has emitted EOS."""
     shapes = []
     forward = mdl.forward
 
@@ -85,9 +86,17 @@ def test_sample_group_one_forward_per_step(monkeypatch):
     monkeypatch.setattr(mdl, "forward", recorded)
     params = mdl.init(mdl.ModelConfig(vocab_size=32, d_model=16, n_layers=1, n_heads=2,
                                       context_len=32, seed=1))
+    # a constant EOS logit, so that rows stop at step 0, later, and not at all
+    params.tensors["lnf.g"][0] = 0.0
+    params.tensors["lnf.b"][0] = 1.0
+    params.tensors["head.w"][0, tasks.EOS] = 2.5
     prompt = [tasks.BOS] + tasks.VOCAB.tokenize("12+3=")
-    n = 5
-    groups = ev.sample_group(params, prompt, n, 1.0, 9, np.random.default_rng(0))
-    steps = max(len(g.tokens) for g in groups)
-    assert steps == 9
-    assert shapes == [(n, len(prompt))] + [(n, 1)] * (steps - 1)
+    n, max_len = 5, 9
+    groups = ev.sample_group(params, prompt, n, 1.0, max_len, np.random.default_rng(0))
+    lengths = [len(g.tokens) for g in groups]
+    steps = max(lengths)
+    assert steps == max_len and min(lengths) == 1
+    live = [sum(length > step for length in lengths) for step in range(1, steps)]
+    assert shapes == [(1, len(prompt))] + [(rows, 1) for rows in live]
+    assert sum(rows * length for rows, length in shapes) == (
+        len(prompt) + sum(length - 1 for length in lengths))

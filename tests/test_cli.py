@@ -118,6 +118,21 @@ def test_train_rl_rejects_nonpositive_max_gen_len(tmp_path, capsys):
     assert not (tmp_path / "rl").exists()
 
 
+@pytest.mark.parametrize("flag", ["--max-gen-len", "--n"])
+def test_eval_rejects_nonpositive_n_and_max_gen_len(tmp_path, capsys, monkeypatch, flag):
+    data = _gen(tmp_path)
+    ckpt = tmp_path / "base"
+    mdl.save_checkpoint(mdl.init(mdl.ModelConfig(d_model=16, context_len=48)), ckpt)
+    loads = []
+    monkeypatch.setattr(mdl, "load_checkpoint", lambda *a: loads.append(a))
+    assert main([
+        "eval", "--ckpt", str(ckpt), "--data", str(data / "eval.jsonl"),
+        "--out", str(tmp_path / "reports"), flag, "0",
+    ]) == 2
+    assert flag.lstrip("-").replace("-", "_") + "=0" in capsys.readouterr().err
+    assert not loads and not (tmp_path / "reports").exists()
+
+
 def test_pretrain_then_rl_reward_curve(tmp_path):
     data = _gen(tmp_path)
     assert main([

@@ -114,6 +114,79 @@ def test_sample_group_matches_full_recompute(small_model, case, seed):
         assert np.abs(np.subtract(g.entropies, w.entropies)).max(initial=0.0) <= 1e-12
 
 
+def _lockstep_sampler(params, prompt_tokens, n, temperature, max_len, rng, greedy=False):
+    """The sampler before prefill sharing and row compaction: n prompt rows are
+    prefilled, and every row is fed at every step until the last one stops."""
+    import eksft.numerics as nk
+
+    prompt = np.asarray(list(prompt_tokens), dtype=np.int64)
+    cfg = params.config
+    ids = np.tile(prompt, (n, 1))
+    past: list = []
+    out = [ev.SampledSequence([], [], []) for _ in range(n)]
+    active = np.ones(n, dtype=bool)
+    for step in range(max_len):
+        if prompt.size + step >= cfg.context_len or not active.any():
+            break
+        logits, _ = mdl.forward(params, ids, want_cache=False, past=past)
+        lp = nk.log_softmax(logits[:, -1, :] / temperature)
+        if greedy:
+            nxt = np.argmax(lp, axis=-1)
+        else:
+            cdf = np.cumsum(np.exp(lp), axis=-1)
+            u = rng.random(n)
+            nxt = np.minimum((cdf < u[:, None]).sum(axis=-1), cfg.vocab_size - 1)
+        ent = nk.entropy(lp)
+        for i in range(n):
+            if active[i]:
+                token = int(nxt[i])
+                out[i].tokens.append(token)
+                out[i].logprobs.append(float(lp[i, token]))
+                out[i].entropies.append(float(ent[i]))
+                if token == tasks.EOS:
+                    active[i] = False
+        ids = nxt[:, None]
+    return out
+
+
+# (d_model, n_layers, n_heads, context_len, EOS logit offset): a small model
+# and deskbench's model shape
+@pytest.mark.parametrize("shape", [(16, 1, 2, 32, 3.0), (64, 2, 2, 64, 4.0)])
+@pytest.mark.parametrize("case", ["eos", "context", "greedy", "n1"])
+def test_sample_group_matches_lockstep(shape, case):
+    d_model, n_layers, n_heads, context_len, eos_offset = shape
+    params = mdl.init(mdl.ModelConfig(vocab_size=32, d_model=d_model, n_layers=n_layers,
+                                      n_heads=n_heads, context_len=context_len, seed=4))
+    rng = np.random.default_rng(9)
+    for name in params.tensors:
+        params.tensors[name] += rng.normal(0.0, 0.1, params.tensors[name].shape)
+    if case in ("eos", "n1"):  # a constant EOS offset, so that rows stop at step 0 and later
+        params.tensors["lnf.g"][0] = 0.0
+        params.tensors["lnf.b"][0] = 1.0
+        params.tensors["head.w"][0, tasks.EOS] = eos_offset
+    text = "9" * (context_len - 12) if case == "context" else "1+2="
+    prompt = [tasks.BOS] + tasks.VOCAB.tokenize(text)
+    n = 1 if case == "n1" else 32
+    args = (params, prompt, n, 0.9, 20)
+    greedy = case == "greedy"
+    got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+    got = ev.sample_group(*args, got_rng, greedy=greedy)
+    want = _lockstep_sampler(*args, want_rng, greedy=greedy)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    lengths = [len(g.tokens) for g in got]
+    if case == "eos":
+        stops = [len(g.tokens) for g in got if g.tokens[-1] == tasks.EOS]
+        assert 1 in stops and max(stops) > 1
+    if case == "context":  # the context fills before max_len
+        assert max(lengths) == context_len - len(prompt) < 20
+    if case == "greedy":  # identical rows that decode past the first step
+        assert lengths == [lengths[0]] * n and lengths[0] > 1
+    for g, w in zip(got, want, strict=True):
+        assert g.tokens == w.tokens
+        assert np.array_equal(g.logprobs, w.logprobs)
+        assert np.array_equal(g.entropies, w.entropies)
+
+
 def test_sample_rejects_bad_temperature(small_model):
     with pytest.raises(ConfigError):
         ev.sample(small_model, [1], temperature=0.0, max_len=4, seed=0)
@@ -228,20 +301,24 @@ def test_aggregate_pass_at_k_matches_monte_carlo(small_model):
 def test_mean_response_entropy_near_zero_for_deterministic_model(small_model):
     params = _force_constant_logits(small_model.copy(), 5, scale=80.0)
     prompts = [tasks.make_sample("1+1=", "2#2", "2")]
-    h = ev.mean_response_entropy(params, prompts, n=4, temperature=1.0, seed=0, max_len=8)
+    h = ev.evaluate(params, prompts, 4, (1,), temperature=1.0, seed=0,
+                    max_len=8).mean_response_entropy
     assert h <= 1e-6
 
 
 def test_mean_response_entropy_near_log_v_for_fresh_model(small_model):
     prompts = [tasks.make_sample("1+1=", "2#2", "2")]
-    h = ev.mean_response_entropy(small_model, prompts, n=8, temperature=1.0, seed=0, max_len=8)
+    h = ev.evaluate(small_model, prompts, 8, (1,), temperature=1.0, seed=0,
+                    max_len=8).mean_response_entropy
     assert h >= 0.8 * math.log(32)
 
 
 def test_mean_response_entropy_stable_across_seeds(small_model):
     prompts = [tasks.make_sample("1+1=", "2#2", "2"), tasks.make_sample("2+2=", "4#4", "4")]
-    h1 = ev.mean_response_entropy(small_model, prompts, n=256, temperature=1.0, seed=1, max_len=8)
-    h2 = ev.mean_response_entropy(small_model, prompts, n=256, temperature=1.0, seed=2, max_len=8)
+    h1 = ev.evaluate(small_model, prompts, 256, (1,), temperature=1.0, seed=1,
+                     max_len=8).mean_response_entropy
+    h2 = ev.evaluate(small_model, prompts, 256, (1,), temperature=1.0, seed=2,
+                     max_len=8).mean_response_entropy
     assert abs(h1 - h2) / max(h1, h2) <= 0.05
 
 
