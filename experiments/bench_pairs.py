@@ -30,6 +30,7 @@ import time
 from pathlib import Path
 
 import numpy
+import scipy
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "deskbench"))
@@ -37,6 +38,12 @@ sys.path.insert(0, str(ROOT / "deskbench"))
 from compare import verdict  # noqa: E402
 from sweep import parse_seeds, quartiles  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
+
+
+def blas_build(package) -> dict:
+    """The BLAS that numpy or scipy was built against and loads: kernel bits and speed follow it."""
+    blas = package.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {key: blas.get(key) for key in ("name", "version", "openblas configuration")}
 
 
 def git(*args: str) -> bytes:
@@ -110,7 +117,9 @@ def main(argv=None) -> int:
         "change": {"tree": "working tree", "head": head_commit, "uncommitted_changes": dirty},
         "run_seconds": seconds, "seeds": seeds,
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
-                    "numpy": numpy.__version__, "platform": platform.platform()},
+                    "numpy": numpy.__version__, "scipy": scipy.__version__,
+                    "numpy_blas": blas_build(numpy), "scipy_blas": blas_build(scipy),
+                    "platform": platform.platform()},
         "started": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "workloads": {},
     }

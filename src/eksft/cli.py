@@ -238,10 +238,15 @@ def cmd_train_rl(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
+def _require_sampling_sizes(args) -> None:
+    """Reject --n or --max-gen-len below 1 before any checkpoint loads."""
     if args.n < 1 or args.max_gen_len < 1:
         raise ConfigError(f"n and max_gen_len must be >= 1, got n={args.n}, "
                           f"max_gen_len={args.max_gen_len}")
+
+
+def cmd_eval(args) -> int:
+    _require_sampling_sizes(args)
     params = mdl.load_checkpoint(_require_checkpoint(args.ckpt))
     data_path = _require_file(args.data, "eval set")
     eval_set = tasks.load_samples(data_path, context_len=params.config.context_len)
@@ -290,6 +295,7 @@ def cmd_analyze(args) -> int:
         print(f"large-scale reference: min {ref['min']} / mean {ref['mean']} / max {ref['max']}")
         return 0
     if args.what == "sweep":
+        _require_sampling_sizes(args)
         file_cfg = _load_config_file(args.config)
         base_config = _build(tr.SftConfig, file_cfg, args, overrides={"method": "eksft"})
         data_path = _require_file(args.data, "dataset")

@@ -200,7 +200,9 @@ def forward(
     With `past` (a list, empty before the first call), the ids continue the
     P positions cached there: they take positions P..P+L-1 and attend to the
     cached keys and values, and each layer's (K, V) in `past` is extended by
-    the new ones. Rows are independent, so between calls a caller may repeat
+    the new ones. Rows are independent, down to their bits: the projections
+    are `numerics.matmul`, one dgemm whatever the row count, and attention
+    and the reductions work row by row. So between calls a caller may repeat
     or re-index the rows of every (K, V) in `past`, as long as the next ids
     have one row per cached row. `backward` has no such path, so `past` needs
     want_cache=False.

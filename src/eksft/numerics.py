@@ -7,7 +7,9 @@ input. `entropy` and `kl` are the one implementation of the per-token
 entropy and KL that selection, the objective and the sampler all use.
 
 Reductions rely on numpy's fixed evaluation order, so identical inputs give
-bit-identical outputs run to run.
+bit-identical outputs run to run. `matmul` and the weight gradient of
+`matmul_backward` are one scipy BLAS dgemm each over 2-D views, so a row's
+bits do not depend on how many rows share the call (see `matmul`).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 from scipy.special import erf
 
 from .errors import DimensionError, NumericError
@@ -43,24 +46,40 @@ def as_f64(arr) -> np.ndarray:
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for a (..., m, k) and b (k, n)."""
+    """a @ b for a (..., m, k) and b (k, n), as one dgemm over a's (rows, k) view.
+
+    numpy's `@` hands a one-row product to gemv and a stacked (B, 1, k)
+    operand to one gemv per row, and gemv rounds differently from gemm. A
+    direct dgemm gives every row the bits it would get in any batch of rows,
+    so a decoder that drops finished rows keeps the others exact, and a
+    decode step is one call instead of one per row. For m >= 2 the bits
+    equal stacked `@`'s, which already calls gemm per matrix.
+    """
     a = as_f64(a)
     b = as_f64(b)
     if a.ndim < 2 or b.ndim != 2:
         raise DimensionError(f"matmul expects a (...,m,k) and b (k,n); got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[0]:
         raise DimensionError(f"matmul inner dimensions differ: {a.shape} vs {b.shape}")
-    return a @ b
+    # Row-major C = A B is column-major C.T = B.T A.T, so C-contiguous operands pass uncopied.
+    out = dgemm(1.0, b.T, a.reshape(-1, a.shape[-1]).T).T
+    return out.reshape(*a.shape[:-1], b.shape[1])
 
 
 def matmul_backward(
     grad_out: np.ndarray, a: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of sum(grad_out * (a @ b)) w.r.t. a and b."""
+    """Gradients of sum(grad_out * (a @ b)) w.r.t. a and b.
+
+    grad_b = a2.T @ g2 over the (rows, k) and (rows, n) views, one dgemm that
+    contracts every leading axis of a. grad_a stays numpy's stacked `@`: a
+    2-D product there would round training gradients differently.
+    """
     grad_out = as_f64(grad_out)
     grad_a = grad_out @ b.T
-    # Collapse any leading batch dimensions of a into the contraction.
-    grad_b = np.tensordot(a, grad_out, axes=(tuple(range(a.ndim - 1)), tuple(range(grad_out.ndim - 1))))
+    a2 = a.reshape(-1, a.shape[-1])
+    g2 = grad_out.reshape(-1, grad_out.shape[-1])
+    grad_b = dgemm(1.0, g2.T, a2.T, trans_b=True).T
     return grad_a, grad_b
 
 

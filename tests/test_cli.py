@@ -208,6 +208,22 @@ def test_analyze_sweep_default_five_rows(tmp_path):
     assert len(lines) == 6  # header + default rho set {0.0, 0.1, 0.2, 0.3, 0.4}
 
 
+@pytest.mark.parametrize("flag", ["--max-gen-len", "--n"])
+def test_analyze_sweep_rejects_nonpositive_n_and_max_gen_len(tmp_path, capsys, monkeypatch, flag):
+    data = _gen(tmp_path)
+    ckpt = tmp_path / "base"
+    mdl.save_checkpoint(mdl.init(mdl.ModelConfig(d_model=16, context_len=48)), ckpt)
+    loads = []
+    monkeypatch.setattr(mdl, "load_checkpoint", lambda *a: loads.append(a))
+    assert main([
+        "analyze", "sweep", "--data", str(data / "sft.jsonl"),
+        "--eval-data", str(data / "eval.jsonl"), "--init", str(ckpt),
+        "--out", str(tmp_path / "sweep"), "--rhos", "0.1", flag, "0",
+    ]) == 2
+    assert flag.lstrip("-").replace("-", "_") + "=0" in capsys.readouterr().err
+    assert not loads and not (tmp_path / "sweep").exists()
+
+
 def test_config_file_with_flag_override(tmp_path):
     data = _gen(tmp_path)
     cfg = tmp_path / "train.json"

@@ -50,6 +50,36 @@ def test_matmul_grad_check():
     assert worst <= 1e-5
 
 
+# The (k, n) weight shapes of deskbench's model: d_model 64, d_ff 256, vocab 32.
+DESK_WEIGHTS = [(64, 64), (64, 256), (256, 64), (64, 32)]
+
+
+@pytest.mark.parametrize("k,n", DESK_WEIGHTS)
+def test_matmul_rows_do_not_depend_on_row_count(k, n):
+    # A decoder drops finished rows between steps, so a row's bits must not
+    # depend on how many rows share the product, down to a lone row.
+    rng = np.random.default_rng(k + n)
+    a, b = rng.normal(size=(40, 1, k)), rng.normal(size=(k, n))
+    full = nk.matmul(a, b)
+    for m in range(1, 41):
+        assert np.array_equal(nk.matmul(a[:m], b), full[:m]), m
+        assert np.array_equal(nk.matmul(a[:m, 0], b), full[:m, 0]), m
+
+
+@pytest.mark.parametrize("k,n", DESK_WEIGHTS)
+def test_matmul_training_shapes_match_stacked_matmul_and_tensordot(k, n):
+    # With L >= 2 numpy's stacked `@` already calls gemm per sequence, and the
+    # weight gradient was np.tensordot: training bits must not move.
+    rng = np.random.default_rng(k * n)
+    b = rng.normal(size=(k, n))
+    for B in (1, 2, 3, 8, 17, 64):
+        for L in (2, 7, 15, 30, 63):
+            a, g = rng.normal(size=(B, L, k)), rng.normal(size=(B, L, n))
+            assert np.array_equal(nk.matmul(a, b), a @ b), (B, L)
+            _, grad_b = nk.matmul_backward(g, a, b)
+            assert np.array_equal(grad_b, np.tensordot(a, g, axes=((0, 1), (0, 1)))), (B, L)
+
+
 def test_log_softmax_symmetric_pair():
     out = nk.log_softmax(np.array([0.0, 0.0]))
     assert np.allclose(out, [-np.log(2), -np.log(2)], atol=1e-15)
