@@ -3,7 +3,7 @@
 Subpackages:
   numerics    float64 kernels with hand-written backward + FD checking
   model       tiny causal transformer, checkpoints, frozen reference
-  selection   per-token entropy/KL stats, Top-K union masking, IoU
+  selection   per-token entropy/KL stats as one record array, Top-K union masking, IoU
   objective   one training objective for five methods, analytic logit gradients
   train       AdamW, supervised loop, clipped group-rollout RL loop
   tasks       synthetic verifiable task families and tokenization

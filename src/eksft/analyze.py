@@ -180,9 +180,6 @@ def write_iou_csv(series, summary, path: str | Path) -> None:
 # masking-ratio sweep
 # -----------------------------------------------------------------------------
 
-SWEEP_COLUMNS = ["rho", "pass_at_1", "pass_at_32", "drift_frac_1e-3", "mean_entropy", "final_loss"]
-
-
 def _check_mask_sizes(dump_path: Path, rho: float, batch_size: int) -> None:
     """Mechanical invariant: each micro-batch selected exactly ceil(rho * |T|)."""
     groups: dict[tuple[int, int], list[dict]] = {}
@@ -215,13 +212,17 @@ def ratio_sweep(
 ) -> list[dict]:
     """Train + evaluate once per masking ratio with shared seeds; emit one CSV.
 
-    A child-run failure aborts the sweep but the rows finished so far are
-    written first. Only mechanical facts are asserted (mask sizes match k);
-    performance trends are reported, not checked.
+    Its columns are rho, pass_at_1, pass_at_{max(ks)}, drift_frac_1e-3,
+    mean_entropy and final_loss. A child-run failure aborts the sweep but
+    the rows finished so far are written first. Only mechanical facts are
+    asserted (mask sizes match k); performance trends are reported, not
+    checked.
     """
     rhos = [float(r) for r in rhos]
     for r in rhos:
         sel.selected_count(r, 1)  # validates range
+    top = f"pass_at_{max(ks)}"
+    columns = ["rho", "pass_at_1", top, "drift_frac_1e-3", "mean_entropy", "final_loss"]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows: list[dict] = []
@@ -245,16 +246,16 @@ def ratio_sweep(
                 {
                     "rho": rho,
                     "pass_at_1": report.pass_at[1],
-                    "pass_at_32": report.pass_at.get(32, report.pass_at[max(report.pass_at)]),
+                    top: report.pass_at[max(ks)],
                     "drift_frac_1e-3": drift.global_frac_exceeding[1e-3],
                     "mean_entropy": report.mean_response_entropy,
                     "final_loss": records[-1].loss_total,
                 }
             )
     finally:
-        lines = [",".join(SWEEP_COLUMNS)]
+        lines = [",".join(columns)]
         for row in rows:
-            lines.append(",".join(repr(float(row[c])) for c in SWEEP_COLUMNS))
+            lines.append(",".join(repr(float(row[c])) for c in columns))
         csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return rows
 

@@ -311,7 +311,8 @@ def cmd_analyze(args) -> int:
         for row in rows:
             print(
                 f"rho={row['rho']:g}  pass@1={row['pass_at_1']:.4f}  "
-                f"pass@32={row['pass_at_32']:.4f}  drift>{1e-3:g}={row['drift_frac_1e-3']:.4f}"
+                f"pass@{ks[-1]}={row[f'pass_at_{ks[-1]}']:.4f}  "
+                f"drift>{1e-3:g}={row['drift_frac_1e-3']:.4f}"
             )
         return 0
     if args.what == "plots":

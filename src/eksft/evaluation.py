@@ -91,19 +91,6 @@ def sample_group(
     ]
 
 
-def sample(
-    params: mdl.ParameterSet,
-    prompt_tokens,
-    temperature: float,
-    max_len: int,
-    seed: int,
-    greedy: bool = False,
-) -> list[int]:
-    """One seeded continuation; ancestral sampling until EOS or max_len."""
-    rng = np.random.default_rng(seed)
-    return sample_group(params, prompt_tokens, 1, temperature, max_len, rng, greedy)[0].tokens
-
-
 def pass_at_k(n: int, c: int, k: int) -> float:
     """Unbiased estimate that >= 1 of k draws from n samples (c correct) succeeds."""
     if not (0 <= c <= n):

@@ -6,9 +6,15 @@ positions. `objective_terms`, the one entry point of training, computes it
 for a micro-batch in two parts:
 
   * `stop_gradient_constants` picks, per method, the supervised and
-    regularized (B, L) position sets and the DFT weights;
+    regularized (B, L) position sets and the DFT weights; eksft and
+    random_mask read the micro-batch's token statistics, the record array
+    of `selection.stats_from_log_probs`, which `ObjectiveTerms.stats` keeps;
   * `objective_sums`, the differentiable core, returns the sums and their
-    exact gradients w.r.t. the logits for those constants.
+    exact gradients w.r.t. the logits for those constants. It is a function
+    of the logits alone, so it computes the regularized rows' entropy and
+    KL again rather than take them from the statistics: the
+    finite-difference checks then probe exactly the path that trains, and
+    selection's KL_FLOOR clamp never reaches the loss.
 
 `normalize_step` normalizes an optimizer step's G micro-batch sums once, in
 logit space: the loss is ce_sum/N_sup - l_H * h_sum/N_reg + l_KL * kl_sum/N_reg
@@ -31,14 +37,14 @@ positions contain no one-hot target term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics as nk
 from . import selection as sel
 from .errors import ConfigError, InputError
-from .selection import MaskSet, TokenStats
+from .selection import MaskSet
 
 METHODS = ("sft", "eksft", "dft", "random_mask", "global_reg")
 
@@ -134,7 +140,7 @@ class ObjectiveTerms:
     lambda_h: float
     lambda_kl: float
     mask: MaskSet | None = None
-    stats: list[TokenStats] = field(default_factory=list)
+    stats: np.recarray | None = None  # `selection.stats_from_log_probs`, set by objective_terms
 
 
 def stop_gradient_constants(
@@ -142,7 +148,7 @@ def stop_gradient_constants(
     log_probs: np.ndarray,
     targets: np.ndarray,
     valid_mask: np.ndarray,
-    stats: list[TokenStats],
+    stats: np.recarray,
     *,
     rho: float = 0.2,
     drop_fraction: float = 0.1,
@@ -177,7 +183,7 @@ def stop_gradient_constants(
         chosen = np.zeros(n, dtype=bool)
         if k:
             chosen[rng.choice(n, size=k, replace=False)] = True
-        mask = MaskSet(chosen, chosen, chosen, k, n)
+        mask = MaskSet(chosen, chosen)
     regularized = np.zeros_like(valid_mask)
     regularized[valid_mask] = mask.m_union
     return Constants(valid_mask & ~regularized, regularized, None, mask)

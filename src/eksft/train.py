@@ -315,8 +315,6 @@ def train_sft(
             caches: list[dict] = []
             step_terms: list[obj.ObjectiveTerms] = []
             n_masked = n_both = 0
-            ent_vals: list[float] = []
-            kl_vals: list[float] = []
 
             for micro, m0 in enumerate(range(0, len(group_idx), config.batch_size)):
                 idx = group_idx[m0 : m0 + config.batch_size]
@@ -345,8 +343,6 @@ def train_sft(
                 )
                 caches.append(cache)
                 step_terms.append(terms)
-                ent_vals.extend(s.entropy for s in terms.stats)
-                kl_vals.extend(s.kl for s in terms.stats)
                 if uses_mask:
                     mask = terms.mask
                     n_masked += int(mask.m_union.sum())
@@ -355,6 +351,8 @@ def train_sft(
                     dump_rows.extend(sel.mask_dump_rows(step, terms.stats, mask, offset))
 
             step_obj = obj.normalize_step(step_terms)
+            ent_vals = np.concatenate([t.stats.entropy for t in step_terms])
+            kl_vals = np.concatenate([t.stats.kl for t in step_terms])
             grads = mdl.zero_grads(params)
             for cache, dlogits in zip(caches, step_obj.dlogits):
                 if dlogits is not None:
@@ -375,8 +373,8 @@ def train_sft(
                     kl_reg=step_obj.kl,
                     n_supervised=step_obj.n_sup,
                     n_masked=n_masked,
-                    mean_entropy=float(np.mean(ent_vals)) if ent_vals else 0.0,
-                    mean_kl=float(np.mean(kl_vals)) if kl_vals else 0.0,
+                    mean_entropy=float(np.mean(ent_vals)) if ent_vals.size else 0.0,
+                    mean_kl=float(np.mean(kl_vals)) if kl_vals.size else 0.0,
                     mask_iou=sel.iou(n_both, n_masked) if uses_mask else None,
                 )
             )
@@ -497,42 +495,34 @@ def train_rl(
 
 
 def _rl_update(params, opt, episodes, config: RlConfig) -> float:
-    """One clipped-PG update over all episodes of a step; returns the loss."""
-    cfg = params.config
-    max_len = max(len(s.prompt_tokens) + len(toks) for s, toks, _, _ in episodes) - 1
-    max_len = min(max_len, cfg.context_len)
-    B = len(episodes)
-    inputs = np.full((B, max_len), PAD, dtype=np.int64)
-    gen_pos: list[tuple[int, int, int]] = []  # (row, position, token)
-    old_lp: list[float] = []
-    adv: list[float] = []
-    for i, (s, toks, lps, a) in enumerate(episodes):
-        full = list(s.prompt_tokens) + list(toks)
-        n_in = min(len(full) - 1, max_len)
-        inputs[i, :n_in] = full[: n_in]
-        p0 = len(s.prompt_tokens) - 1
-        for j, (token, lp) in enumerate(zip(toks, lps)):
-            pos = p0 + j
-            if pos >= max_len:
-                break
-            gen_pos.append((i, pos, token))
-            old_lp.append(lp)
-            adv.append(a)
+    """One clipped-PG update over all episodes of a step; returns the loss.
+
+    `sample_group` stops at the context, so every episode fits one row.
+    """
+    n_in = [len(s.prompt_tokens) + len(toks) - 1 for s, toks, _, _ in episodes]
+    n_gen = [len(toks) for _, toks, _, _ in episodes]
+    inputs = np.full((len(episodes), max(n_in)), PAD, dtype=np.int64)
+    for i, (s, toks, _, _) in enumerate(episodes):
+        inputs[i, : n_in[i]] = (list(s.prompt_tokens) + toks)[:-1]
+    # generated token j of a row is predicted at position len(prompt) - 1 + j
+    rows = np.repeat(np.arange(len(episodes)), n_gen)
+    pos = np.concatenate([np.arange(n - g, n) for n, g in zip(n_in, n_gen)])
+    tok = np.concatenate([toks for _, toks, _, _ in episodes])
+    old_lp = np.concatenate([lps for _, _, lps, _ in episodes])
+    adv = np.repeat([a for _, _, _, a in episodes], n_gen)
 
     logits, cache = mdl.forward(params, inputs)
     log_probs = nk.log_softmax(logits / config.temperature)
-    rows = np.array([(r, p) for r, p, _ in gen_pos], dtype=np.int64)
-    tok = np.array([t for _, _, t in gen_pos], dtype=np.int64)
-    new_lp = log_probs[rows[:, 0], rows[:, 1], tok]
+    new_lp = log_probs[rows, pos, tok]
 
-    loss, d_lp = clipped_pg_loss(new_lp, np.array(old_lp), np.array(adv), config.clip_low, config.clip_high)
+    loss, d_lp = clipped_pg_loss(new_lp, old_lp, adv, config.clip_low, config.clip_high)
 
     d_lp_rows = np.zeros((tok.size, logits.shape[-1]))
     d_lp_rows[np.arange(tok.size), tok] = d_lp
-    d_rows = nk.log_softmax_backward(d_lp_rows, log_probs[rows[:, 0], rows[:, 1]])
+    d_rows = nk.log_softmax_backward(d_lp_rows, log_probs[rows, pos])
     # log_probs = log_softmax(logits / T), hence the 1/T; adding onto zeros normalizes -0.0
     dlogits = np.zeros_like(logits)
-    np.add.at(dlogits, (rows[:, 0], rows[:, 1]), d_rows / config.temperature)
+    np.add.at(dlogits, (rows, pos), d_rows / config.temperature)
 
     grads = mdl.backward(params, cache, dlogits)
     if any(np.any(g != 0.0) for g in grads.values()):

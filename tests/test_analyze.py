@@ -185,7 +185,7 @@ def test_ratio_sweep(tmp_path):
                            tmp_path, n_per_prompt=4, ks=(1, 4), max_gen_len=10)
     csv_lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
     assert len(csv_lines) == len(rhos) + 1
-    assert csv_lines[0] == ",".join(ana.SWEEP_COLUMNS)
+    assert csv_lines[0] == "rho,pass_at_1,pass_at_4,drift_frac_1e-3,mean_entropy,final_loss"
     assert rows[0]["rho"] == 0.0
 
     # rho=0 must reproduce plain sft metrics exactly

@@ -1,5 +1,6 @@
-"""The interface deskbench relies on: the eksft names its tracer wraps, and
-the positional arguments and token statistics its objective hook reads.
+"""The interface deskbench relies on: the eksft names its tracer wraps, the
+positional arguments and token statistics its objective hook reads, and the
+mask dump its sft_eksft file check reads.
 
 deskbench/tracer.py and deskbench/checks.py are loaded from their paths;
 nothing is installed, so no eksft function is patched outside the one
@@ -43,7 +44,7 @@ def test_tracer_names_resolve():
     assert callable(_resolve("evaluation.sample_group"))
 
 
-def test_objective_hook_arguments_and_token_stats(monkeypatch):
+def test_objective_hook_arguments_and_token_stats(monkeypatch, tmp_path):
     checks = _load("checks")
     calls = []
     objective_terms = obj.objective_terms
@@ -65,11 +66,14 @@ def test_objective_hook_arguments_and_token_stats(monkeypatch):
         params.tensors[name] += rng.normal(0, 0.05, params.tensors[name].shape)
     config = tr.SftConfig(method="eksft", learning_rate=1e-3, epochs=1, grad_accum=2,
                           batch_size=2, rho=0.2, seed=3)
-    tr.train_sft(params, reference, dataset, config)
+    tr.train_sft(params, reference, dataset, config, run_dir=tmp_path)
     assert len(calls) == 2
     for a, out in calls:
         assert checks.check_token_stats(a[1], a[2], a[4], out.stats) == []
         assert len(out.stats) == int(a[4].sum()) > 0
+    # one step of two micro-batches, as the sft_eksft workload's file check reads them
+    dump = tmp_path / "mask_dump.jsonl"
+    assert checks.check_mask_dump(dump, str(config.rho), config.batch_size) == []
 
 
 def test_sample_group_one_forward_per_step(monkeypatch):

@@ -16,12 +16,17 @@ def small_model():
     return mdl.init(cfg)
 
 
+def _sample_one(params, prompt, max_len, seed, greedy=False):
+    rng = np.random.default_rng(seed)
+    return ev.sample_group(params, prompt, 1, 1.0, max_len, rng, greedy)[0].tokens
+
+
 def test_sample_deterministic(small_model):
     prompt = [tasks.BOS] + tasks.VOCAB.tokenize("1+2=")
-    a = ev.sample(small_model, prompt, temperature=1.0, max_len=10, seed=42)
-    b = ev.sample(small_model, prompt, temperature=1.0, max_len=10, seed=42)
+    a = _sample_one(small_model, prompt, max_len=10, seed=42)
+    b = _sample_one(small_model, prompt, max_len=10, seed=42)
     assert a == b
-    c = ev.sample(small_model, prompt, temperature=1.0, max_len=10, seed=43)
+    c = _sample_one(small_model, prompt, max_len=10, seed=43)
     assert isinstance(c, list)
 
 
@@ -29,7 +34,7 @@ def test_greedy_returns_argmax_continuation(small_model):
     import eksft.numerics as nk
 
     prompt = [tasks.BOS] + tasks.VOCAB.tokenize("1+2=")
-    out = ev.sample(small_model, prompt, temperature=1.0, max_len=3, seed=0, greedy=True)
+    out = _sample_one(small_model, prompt, max_len=3, seed=0, greedy=True)
     ids = list(prompt)
     for token in out:
         logits, _ = mdl.forward(small_model, np.array([ids]), want_cache=False)
@@ -189,7 +194,7 @@ def test_sample_group_matches_lockstep(shape, case):
 
 def test_sample_rejects_bad_temperature(small_model):
     with pytest.raises(ConfigError):
-        ev.sample(small_model, [1], temperature=0.0, max_len=4, seed=0)
+        ev.sample_group(small_model, [1], 1, 0.0, 4, np.random.default_rng(0))
 
 
 def test_sampler_matches_softmax_frequencies(small_model):

@@ -8,7 +8,7 @@ import pytest
 from eksft import numerics as nk
 from eksft import selection as sel
 from eksft.errors import ConfigError, DimensionError, InputError
-from eksft.selection import MaskSet, TokenRef, TokenStats
+from eksft.selection import MaskSet
 
 from conftest import random_log_probs
 
@@ -83,9 +83,9 @@ def test_stats_clamp_only_roundoff_kl():
     ref[0, 1] += 1e-12  # KL -1e-12: roundoff, read as 0
     ref[0, 2] += 1e-6  # KL -1e-6: below KL_FLOOR, kept
     stats = sel.stats_from_log_probs(lp, ref, np.ones((1, 3), bool))
-    assert [s.kl for s in stats][:2] == [0.0, 0.0]
+    assert stats.kl[:2].tolist() == [0.0, 0.0]
     assert stats[2].kl == pytest.approx(-1e-6, rel=1e-6)
-    assert [s.entropy for s in stats] == [math.log(2)] * 3
+    assert stats.entropy.tolist() == [math.log(2)] * 3
 
 
 def test_stats_gathered_equal_full_array_stats():
@@ -101,10 +101,10 @@ def test_stats_gathered_equal_full_array_stats():
         bi, li = np.nonzero(valid)
         kl = nk.kl(lp, ref)
         kl = np.where((kl < 0.0) & (kl >= sel.KL_FLOOR), 0.0, kl)
-        assert [(s.ref.sequence_index, s.ref.token_position) for s in stats] == list(
-            zip(bi.tolist(), li.tolist()))
-        assert np.array_equal([s.entropy for s in stats], nk.entropy(lp)[bi, li])
-        assert np.array_equal([s.kl for s in stats], kl[bi, li])
+        assert np.array_equal(stats.ref.sequence_index, bi)
+        assert np.array_equal(stats.ref.token_position, li)
+        assert np.array_equal(stats.entropy, nk.entropy(lp)[bi, li])
+        assert np.array_equal(stats.kl, kl[bi, li])
 
 
 def test_stats_reject_shape_mismatch():
@@ -115,8 +115,15 @@ def test_stats_reject_shape_mismatch():
             sel.stats_from_log_probs(lp, ref, valid)
 
 
+def _stats(items):
+    """Token statistics from [((seq, pos), entropy, kl), ...]."""
+    seq = [ref[0] for ref, _, _ in items]
+    pos = [ref[1] for ref, _, _ in items]
+    return sel.token_stats(seq, pos, [h for _, h, _ in items], [kl for _, _, kl in items])
+
+
 def _entropy_stats(values):
-    return [TokenStats(TokenRef(0, i), v, 0.0) for i, v in enumerate(values)]
+    return _stats([((0, i), v, 0.0) for i, v in enumerate(values)])
 
 
 def test_topk_basic():
@@ -128,14 +135,13 @@ def test_topk_tie_break_exact_k():
     m = sel.build_mask(_entropy_stats([0.9, 0.9, 0.9, 0.1]), 0.5)
     assert m.m_entropy.tolist() == [True, True, False, False]
     # ties go to ascending (sequence, position), whatever the order of the list
-    stats = [TokenStats(TokenRef(1, 0), 0.9, 0.0), TokenStats(TokenRef(0, 3), 0.9, 0.0),
-             TokenStats(TokenRef(0, 2), 0.9, 0.0), TokenStats(TokenRef(0, 0), 0.1, 0.0)]
+    stats = _stats([((1, 0), 0.9, 0.0), ((0, 3), 0.9, 0.0), ((0, 2), 0.9, 0.0), ((0, 0), 0.1, 0.0)])
     assert sel.build_mask(stats, 0.5).m_entropy.tolist() == [False, True, True, False]
 
 
 def test_topk_ceil():
     m = sel.build_mask(_entropy_stats([float(i) for i in range(7)]), 0.2)
-    assert int(m.m_entropy.sum()) == m.k == 2  # ceil(1.4)
+    assert int(m.m_entropy.sum()) == int(m.m_kl.sum()) == 2  # ceil(1.4)
     assert m.m_entropy[5:].all()
 
 
@@ -166,41 +172,36 @@ def test_selected_count_uses_decimal_rho():
 
 
 def test_build_mask_rho_zero():
-    stats = [TokenStats(TokenRef(0, i), float(i), float(i)) for i in range(5)]
+    stats = _stats([((0, i), float(i), float(i)) for i in range(5)])
     m = sel.build_mask(stats, 0.0)
     for vec in (m.m_entropy, m.m_kl, m.m_union):
         assert vec.shape == (5,) and not vec.any()
-    assert m.k == 0 and m.total_valid == 5
+    assert int(m.m_entropy.sum()) == int(m.m_kl.sum()) == 0 and m.m_union.size == 5
 
 
 def test_build_mask_disjoint_union_is_2k():
-    stats = [
-        TokenStats(TokenRef(0, 0), 1.0, 0.0),
-        TokenStats(TokenRef(0, 1), 0.9, 0.1),
-        TokenStats(TokenRef(0, 2), 0.1, 0.9),
-        TokenStats(TokenRef(0, 3), 0.0, 1.0),
-    ]
+    stats = _stats([((0, 0), 1.0, 0.0), ((0, 1), 0.9, 0.1), ((0, 2), 0.1, 0.9), ((0, 3), 0.0, 1.0)])
     m = sel.build_mask(stats, 0.5)
-    assert m.k == 2
+    assert int(m.m_entropy.sum()) == int(m.m_kl.sum()) == 2
     assert int(m.m_union.sum()) == 4
 
 
 def test_build_mask_empty_warns(caplog):
     with caplog.at_level("WARNING"):
-        m = sel.build_mask([], 0.3)
-    assert m.k == 0 and m.total_valid == 0
+        m = sel.build_mask(_stats([]), 0.3)
+    assert int(m.m_entropy.sum()) == int(m.m_kl.sum()) == 0 and m.m_union.size == 0
     assert any("zero valid tokens" in r.message for r in caplog.records)
 
 
-def _oracle_topk(stats, key, rho):
-    """Independent oracle: plain python sort, descending value then ascending ref."""
-    items = sorted(((key(s), s.ref) for s in stats), key=lambda t: (-t[0], t[1]))
-    k = 0 if rho == 0 else math.ceil(rho * len(stats))
-    return frozenset(ref for _, ref in items[:k])
+def _oracle_topk(items, column, rho):
+    """Independent oracle on plain tuples: python sort, descending value then ascending ref."""
+    ranked = sorted(((item[column], item[0]) for item in items), key=lambda t: (-t[0], t[1]))
+    k = 0 if rho == 0 else math.ceil(rho * len(items))
+    return frozenset(ref for _, ref in ranked[:k])
 
 
-def _refs_in(stats, selected):
-    return frozenset(s.ref for s, chosen in zip(stats, selected) if chosen)
+def _refs_in(items, selected):
+    return frozenset(item[0] for item, chosen in zip(items, selected) if chosen)
 
 
 @pytest.mark.parametrize("quantize", [False, True])
@@ -210,23 +211,23 @@ def test_build_mask_matches_oracle(quantize):
         n = int(rng.integers(1, 60))
         b = int(rng.integers(1, 5))
         per_seq = -(-n // b)  # distinct (seq, pos) pairs for every draw
-        all_refs = [TokenRef(s, t) for s in range(b) for t in range(per_seq)]
+        all_refs = [(s, t) for s in range(b) for t in range(per_seq)]
         chosen = rng.permutation(len(all_refs))[:n]
-        stats = []
+        items = []
         for idx in chosen:
             h, kl = rng.random(), rng.random()
             if quantize:  # engineered ties
                 h, kl = round(h * 4) / 4, round(kl * 4) / 4
-            stats.append(TokenStats(all_refs[idx], h, kl))
+            items.append((all_refs[idx], h, kl))
         rho = float(rng.choice([0.0, 0.1, 0.2, 0.33, 0.5, 1.0]))
-        m = sel.build_mask(stats, rho)
-        expect_h = _oracle_topk(stats, lambda s: s.entropy, rho)
-        expect_kl = _oracle_topk(stats, lambda s: s.kl, rho)
-        assert _refs_in(stats, m.m_entropy) == expect_h
-        assert _refs_in(stats, m.m_kl) == expect_kl
-        assert _refs_in(stats, m.m_union) == expect_h | expect_kl
+        m = sel.build_mask(_stats(items), rho)
+        expect_h = _oracle_topk(items, 1, rho)
+        expect_kl = _oracle_topk(items, 2, rho)
+        assert _refs_in(items, m.m_entropy) == expect_h
+        assert _refs_in(items, m.m_kl) == expect_kl
+        assert _refs_in(items, m.m_union) == expect_h | expect_kl
         k = 0 if rho == 0 else math.ceil(rho * n)
-        assert int(m.m_entropy.sum()) == int(m.m_kl.sum()) == k == m.k
+        assert int(m.m_entropy.sum()) == int(m.m_kl.sum()) == k
         assert k <= int(m.m_union.sum()) <= 2 * k or k == 0
 
 
@@ -260,11 +261,17 @@ def test_iou_symmetric_bounded():
 
 
 def test_mask_dump_rows():
-    stats = [TokenStats(TokenRef(0, 1), 0.5, 0.2), TokenStats(TokenRef(1, 0), 0.1, 0.9)]
-    mask = MaskSet(np.array([True, False]), np.array([False, True]), np.array([True, True]), 1, 2)
+    stats = _stats([((0, 1), 0.5, 0.2), ((1, 0), 0.1 + 0.2, 0.9)])
+    mask = MaskSet(np.array([True, False]), np.array([False, True]))
     rows = sel.mask_dump_rows(7, stats, mask, seq_offset=4)
     assert rows[0] == {
         "step": 7, "seq": 4, "pos": 1, "entropy": 0.5, "kl": 0.2, "in_mH": True, "in_mKL": False,
     }
     assert rows[1]["seq"] == 5 and rows[1]["in_mKL"] is True
     assert json.dumps(rows[1]).endswith('"in_mH": false, "in_mKL": true}')
+    # golden bytes: a numpy int or bool in a row would make json.dumps raise
+    assert json.dumps(rows) == (
+        '[{"step": 7, "seq": 4, "pos": 1, "entropy": 0.5, "kl": 0.2, "in_mH": true, "in_mKL": false}, '
+        '{"step": 7, "seq": 5, "pos": 0, "entropy": 0.30000000000000004, "kl": 0.9, "in_mH": false, '
+        '"in_mKL": true}]'
+    )
