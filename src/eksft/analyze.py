@@ -95,26 +95,20 @@ def parameter_drift(
     if before.config.hash() != after.config.hash():
         raise InputError("before/after checkpoints have different configs")
     thresholds = tuple(sorted(float(t) for t in thresholds))
-    per_tensor = []
-    all_changes = []
-    for name in before.names():
-        b = before.tensors[name].reshape(-1)
-        a = after.tensors[name].reshape(-1)
-        rel = np.abs(a - b) / (np.abs(b) + DRIFT_DENOM_EPS)
-        all_changes.append(rel)
-        per_tensor.append(
-            TensorDrift(
-                name=name,
-                mean_rel_change=float(rel.mean()),
-                frac_exceeding={t: float((rel > t).mean()) for t in thresholds},
-            )
+    rel = np.abs(after.flat - before.flat) / (np.abs(before.flat) + DRIFT_DENOM_EPS)
+    per_tensor = [
+        TensorDrift(
+            name=name,
+            mean_rel_change=float(rel[s].mean()),
+            frac_exceeding={t: float((rel[s] > t).mean()) for t in thresholds},
         )
-    pooled = np.concatenate(all_changes)
+        for name, s in mdl.tensor_slices(before.config).items()
+    ]
     return DriftReport(
         thresholds=thresholds,
         per_tensor=per_tensor,
-        global_mean_rel_change=float(pooled.mean()),
-        global_frac_exceeding={t: float((pooled > t).mean()) for t in thresholds},
+        global_mean_rel_change=float(rel.mean()),
+        global_frac_exceeding={t: float((rel > t).mean()) for t in thresholds},
     )
 
 
@@ -212,17 +206,18 @@ def ratio_sweep(
 ) -> list[dict]:
     """Train + evaluate once per masking ratio with shared seeds; emit one CSV.
 
-    Its columns are rho, pass_at_1, pass_at_{max(ks)}, drift_frac_1e-3,
-    mean_entropy and final_loss. A child-run failure aborts the sweep but
-    the rows finished so far are written first. Only mechanical facts are
-    asserted (mask sizes match k); performance trends are reported, not
-    checked.
+    Its columns are rho, pass_at_1, pass_at_{max(ks)} (when max(ks) > 1),
+    drift_frac_1e-3, mean_entropy and final_loss. A child-run failure aborts
+    the sweep but the rows finished so far are written first. Only mechanical
+    facts are asserted (mask sizes match k); performance trends are reported,
+    not checked.
     """
     rhos = [float(r) for r in rhos]
     for r in rhos:
         sel.selected_count(r, 1)  # validates range
     top = f"pass_at_{max(ks)}"
-    columns = ["rho", "pass_at_1", top, "drift_frac_1e-3", "mean_entropy", "final_loss"]
+    columns = ["rho", "pass_at_1"] + ([top] if max(ks) > 1 else []) + [
+        "drift_frac_1e-3", "mean_entropy", "final_loss"]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows: list[dict] = []

@@ -239,10 +239,14 @@ def cmd_train_rl(args) -> int:
 
 
 def _require_sampling_sizes(args) -> None:
-    """Reject --n or --max-gen-len below 1 before any checkpoint loads."""
+    """Reject --n or --max-gen-len below 1, and a --ks entry outside [1, n],
+    before any checkpoint loads."""
     if args.n < 1 or args.max_gen_len < 1:
         raise ConfigError(f"n and max_gen_len must be >= 1, got n={args.n}, "
                           f"max_gen_len={args.max_gen_len}")
+    bad = [k for k in getattr(args, "ks", []) if not 1 <= k <= args.n]
+    if bad:
+        raise ConfigError(f"every k of --ks must lie in [1, n={args.n}], got {bad}")
 
 
 def cmd_eval(args) -> int:
@@ -309,9 +313,9 @@ def cmd_analyze(args) -> int:
             n_per_prompt=args.n, ks=ks, eval_seed=args.eval_seed, max_gen_len=args.max_gen_len,
         )
         for row in rows:
+            top = f"pass@{ks[-1]}={row[f'pass_at_{ks[-1]}']:.4f}  " if ks[-1] > 1 else ""
             print(
-                f"rho={row['rho']:g}  pass@1={row['pass_at_1']:.4f}  "
-                f"pass@{ks[-1]}={row[f'pass_at_{ks[-1]}']:.4f}  "
+                f"rho={row['rho']:g}  pass@1={row['pass_at_1']:.4f}  {top}"
                 f"drift>{1e-3:g}={row['drift_frac_1e-3']:.4f}"
             )
         return 0

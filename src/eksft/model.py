@@ -1,12 +1,13 @@
 """Tiny decoder-only transformer with hand-written backward.
 
 Pre-norm blocks, learned absolute positions, separate output head, all math
-in float64. `forward` returns logits plus a cache; `backward` consumes the
-cache and a gradient w.r.t. the logits and returns per-tensor parameter
-gradients. For incremental decoding, `forward` also takes `past`, a list of
-per-layer (K, V) arrays that the call extends in place: the new ids then sit
-at the positions after the cached ones and attend to all of them.
-Checkpoints are a JSON manifest plus a little-endian float32 blob.
+in float64, weights in one flat vector (`ParameterSet`). `forward` returns
+logits plus a cache; `backward` consumes the cache and a gradient w.r.t. the
+logits and returns the parameter gradient as one flat vector. For
+incremental decoding, `forward` also takes `past`, a list of per-layer (K, V)
+arrays that the call extends in place: the new ids then sit at the positions
+after the cached ones and attend to all of them. Checkpoints are a JSON
+manifest plus the flat vector as one little-endian float32 blob.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from collections.abc import Mapping
+from dataclasses import asdict, dataclass
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -90,72 +93,93 @@ def parameter_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], st
     return layout
 
 
-@dataclass
+def tensor_slices(config: ModelConfig) -> dict[str, slice]:
+    """Each tensor's slice of a flat vector in `parameter_layout` order (the
+    one place that knows the offsets)."""
+    slices, start = {}, 0
+    for name, shape, _ in parameter_layout(config):
+        slices[name] = slice(start, start + math.prod(shape))
+        start = slices[name].stop
+    return slices
+
+
+def _flat_size(config: ModelConfig) -> int:
+    return sum(math.prod(shape) for _, shape, _ in parameter_layout(config))
+
+
+class TensorViews(Mapping):
+    """Name -> view mapping; `t[name] += x` stores back the same view, any other store raises."""
+
+    def __init__(self, views: dict[str, np.ndarray]):
+        self._views = views
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._views[name]
+
+    def __iter__(self):
+        return iter(self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
+
+    def __setitem__(self, name: str, value) -> None:
+        if name not in self._views or value is not self._views[name]:
+            raise TypeError(f"tensor {name!r} is a view into the flat vector; write through it")
+
+
 class ParameterSet:
-    """All learnable weights, keyed by name, plus the config they belong to."""
+    """All learnable weights: `flat`, one float64 vector in `parameter_layout`
+    order, and `tensors`, each name's C-contiguous view into it. Write through
+    a view (`+=`, `[...] =`); rebinding a name raises."""
 
-    config: ModelConfig
-    tensors: dict[str, np.ndarray]
-    version: str = "1"
-
-    def names(self) -> list[str]:
-        return [name for name, _, _ in parameter_layout(self.config)]
+    def __init__(self, config: ModelConfig, flat: np.ndarray):
+        size = _flat_size(config)
+        if flat.dtype != nk.F64 or flat.shape != (size,) or not flat.flags.c_contiguous:
+            raise ShapeMismatchError(f"parameters of {config} must be a contiguous float64 vector "
+                                     f"of {size}, got {flat.dtype} {flat.shape}")
+        self.config = config
+        self.flat = flat
+        slices = tensor_slices(config)
+        self.tensors = TensorViews(
+            {name: flat[slices[name]].reshape(shape) for name, shape, _ in parameter_layout(config)}
+        )
 
     def copy(self) -> "ParameterSet":
-        return ParameterSet(self.config, {k: v.copy() for k, v in self.tensors.items()}, self.version)
-
-    def n_params(self) -> int:
-        return sum(t.size for t in self.tensors.values())
+        return ParameterSet(self.config, self.flat.copy())
 
     def validate(self) -> None:
-        for name, shape, _ in parameter_layout(self.config):
-            if name not in self.tensors:
-                raise ShapeMismatchError(f"missing tensor {name}")
-            if self.tensors[name].shape != shape:
-                raise ShapeMismatchError(
-                    f"tensor {name} has shape {self.tensors[name].shape}, expected {shape}"
-                )
-            nk.require_finite(name, self.tensors[name])
+        nk.require_finite("parameters", self.flat)
 
 
-@dataclass
-class ReferenceModel:
-    """Frozen deep copy of a ParameterSet; arrays are marked read-only."""
+class ReferenceModel(ParameterSet):
+    """Frozen copy of a ParameterSet: its vector and every view are read-only."""
 
-    config: ModelConfig
-    tensors: dict[str, np.ndarray] = field(repr=False)
+    def __init__(self, config: ModelConfig, flat: np.ndarray):
+        frozen = flat.copy()
+        frozen.flags.writeable = False
+        super().__init__(config, frozen)
 
     def logits(self, token_ids: np.ndarray) -> np.ndarray:
-        out, _ = forward(self.as_params(), token_ids, want_cache=False)
+        out, _ = forward(self, token_ids, want_cache=False)
         return out
-
-    def as_params(self) -> ParameterSet:
-        return ParameterSet(self.config, self.tensors)
 
 
 def init(config: ModelConfig) -> ParameterSet:
     """Seeded init: normal(0, 0.02) weights, unit norm gains, zero biases."""
     rng = np.random.default_rng(config.seed)
-    tensors: dict[str, np.ndarray] = {}
+    params = ParameterSet(config, np.zeros(_flat_size(config)))
     for name, shape, kind in parameter_layout(config):
         if kind == "normal":
-            tensors[name] = rng.normal(0.0, INIT_STD, size=shape)
+            params.tensors[name][...] = rng.normal(0.0, INIT_STD, size=shape)
         elif kind == "ones":
-            tensors[name] = np.ones(shape, dtype=nk.F64)
-        else:
-            tensors[name] = np.zeros(shape, dtype=nk.F64)
-    return ParameterSet(config, tensors)
+            params.tensors[name][...] = 1.0
+    return params
 
 
 def snapshot_reference(params: ParameterSet) -> ReferenceModel:
-    """Deep-copy params into an immutable reference model."""
+    """Copy params into an immutable reference model."""
     params.validate()
-    frozen = {}
-    for name, t in params.tensors.items():
-        c = t.copy()
-        c.flags.writeable = False
-        frozen[name] = c
-    return ReferenceModel(params.config, frozen)
+    return ReferenceModel(params.config, params.flat)
 
 
 # -----------------------------------------------------------------------------
@@ -261,31 +285,33 @@ def forward(
     return logits, cache
 
 
-def backward(params: ParameterSet, cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
-    """Map a logits gradient back to parameter gradients using the forward cache."""
+def backward(params: ParameterSet, cache: dict, dlogits: np.ndarray) -> np.ndarray:
+    """Map a logits gradient back to the parameter gradient, a flat vector in
+    `parameter_layout` order, using the forward cache."""
     cfg = params.config
     t = params.tensors
     ids = cache["ids"]
     B, L = ids.shape
     H, dh = cfg.n_heads, cfg.head_dim
     inv_sqrt_dh = 1.0 / math.sqrt(dh)
-    grads: dict[str, np.ndarray] = {}
+    grad = np.zeros_like(params.flat)
+    g = ParameterSet(cfg, grad).tensors
 
-    dxf, grads["head.w"] = nk.matmul_backward(dlogits, cache["xf"], t["head.w"])
-    dx, grads["lnf.g"], grads["lnf.b"] = nk.layer_norm_backward(dxf, cache["lnf"])
+    dxf, g["head.w"][...] = nk.matmul_backward(dlogits, cache["xf"], t["head.w"])
+    dx, g["lnf.g"][...], g["lnf.b"][...] = nk.layer_norm_backward(dxf, cache["lnf"])
 
     for i in range(cfg.n_layers - 1, -1, -1):
         p = f"layer{i}."
         c = cache["layers"][i]
 
         # a = gelu(u) is not cached; u * cdf rebuilds it bit for bit
-        da, grads[p + "w2"] = nk.matmul_backward(dx, c["u"] * c["cdf"], t[p + "w2"])
+        da, g[p + "w2"][...] = nk.matmul_backward(dx, c["u"] * c["cdf"], t[p + "w2"])
         du = nk.gelu_backward(da, c["u"], c["cdf"])
-        dh2, grads[p + "w1"] = nk.matmul_backward(du, c["h2"], t[p + "w1"])
-        dx_mid, grads[p + "ln2.g"], grads[p + "ln2.b"] = nk.layer_norm_backward(dh2, c["ln2"])
+        dh2, g[p + "w1"][...] = nk.matmul_backward(du, c["h2"], t[p + "w1"])
+        dx_mid, g[p + "ln2.g"][...], g[p + "ln2.b"][...] = nk.layer_norm_backward(dh2, c["ln2"])
         dx = dx + dx_mid
 
-        dctx, grads[p + "wo"] = nk.matmul_backward(dx, c["ctx"], t[p + "wo"])
+        dctx, g[p + "wo"][...] = nk.matmul_backward(dx, c["ctx"], t[p + "wo"])
         dctx_h = dctx.reshape(B, L, H, dh)
         datt = np.einsum("blhd,bmhd->bhlm", dctx_h, c["vh"])
         dvh = np.einsum("bhlm,blhd->bmhd", c["att"], dctx_h)
@@ -298,19 +324,14 @@ def backward(params: ParameterSet, cache: dict, dlogits: np.ndarray) -> dict[str
 
         dh_sum = np.zeros_like(c["h"])
         for w_name, dmat in ((p + "wq", dq), (p + "wk", dk), (p + "wv", dv)):
-            dh_part, grads[w_name] = nk.matmul_backward(dmat, c["h"], t[w_name])
+            dh_part, g[w_name][...] = nk.matmul_backward(dmat, c["h"], t[w_name])
             dh_sum += dh_part
-        dx_in, grads[p + "ln1.g"], grads[p + "ln1.b"] = nk.layer_norm_backward(dh_sum, c["ln1"])
+        dx_in, g[p + "ln1.g"][...], g[p + "ln1.b"][...] = nk.layer_norm_backward(dh_sum, c["ln1"])
         dx = dx + dx_in
 
-    grads["pos_emb"] = np.zeros_like(t["pos_emb"])
-    grads["pos_emb"][:L] = dx.sum(axis=0)
-    grads["tok_emb"] = nk.embedding_lookup_backward(dx, ids, cfg.vocab_size)
-    return grads
-
-
-def zero_grads(params: ParameterSet) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(t) for name, t in params.tensors.items()}
+    g["pos_emb"][:L] = dx.sum(axis=0)
+    g["tok_emb"][...] = nk.embedding_lookup_backward(dx, ids, cfg.vocab_size)
+    return grad
 
 
 # -----------------------------------------------------------------------------
@@ -318,38 +339,37 @@ def zero_grads(params: ParameterSet) -> dict[str, np.ndarray]:
 # -----------------------------------------------------------------------------
 
 
-def save_checkpoint(params: ParameterSet, prefix: str | Path, run_id: str = "") -> tuple[Path, Path]:
+def _tensor_table(config: ModelConfig) -> list[dict]:
+    """The manifest's entry for each tensor: its name, shape and byte span in the blob."""
+    slices = tensor_slices(config)
+    return [
+        {"name": name, "shape": list(shape), "offset": 4 * slices[name].start,
+         "nbytes": 4 * (slices[name].stop - slices[name].start)}
+        for name, shape, _ in parameter_layout(config)
+    ]
+
+
+def save_checkpoint(params: ParameterSet, prefix: str | Path) -> tuple[Path, Path]:
     """Write manifest + weight blob; returns (manifest_path, weights_path)."""
     params.validate()
     prefix = Path(prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    names = params.names()
-    entries = []
-    offset = 0
-    blobs = []
-    for name in names:
-        arr32 = params.tensors[name].astype("<f4")
-        raw = arr32.tobytes(order="C")
-        entries.append(
-            {"name": name, "shape": list(params.tensors[name].shape), "offset": offset, "nbytes": len(raw)}
-        )
-        blobs.append(raw)
-        offset += len(raw)
+    blob = params.flat.astype("<f4").tobytes()
     manifest = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "config": asdict(params.config),
         "config_hash": params.config.hash(),
         "seed": params.config.seed,
-        "run_id": run_id,
-        "version": params.version,
+        "run_id": "",
+        "version": "1",
         "dtype": "<f4",
-        "total_nbytes": offset,
-        "tensors": entries,
+        "total_nbytes": len(blob),
+        "tensors": _tensor_table(params.config),
     }
     manifest_path = prefix.with_suffix(".manifest.json")
     weights_path = prefix.with_suffix(".weights.bin")
     manifest_path.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    weights_path.write_bytes(b"".join(blobs))
+    weights_path.write_bytes(blob)
     return manifest_path, weights_path
 
 
@@ -374,31 +394,19 @@ def load_checkpoint(prefix: str | Path) -> ParameterSet:
     if config.hash() != manifest["config_hash"]:
         raise ManifestError("manifest config hash mismatch")
 
-    blob = weights_path.read_bytes() if weights_path.exists() else None
-    if blob is None:
+    if not weights_path.exists():
         raise TruncatedBlobError(f"missing weights blob {weights_path}")
-    if len(blob) != manifest["total_nbytes"]:
+    blob = weights_path.read_bytes()
+    size = _flat_size(config)
+    if len(blob) != manifest["total_nbytes"] or len(blob) != 4 * size:
         raise TruncatedBlobError(
-            f"weights blob has {len(blob)} bytes, manifest promises {manifest['total_nbytes']}"
+            f"weights blob has {len(blob)} bytes, manifest promises {manifest['total_nbytes']}, "
+            f"the config needs {4 * size}"
         )
-
-    expected = {name: shape for name, shape, _ in parameter_layout(config)}
-    tensors: dict[str, np.ndarray] = {}
-    for entry in manifest["tensors"]:
-        name = entry["name"]
-        shape = tuple(entry["shape"])
-        if name not in expected or expected[name] != shape:
-            raise ShapeMismatchError(f"tensor {name} shape {shape} does not match config")
-        start, nbytes = entry["offset"], entry["nbytes"]
-        if start + nbytes > len(blob):
-            raise TruncatedBlobError(f"tensor {name} extends past end of blob")
-        arr = np.frombuffer(blob[start : start + nbytes], dtype="<f4")
-        if arr.size != int(np.prod(shape)):
-            raise ShapeMismatchError(f"tensor {name} byte count does not match shape {shape}")
-        tensors[name] = arr.reshape(shape).astype(nk.F64)
-    if set(tensors) != set(expected):
-        missing = sorted(set(expected) - set(tensors))
-        raise ShapeMismatchError(f"checkpoint missing tensors: {missing}")
-    params = ParameterSet(config, tensors, version=str(manifest.get("version", "1")))
+    table, entries = _tensor_table(config), manifest["tensors"]
+    if entries != table:
+        i, got, want = next((i, a, b) for i, (a, b) in enumerate(zip_longest(entries, table)) if a != b)
+        raise ShapeMismatchError(f"manifest tensor entry {i} is {got}; the config's layout has {want}")
+    params = ParameterSet(config, np.frombuffer(blob, dtype="<f4").astype(nk.F64))
     params.validate()
     return params

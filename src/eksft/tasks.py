@@ -60,12 +60,8 @@ class Vocabulary:
         return "".join(chars)
 
 
-def default_vocabulary() -> Vocabulary:
-    char_to_id = {ch: 3 + i for i, ch in enumerate(_TEXT_CHARS)}
-    return Vocabulary(char_to_id, {v: k for k, v in char_to_id.items()})
-
-
-VOCAB = default_vocabulary()
+_CHAR_TO_ID = {ch: 3 + i for i, ch in enumerate(_TEXT_CHARS)}
+VOCAB = Vocabulary(_CHAR_TO_ID, {v: k for k, v in _CHAR_TO_ID.items()})
 
 
 @dataclass(frozen=True)
@@ -81,13 +77,13 @@ class Sample:
         return self.prompt_tokens + self.response_tokens
 
 
-def make_sample(prompt: str, response: str, answer: str, vocab: Vocabulary = VOCAB) -> Sample:
+def make_sample(prompt: str, response: str, answer: str) -> Sample:
     return Sample(
         prompt=prompt,
         response=response,
         answer=answer,
-        prompt_tokens=(BOS, *vocab.tokenize(prompt)),
-        response_tokens=(*vocab.tokenize(response), EOS),
+        prompt_tokens=(BOS, *VOCAB.tokenize(prompt)),
+        response_tokens=(*VOCAB.tokenize(response), EOS),
     )
 
 
@@ -98,7 +94,7 @@ def canonicalize_answer(text: str) -> str:
     return text
 
 
-def verify(sample: Sample, generated_tokens, vocab: Vocabulary = VOCAB) -> bool:
+def verify(sample: Sample, generated_tokens) -> bool:
     """True iff the span after the LAST answer marker matches the gold answer.
 
     The span runs up to the first EOS (or the end). Any malformed output --
@@ -112,9 +108,9 @@ def verify(sample: Sample, generated_tokens, vocab: Vocabulary = VOCAB) -> bool:
     for token in ids[start + 1 :]:
         if token == EOS:
             break
-        if token not in vocab.id_to_char:
+        if token not in VOCAB.id_to_char:
             return False
-        span.append(vocab.id_to_char[token])
+        span.append(VOCAB.id_to_char[token])
     return canonicalize_answer("".join(span)) == canonicalize_answer(sample.answer)
 
 
@@ -269,9 +265,7 @@ def generate_dataset(spec: TaskSpec, out_dir: str | Path, force: bool = False) -
     return report
 
 
-def load_samples(
-    path: str | Path, vocab: Vocabulary = VOCAB, context_len: int | None = None
-) -> list[Sample]:
+def load_samples(path: str | Path, context_len: int | None = None) -> list[Sample]:
     """Read a JSONL split back into Samples, rejecting overlong ones."""
     samples = []
     with open(path, encoding="utf-8") as fh:
@@ -281,7 +275,7 @@ def load_samples(
                 continue
             try:
                 obj = json.loads(line)
-                s = make_sample(obj["prompt"], obj["response"], obj["answer"], vocab)
+                s = make_sample(obj["prompt"], obj["response"], obj["answer"])
             except (json.JSONDecodeError, KeyError, TokenizationError) as e:
                 raise InputError(f"{path} line {i}: {e}") from e
             if context_len is not None and len(s.tokens) > context_len + 1:

@@ -9,6 +9,9 @@ logits coexist). The reference is frozen and the samples are fixed, so
 `reference_rows` runs the reference forward once per run, before the first
 epoch, and each micro-batch gathers its samples' rows from it.
 
+Parameters, gradients and AdamW's moments are flat vectors in one layout:
+a step adds up its micro-batches' gradients with one `+=` each.
+
 RL stage: group rollouts per prompt, binary verifier rewards, group-mean
 normalized advantages, and an asymmetrically clipped policy-gradient
 surrogate (clip band [1 - c_l, 1 + c_h]). No reference/KL term. A step
@@ -184,21 +187,20 @@ def _write_run_outputs(
 
 @dataclass
 class AdamWState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    """First and second moments, flat vectors in the parameters' layout."""
+
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
 
 def adamw_init(params: mdl.ParameterSet) -> AdamWState:
-    return AdamWState(
-        m={k: np.zeros_like(v) for k, v in params.tensors.items()},
-        v={k: np.zeros_like(v) for k, v in params.tensors.items()},
-    )
+    return AdamWState(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
 def adamw_step(
     params: mdl.ParameterSet,
-    grads: dict[str, np.ndarray],
+    grad: np.ndarray,
     state: AdamWState,
     lr: float,
     beta1: float = 0.9,
@@ -206,19 +208,18 @@ def adamw_step(
     eps: float = 1e-8,
     weight_decay: float = 0.0,
 ) -> None:
-    """One decoupled-weight-decay Adam update, in place."""
-    bad = [name for name, g in grads.items() if not np.all(np.isfinite(g))]
-    if bad:
-        diag = {name: {"shape": list(grads[name].shape)} for name in bad}
-        log.error("non-finite gradients at step %d: %s", state.t + 1, json.dumps(diag))
+    """One decoupled-weight-decay Adam update of params.flat, in place, one
+    tensor's slice at a time: cache-sized temporaries beat whole-vector ones."""
+    slices = mdl.tensor_slices(params.config)
+    if not np.all(np.isfinite(grad)):
+        bad = [name for name, s in slices.items() if not np.all(np.isfinite(grad[s]))]
+        log.error("non-finite gradients at step %d in tensors %s", state.t + 1, bad)
         raise NumericError(f"non-finite gradient for tensors {bad}")
     state.t += 1
     bc1 = 1.0 - beta1**state.t
     bc2 = 1.0 - beta2**state.t
-    for name, p in params.tensors.items():
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
+    for s in slices.values():
+        p, g, m, v = params.flat[s], grad[s], state.m[s], state.v[s]
         m *= beta1
         m += (1.0 - beta1) * g
         v *= beta2
@@ -353,14 +354,11 @@ def train_sft(
             step_obj = obj.normalize_step(step_terms)
             ent_vals = np.concatenate([t.stats.entropy for t in step_terms])
             kl_vals = np.concatenate([t.stats.kl for t in step_terms])
-            grads = mdl.zero_grads(params)
+            grad = np.zeros_like(params.flat)
             for cache, dlogits in zip(caches, step_obj.dlogits):
                 if dlogits is not None:
-                    for k, g in mdl.backward(params, cache, dlogits).items():
-                        grads[k] += g
-            adamw_step(
-                params, grads, opt, config.learning_rate, weight_decay=config.weight_decay
-            )
+                    grad += mdl.backward(params, cache, dlogits)
+            adamw_step(params, grad, opt, config.learning_rate, weight_decay=config.weight_decay)
 
             records.append(
                 SftMetricsRecord(
@@ -524,7 +522,7 @@ def _rl_update(params, opt, episodes, config: RlConfig) -> float:
     dlogits = np.zeros_like(logits)
     np.add.at(dlogits, (rows, pos), d_rows / config.temperature)
 
-    grads = mdl.backward(params, cache, dlogits)
-    if any(np.any(g != 0.0) for g in grads.values()):
-        adamw_step(params, grads, opt, config.learning_rate, weight_decay=config.weight_decay)
+    grad = mdl.backward(params, cache, dlogits)
+    if grad.any():
+        adamw_step(params, grad, opt, config.learning_rate, weight_decay=config.weight_decay)
     return loss

@@ -134,21 +134,13 @@ def model_fd_worst(params: mdl.ParameterSet, ids: np.ndarray, loss, k: int, coor
     """Worst FD error, at k informative coordinates drawn by default_rng(coord_seed),
     of the parameter gradient that model `backward` makes of loss(forward(params, ids)),
     where `loss` maps logits to (value, logit gradient)."""
-    names = params.names()
 
     def f(flat):
-        tensors, offset = {}, 0
-        for name in names:
-            t = params.tensors[name]
-            tensors[name] = flat[offset : offset + t.size].reshape(t.shape)
-            offset += t.size
-        p = mdl.ParameterSet(params.config, tensors)
+        p = mdl.ParameterSet(params.config, flat)
         logits, cache = mdl.forward(p, ids)
         value, dlogits = loss(logits)
-        grads = mdl.backward(p, cache, dlogits)
-        return value, np.concatenate([grads[name].reshape(-1) for name in names])
+        return value, mdl.backward(p, cache, dlogits)
 
-    x0 = np.concatenate([params.tensors[name].reshape(-1) for name in names])
-    _, g = f(x0)
+    _, g = f(params.flat)
     coords = informative_coords(g, k, np.random.default_rng(coord_seed))
-    return grad_check(f, x0, h=h, coords=coords)
+    return grad_check(f, params.flat, h=h, coords=coords)

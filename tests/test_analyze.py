@@ -60,12 +60,12 @@ def test_drift_matches_brute_force_oracle():
     p = _model(seed=2)
     q = p.copy()
     for name in q.tensors:
-        q.tensors[name] = q.tensors[name] + rng.normal(0, 1e-3, q.tensors[name].shape)
+        q.tensors[name] += rng.normal(0, 1e-3, q.tensors[name].shape)
     thresholds = (1e-3, 1e-2)
     report = ana.parameter_drift(p, q, thresholds)
     # scalar-by-scalar oracle
     changes = []
-    for name in p.names():
+    for name in p.tensors:
         b = p.tensors[name].reshape(-1)
         a = q.tensors[name].reshape(-1)
         changes.extend(abs(x - y) / (abs(y) + 1e-8) for x, y in zip(a, b))
@@ -80,7 +80,7 @@ def test_drift_fractions_monotone_in_threshold():
     p = _model(seed=4)
     q = p.copy()
     for name in q.tensors:
-        q.tensors[name] = q.tensors[name] + rng.normal(0, 1e-2, q.tensors[name].shape)
+        q.tensors[name] += rng.normal(0, 1e-2, q.tensors[name].shape)
     report = ana.parameter_drift(p, q)
     fr = [report.global_frac_exceeding[t] for t in report.thresholds]
     assert all(b <= a for a, b in zip(fr, fr[1:]))
@@ -187,6 +187,11 @@ def test_ratio_sweep(tmp_path):
     assert len(csv_lines) == len(rhos) + 1
     assert csv_lines[0] == "rho,pass_at_1,pass_at_4,drift_frac_1e-3,mean_entropy,final_loss"
     assert rows[0]["rho"] == 0.0
+    # at n=2 the only k is 1: pass_at_1 is written once
+    ana.ratio_sweep(base, splits["sft"], splits["eval"], config, (0.2,), tmp_path / "n2",
+                    n_per_prompt=2, ks=(1,), max_gen_len=10)
+    header = (tmp_path / "n2" / "sweep.csv").read_text().splitlines()[0]
+    assert header == "rho,pass_at_1,drift_frac_1e-3,mean_entropy,final_loss"
 
     # rho=0 must reproduce plain sft metrics exactly
     params = base.copy()

@@ -133,6 +133,22 @@ def test_eval_rejects_nonpositive_n_and_max_gen_len(tmp_path, capsys, monkeypatc
     assert not loads and not (tmp_path / "reports").exists()
 
 
+@pytest.mark.parametrize("ks", ["0,1", "1,64"])
+def test_eval_rejects_ks_outside_one_to_n(tmp_path, capsys, monkeypatch, ks):
+    data = _gen(tmp_path)
+    ckpt = tmp_path / "base"
+    mdl.save_checkpoint(mdl.init(mdl.ModelConfig(d_model=16, context_len=48)), ckpt)
+    loads = []
+    monkeypatch.setattr(mdl, "load_checkpoint", lambda *a: loads.append(a))
+    assert main([
+        "eval", "--ckpt", str(ckpt), "--data", str(data / "eval.jsonl"),
+        "--out", str(tmp_path / "reports"), "--n", "32", "--ks", ks,
+    ]) == 2
+    bad = "0" if ks == "0,1" else "64"
+    assert f"[{bad}]" in capsys.readouterr().err
+    assert not loads and not (tmp_path / "reports").exists()
+
+
 def test_pretrain_then_rl_reward_curve(tmp_path):
     data = _gen(tmp_path)
     assert main([

@@ -129,6 +129,42 @@ def test_full_nll_gradient_matches_fd(tiny_config):
     assert worst <= 1e-5
 
 
+def test_tensors_are_views_into_flat(tiny_config):
+    params = mdl.init(tiny_config)
+    assert params.flat.shape == (sum(t.size for t in params.tensors.values()),)
+    for i, (name, t) in enumerate(params.tensors.items()):
+        assert t.flags.c_contiguous and np.shares_memory(t, params.flat)
+        t.reshape(-1)[0] = 100.0 + i
+        t += 1.0
+        params.tensors[name] += 1.0  # stores back the same view
+        assert params.flat[mdl.tensor_slices(tiny_config)[name]][0] == 102.0 + i
+    assert np.array_equal(np.concatenate([t.reshape(-1) for t in params.tensors.values()]),
+                          params.flat)
+
+
+def test_rebinding_a_tensor_raises(tiny_config):
+    params = mdl.init(tiny_config)
+    with pytest.raises(TypeError):
+        params.tensors["head.w"] = params.tensors["head.w"] + 1.0
+    with pytest.raises(TypeError):
+        params.tensors["head.w"] = params.tensors["head.w"].copy()
+    with pytest.raises(TypeError):
+        params.tensors["head.b"] = None  # no such tensor
+    assert np.shares_memory(params.tensors["head.w"], params.flat)
+
+
+def test_reference_views_are_read_only(tiny_config):
+    params = mdl.init(tiny_config)
+    ref = mdl.snapshot_reference(params)
+    assert not ref.flat.flags.writeable and not np.shares_memory(ref.flat, params.flat)
+    for name, t in ref.tensors.items():
+        assert not t.flags.writeable and np.shares_memory(t, ref.flat)
+        with pytest.raises(ValueError):
+            ref.tensors[name] += 1.0
+    params.flat += 1.0
+    assert np.array_equal(ref.flat + 1.0, params.flat)
+
+
 def test_reference_snapshot_kl_zero(tiny_config):
     params = mdl.init(tiny_config)
     ref = mdl.snapshot_reference(params)
@@ -221,6 +257,19 @@ def test_checkpoint_shape_mismatch(tmp_path, tiny_config):
         mdl.load_checkpoint(tmp_path / "ckpt")
 
 
+def test_checkpoint_rejects_swapped_offsets(tmp_path, tiny_config):
+    """wq and wk have the same size, so swapping their offsets keeps every byte count."""
+    params = mdl.init(tiny_config)
+    manifest_path, _ = mdl.save_checkpoint(params, tmp_path / "ckpt")
+    manifest = json.loads(manifest_path.read_text())
+    entries = {e["name"]: e for e in manifest["tensors"]}
+    wq, wk = entries["layer0.wq"], entries["layer0.wk"]
+    wq["offset"], wk["offset"] = wk["offset"], wq["offset"]
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ShapeMismatchError, match="layer0.wq"):
+        mdl.load_checkpoint(tmp_path / "ckpt")
+
+
 def test_checkpoint_round_trip_drift_below_threshold(tmp_path, tiny_config):
     from eksft.analyze import parameter_drift
 
@@ -234,7 +283,7 @@ def test_checkpoint_round_trip_drift_below_threshold(tmp_path, tiny_config):
 def test_reference_survives_round_trip_bit_exact(tmp_path, tiny_config):
     params = mdl.init(tiny_config)
     ref = mdl.snapshot_reference(params)
-    mdl.save_checkpoint(ref.as_params(), tmp_path / "ref")
+    mdl.save_checkpoint(ref, tmp_path / "ref")
     loaded = mdl.load_checkpoint(tmp_path / "ref")
     for name in ref.tensors:
         assert np.array_equal(

@@ -256,9 +256,7 @@ def test_eksft_full_model_fd(tiny_config):
         ids, targets, valid = random_batch(rng, tiny_config)
         ref_params = conditioned_point(tiny_config, seed)
         for name in ref_params.tensors:
-            ref_params.tensors[name] = ref_params.tensors[name] + rng.normal(
-                0, 0.02, ref_params.tensors[name].shape
-            )
+            ref_params.tensors[name] += rng.normal(0, 0.02, ref_params.tensors[name].shape)
         ref_logits = mdl.forward(ref_params, ids, want_cache=False)[0]
         logits0 = mdl.forward(params, ids, want_cache=False)[0]
         loss = pinned_objective("eksft", logits0, ref_logits, targets, valid, rho=0.2)

@@ -36,8 +36,7 @@ def _scalar_params():
 def test_adamw_zero_grad_no_decay_leaves_params():
     params = _scalar_params()
     before = {k: v.copy() for k, v in params.tensors.items()}
-    grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
-    tr.adamw_step(params, grads, tr.adamw_init(params), lr=0.1)
+    tr.adamw_step(params, np.zeros_like(params.flat), tr.adamw_init(params), lr=0.1)
     for k in before:
         assert np.array_equal(params.tensors[k], before[k])
 
@@ -45,9 +44,8 @@ def test_adamw_zero_grad_no_decay_leaves_params():
 def test_adamw_first_step_closed_form():
     params = _scalar_params()
     g = 0.37
-    grads = {k: np.full_like(v, g) for k, v in params.tensors.items()}
     before = params.tensors["tok_emb"].copy()
-    tr.adamw_step(params, grads, tr.adamw_init(params), lr=1e-3)
+    tr.adamw_step(params, np.full_like(params.flat, g), tr.adamw_init(params), lr=1e-3)
     # t=1: m_hat = g, v_hat = g^2 -> update = lr * g / (|g| + eps)
     expected = before - 1e-3 * g / (abs(g) + 1e-8)
     assert np.allclose(params.tensors["tok_emb"], expected, atol=1e-15)
@@ -56,17 +54,17 @@ def test_adamw_first_step_closed_form():
 def test_adamw_weight_decay_shrinks_zero_grad_weight():
     params = _scalar_params()
     before = params.tensors["head.w"].copy()
-    grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
-    tr.adamw_step(params, grads, tr.adamw_init(params), lr=0.01, weight_decay=0.1)
+    tr.adamw_step(params, np.zeros_like(params.flat), tr.adamw_init(params), lr=0.01,
+                  weight_decay=0.1)
     assert np.allclose(params.tensors["head.w"], before - 0.01 * 0.1 * before, atol=1e-15)
 
 
 def test_adamw_rejects_nonfinite_gradient():
     params = _scalar_params()
-    grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
-    grads["head.w"][0, 0] = np.nan
+    grad = np.zeros_like(params.flat)
+    mdl.ParameterSet(params.config, grad).tensors["head.w"][0, 0] = np.nan
     with pytest.raises(NumericError) as exc:
-        tr.adamw_step(params, grads, tr.adamw_init(params), lr=0.01)
+        tr.adamw_step(params, grad, tr.adamw_init(params), lr=0.01)
     assert "head.w" in str(exc.value)
 
 
@@ -210,14 +208,10 @@ def test_grad_accumulation_matches_concatenated_batch(method):
             d_reg[sl] = terms.d_reg_sum
             has_reg = True
         reg_n += terms.n_reg
-    grads = mdl.backward(params_b, cache, d_ce)
-    for k in grads:
-        grads[k] /= ce_n
+    grad = mdl.backward(params_b, cache, d_ce) / ce_n
     if has_reg and reg_n:
-        reg_grads = mdl.backward(params_b, cache, d_reg)
-        for k in grads:
-            grads[k] += reg_grads[k] / reg_n
-    tr.adamw_step(params_b, grads, opt, config.learning_rate)
+        grad += mdl.backward(params_b, cache, d_reg) / reg_n
+    tr.adamw_step(params_b, grad, opt, config.learning_rate)
 
     for name in params_a.tensors:
         assert np.max(np.abs(params_a.tensors[name] - params_b.tensors[name])) <= 1e-9
