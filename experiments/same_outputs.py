@@ -5,9 +5,11 @@
 The "parent" side is the committed files of --base (default HEAD), unpacked
 with `git archive` as experiments/bench_pairs.py does; the "change" side is
 this working tree. Each side runs, one fresh process per command: gen-data,
-pretrain, train-sft for all five methods at --grad-accum 2, train-rl, eval,
-analyze drift, analyze iou, and analyze sweep at --n 32, 4 and 2 (at 2 the
-only k is 1, so sweep.csv has one pass@ column). Run
+pretrain, train-sft for all five methods at --grad-accum 2, one train-sft
+from a --config file (training and model keys, fresh init), train-rl, eval,
+analyze drift, analyze iou, analyze plots with --eval-csv and --drift-csv,
+and analyze sweep at --n 32, 4 and 2 (at 2 the only k is 1, so sweep.csv has
+one pass@ column). Run
 directories and reports record their input paths, so both sides write into
 one path, and each side's outputs are moved aside before the other runs.
 
@@ -33,6 +35,10 @@ from bench_pairs import ROOT, git, unpack
 
 METHODS = ("sft", "eksft", "dft", "random_mask", "global_reg")
 SPEC = {"seed": 5, "n_pretrain": 256, "n_sft": 24, "n_rl": 16, "n_eval": 6}
+TRAIN_CONFIG = {"method": "eksft", "learning_rate": 2e-3, "epochs": 2, "batch_size": 4,
+                "grad_accum": 2, "rho": 0.3, "seed": 3,
+                "model": {"vocab_size": 32, "d_model": 32, "n_layers": 1, "n_heads": 2,
+                          "context_len": 48}}
 SWEEP_NS = (32, 4, 2)
 MODEL = ["--vocab-size", "32", "--d-model", "32", "--n-layers", "2", "--n-heads", "2",
          "--context-len", "48"]
@@ -52,6 +58,9 @@ def pipeline(run: Path) -> list[tuple[str, list[str]]]:
         cmds.append((f"train-sft_{method}", [
             "train-sft", "--method", method, "--data", str(data / "sft.jsonl"), "--init", str(base),
             "--out", str(run / method), *sft]))
+    cmds.append(("train-sft_config", [
+        "train-sft", "--data", str(data / "sft.jsonl"), "--config", str(run / "train.json"),
+        "--out", str(run / "config_run")]))
     eksft = run / "eksft" / "checkpoints" / "final"
     cmds += [
         ("train-rl", ["train-rl", "--init", str(eksft), "--prompts", str(data / "rl_prompts.jsonl"),
@@ -65,6 +74,9 @@ def pipeline(run: Path) -> list[tuple[str, list[str]]]:
                            "--out", str(run / "reports")]),
         ("analyze-iou", ["analyze", "iou", "--dump", str(run / "eksft" / "mask_dump.jsonl"),
                          "--out", str(run / "reports")]),
+        ("analyze-plots", ["analyze", "plots", "--run", str(run / "eksft"),
+                           "--eval-csv", str(run / "reports" / "eksft.csv"),
+                           "--drift-csv", str(run / "reports" / "drift.csv")]),
     ]
     for n in SWEEP_NS:
         cmds.append((f"analyze-sweep_n{n}", [
@@ -80,6 +92,7 @@ def run_side(tree: Path, run: Path) -> None:
     shutil.rmtree(run, ignore_errors=True)
     (run / "stdout").mkdir(parents=True)
     (run / "spec.json").write_text(json.dumps(SPEC) + "\n", encoding="utf-8")
+    (run / "train.json").write_text(json.dumps(TRAIN_CONFIG) + "\n", encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     for name, argv in pipeline(run):
         proc = subprocess.run([sys.executable, "-m", "eksft.cli", *argv], cwd=run, env=env,

@@ -92,7 +92,7 @@ def parameter_drift(
     thresholds=DEFAULT_DRIFT_THRESHOLDS,
 ) -> DriftReport:
     """Per-scalar relative change |a - b| / (|b| + 1e-8), aggregated per tensor."""
-    if before.config.hash() != after.config.hash():
+    if before.config != after.config:
         raise InputError("before/after checkpoints have different configs")
     thresholds = tuple(sorted(float(t) for t in thresholds))
     rel = np.abs(after.flat - before.flat) / (np.abs(before.flat) + DRIFT_DENOM_EPS)
@@ -464,15 +464,15 @@ def export_pass_at_k_plot(eval_csv: str | Path, out_svg: str | Path) -> int:
     return sum(len(pts) for _, pts in series)
 
 
-def export_drift_plot(drift_csv: str | Path, out_svg: str | Path, threshold_col: str | None = None) -> int:
-    """Per-tensor drift fractions as bars."""
+def export_drift_plot(drift_csv: str | Path, out_svg: str | Path) -> int:
+    """Per-tensor drift fractions at the first threshold column as bars."""
     header, rows = _read_csv(drift_csv)
     if not header:
         Path(out_svg).write_text(bar_chart([], [], "parameter drift", ""), encoding="utf-8")
         return 0
-    col = threshold_col or next((c for c in header if c.startswith("frac_gt_")), None)
-    if col is None or col not in header:
-        raise ExportError(f"column {threshold_col!r} missing from {drift_csv}")
+    col = next((c for c in header if c.startswith("frac_gt_")), None)
+    if col is None:
+        raise ExportError(f"no frac_gt_* column in {drift_csv}")
     labels = [r["tensor"] for r in rows]
     values = [float(r[col]) for r in rows]
     Path(out_svg).write_text(

@@ -6,7 +6,10 @@ directory (config.json, manifest.json, metrics.csv, checkpoints/, reports/)
 from which it can be reproduced bit-identically.
 
 Exit codes are uniform: 0 success, 1 runtime failure, 2 usage/config error.
-Values resolve as CLI flag > config-file entry > built-in default.
+Values resolve as CLI flag > config-file entry > built-in default; a
+config-file key that names no field of the command's config is a usage
+error. Checkpoints are named by `model.checkpoint_paths` and checked by
+`model.load_checkpoint`.
 """
 
 from __future__ import annotations
@@ -46,12 +49,11 @@ def _require_file(path: str | Path, what: str) -> Path:
     return p
 
 
-def _require_checkpoint(prefix: str) -> Path:
-    p = Path(prefix)
-    manifest = p.with_suffix(".manifest.json")
+def _require_checkpoint(prefix: str) -> str:
+    manifest, _ = mdl.checkpoint_paths(prefix)
     if not manifest.exists():
         raise ConfigError(f"missing checkpoint: {manifest}")
-    return p
+    return prefix
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -68,9 +70,15 @@ def _load_config_file(path: str | None) -> dict:
 
 
 def _build(cls, file_cfg: dict, args: argparse.Namespace, overrides: dict | None = None):
-    """Dataclass from defaults < config file < CLI flags (< hard overrides)."""
+    """Dataclass from defaults < config file < CLI flags (< hard overrides).
+    A config-file key that names no field of `cls` is a usage error."""
     names = {f.name for f in dataclasses.fields(cls)}
-    kwargs = {k: v for k, v in file_cfg.items() if k in names}
+    if not isinstance(file_cfg, dict):
+        raise ConfigError(f"{cls.__name__} settings must be a JSON object, got {file_cfg!r}")
+    unknown = sorted(file_cfg.keys() - names)
+    if unknown:
+        raise ConfigError(f"config keys {unknown} name no field of {cls.__name__}")
+    kwargs = dict(file_cfg)
     for name in names:
         v = getattr(args, name, None)
         if v is not None:
@@ -146,14 +154,13 @@ def _add_sft_flags(p: argparse.ArgumentParser):
     p.add_argument("--force", action="store_true")
 
 
-def _init_model_and_reference(args, file_cfg: dict):
+def _init_model_and_reference(args, model_file_cfg: dict):
     """Load --init checkpoint (or fresh-init) and snapshot it as the reference."""
-    init_prefix = getattr(args, "init", None)
-    if init_prefix:
-        params = mdl.load_checkpoint(_require_checkpoint(init_prefix))
+    if args.init:
+        params = mdl.load_checkpoint(_require_checkpoint(args.init))
     else:
-        model_cfg = _build(mdl.ModelConfig, file_cfg.get("model", {}), args,
-                           overrides={"seed": getattr(args, "seed", None) or 0})
+        model_cfg = _build(mdl.ModelConfig, model_file_cfg, args,
+                           overrides={"seed": args.seed or 0})
         params = mdl.init(model_cfg)
     reference = mdl.snapshot_reference(params)
     return params, reference
@@ -165,10 +172,7 @@ def _init_model_and_reference(args, file_cfg: dict):
 
 
 def cmd_gen_data(args) -> int:
-    file_cfg = _load_config_file(args.spec)
-    if args.seed is not None:
-        file_cfg["seed"] = args.seed
-    spec = tasks.TaskSpec.from_dict(file_cfg)
+    spec = _build(tasks.TaskSpec, _load_config_file(args.spec), args)
     report = tasks.generate_dataset(spec, _resolve_out(args.out), force=args.force)
     for name, info in report.items():
         print(f"{name}: {info['count']} samples  sha256={info['sha256'][:16]}  {info['path']}")
@@ -176,22 +180,23 @@ def cmd_gen_data(args) -> int:
 
 
 def _run_supervised(args, supervise_prompt: bool, command: str) -> int:
-    file_cfg = _load_config_file(getattr(args, "config", None))
+    file_cfg = _load_config_file(args.config)
+    model_file_cfg = file_cfg.pop("model", {})
     data_path = _require_file(args.data, "dataset")
     overrides = {"supervise_prompt": supervise_prompt}
     if supervise_prompt:
         overrides["method"] = "sft"
     config = _build(tr.SftConfig, file_cfg, args, overrides=overrides)
-    run_dir = _prepare_run_dir(args.out, args.force)
-    params, reference = _init_model_and_reference(args, file_cfg)
+    params, reference = _init_model_and_reference(args, model_file_cfg)
     dataset = tasks.load_samples(data_path, context_len=params.config.context_len)
+    run_dir = _prepare_run_dir(args.out, args.force)
     _write_run_files(
         run_dir,
         command,
         {
             "train": dataclasses.asdict(config),
             "model": dataclasses.asdict(params.config),
-            "init_checkpoint": getattr(args, "init", None),
+            "init_checkpoint": args.init,
         },
         {"data": _dataset_meta(data_path)},
         tr.SFT_METRICS_COLUMNS,
@@ -239,14 +244,18 @@ def cmd_train_rl(args) -> int:
 
 
 def _require_sampling_sizes(args) -> None:
-    """Reject --n or --max-gen-len below 1, and a --ks entry outside [1, n],
-    before any checkpoint loads."""
+    """Reject --n or --max-gen-len below 1, and a --ks entry outside [1, n] or
+    repeated, before any checkpoint loads."""
     if args.n < 1 or args.max_gen_len < 1:
         raise ConfigError(f"n and max_gen_len must be >= 1, got n={args.n}, "
                           f"max_gen_len={args.max_gen_len}")
-    bad = [k for k in getattr(args, "ks", []) if not 1 <= k <= args.n]
+    ks = getattr(args, "ks", [])
+    bad = [k for k in ks if not 1 <= k <= args.n]
     if bad:
         raise ConfigError(f"every k of --ks must lie in [1, n={args.n}], got {bad}")
+    repeated = sorted({k for k in ks if ks.count(k) > 1})
+    if repeated:
+        raise ConfigError(f"every k of --ks must appear once, got repeats {repeated}")
 
 
 def cmd_eval(args) -> int:

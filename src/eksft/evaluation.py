@@ -33,7 +33,6 @@ def sample_group(
     temperature: float,
     max_len: int,
     rng: np.random.Generator,
-    greedy: bool = False,
 ) -> list[SampledSequence]:
     """Sample n continuations of one prompt, each until EOS, max_len or the context.
 
@@ -68,12 +67,9 @@ def sample_group(
         else:
             logits, _ = mdl.forward(params, nxt[:, None], want_cache=False, past=past)
             lp = nk.log_softmax(logits[:, -1, :] / temperature)
-        if greedy:
-            nxt = np.argmax(lp, axis=-1)
-        else:
-            cdf = np.cumsum(np.exp(lp), axis=-1)
-            u = rng.random(n)[rows]
-            nxt = np.minimum((cdf < u[:, None]).sum(axis=-1), cfg.vocab_size - 1)
+        cdf = np.cumsum(np.exp(lp), axis=-1)
+        u = rng.random(n)[rows]
+        nxt = np.minimum((cdf < u[:, None]).sum(axis=-1), cfg.vocab_size - 1)
         tokens[rows, step] = nxt
         logprobs[rows, step] = lp[np.arange(rows.size), nxt]
         entropies[rows, step] = nk.entropy(lp)

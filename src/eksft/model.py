@@ -7,7 +7,8 @@ logits and returns the parameter gradient as one flat vector. For
 incremental decoding, `forward` also takes `past`, a list of per-layer (K, V)
 arrays that the call extends in place: the new ids then sit at the positions
 after the cached ones and attend to all of them. Checkpoints are a JSON
-manifest plus the flat vector as one little-endian float32 blob.
+manifest plus the flat vector as one little-endian float32 blob; `_manifest`
+is the one definition of the manifest, which a load must match whole.
 """
 
 from __future__ import annotations
@@ -48,11 +49,11 @@ class ModelConfig:
     def __post_init__(self):
         if self.vocab_size < 8:
             raise ConfigError(f"vocab_size must be >= 8, got {self.vocab_size}")
-        if self.d_model % self.n_heads != 0:
-            raise ConfigError(f"d_model={self.d_model} not divisible by n_heads={self.n_heads}")
         for name in ("d_model", "n_layers", "n_heads", "context_len"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
+        if self.d_model % self.n_heads != 0:
+            raise ConfigError(f"d_model={self.d_model} not divisible by n_heads={self.n_heads}")
 
     @property
     def head_dim(self) -> int:
@@ -339,74 +340,72 @@ def backward(params: ParameterSet, cache: dict, dlogits: np.ndarray) -> np.ndarr
 # -----------------------------------------------------------------------------
 
 
-def _tensor_table(config: ModelConfig) -> list[dict]:
-    """The manifest's entry for each tensor: its name, shape and byte span in the blob."""
+def checkpoint_paths(prefix: str | Path) -> tuple[Path, Path]:
+    """(manifest path, weight blob path) of the checkpoint at `prefix`."""
+    return Path(prefix).with_suffix(".manifest.json"), Path(prefix).with_suffix(".weights.bin")
+
+
+def _manifest(config: ModelConfig) -> dict:
+    """The manifest of every checkpoint of `config`: `save_checkpoint` writes it,
+    and `load_checkpoint` accepts only a manifest equal to it."""
     slices = tensor_slices(config)
-    return [
-        {"name": name, "shape": list(shape), "offset": 4 * slices[name].start,
-         "nbytes": 4 * (slices[name].stop - slices[name].start)}
-        for name, shape, _ in parameter_layout(config)
-    ]
+    return {
+        "format_version": CHECKPOINT_FORMAT_VERSION,
+        "config": asdict(config),
+        "config_hash": config.hash(),
+        "seed": config.seed,
+        "run_id": "",
+        "version": "1",
+        "dtype": "<f4",
+        "total_nbytes": 4 * _flat_size(config),
+        "tensors": [
+            {"name": name, "shape": list(shape), "offset": 4 * slices[name].start,
+             "nbytes": 4 * (slices[name].stop - slices[name].start)}
+            for name, shape, _ in parameter_layout(config)
+        ],
+    }
 
 
 def save_checkpoint(params: ParameterSet, prefix: str | Path) -> tuple[Path, Path]:
     """Write manifest + weight blob; returns (manifest_path, weights_path)."""
     params.validate()
-    prefix = Path(prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    blob = params.flat.astype("<f4").tobytes()
-    manifest = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        "config": asdict(params.config),
-        "config_hash": params.config.hash(),
-        "seed": params.config.seed,
-        "run_id": "",
-        "version": "1",
-        "dtype": "<f4",
-        "total_nbytes": len(blob),
-        "tensors": _tensor_table(params.config),
-    }
-    manifest_path = prefix.with_suffix(".manifest.json")
-    weights_path = prefix.with_suffix(".weights.bin")
-    manifest_path.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    weights_path.write_bytes(blob)
+    manifest_path, weights_path = checkpoint_paths(prefix)
+    manifest_path.parent.mkdir(parents=True, exist_ok=True)
+    manifest_path.write_text(json.dumps(_manifest(params.config), indent=1, sort_keys=True) + "\n",
+                             encoding="utf-8")
+    weights_path.write_bytes(params.flat.astype("<f4").tobytes())
     return manifest_path, weights_path
 
 
 def load_checkpoint(prefix: str | Path) -> ParameterSet:
-    """Load a checkpoint pair back into float64 parameters."""
-    prefix = Path(prefix)
-    manifest_path = prefix.with_suffix(".manifest.json")
-    weights_path = prefix.with_suffix(".weights.bin")
+    """Load a checkpoint pair back into float64 parameters. The manifest must
+    equal `_manifest` of the config it names, and the blob must have its length."""
+    manifest_path, weights_path = checkpoint_paths(prefix)
     if not manifest_path.exists():
         raise ManifestError(f"missing manifest {manifest_path}")
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise ManifestError(f"corrupt manifest {manifest_path}: {e}") from e
-    for key in ("config", "config_hash", "tensors", "dtype", "total_nbytes"):
-        if key not in manifest:
-            raise ManifestError(f"manifest {manifest_path} missing key {key!r}")
-    try:
         config = ModelConfig(**manifest["config"])
-    except (TypeError, ConfigError) as e:
-        raise ManifestError(f"manifest config invalid: {e}") from e
-    if config.hash() != manifest["config_hash"]:
-        raise ManifestError("manifest config hash mismatch")
+    except (ValueError, TypeError, KeyError, ConfigError) as e:
+        raise ManifestError(f"manifest {manifest_path} holds no valid config: "
+                            f"{type(e).__name__}: {e}") from e
+    expected = _manifest(config)
+    if manifest != expected:
+        key = next(k for k in sorted(manifest.keys() | expected.keys())
+                   if manifest.get(k) != expected.get(k))
+        if key == "tensors" and isinstance(manifest[key], list):
+            i, got, want = next((i, a, b) for i, (a, b) in
+                                enumerate(zip_longest(manifest[key], expected[key])) if a != b)
+            raise ShapeMismatchError(f"manifest tensor entry {i} is {got}; the config's layout has {want}")
+        raise ManifestError(f"manifest {manifest_path} has {key!r} = {manifest.get(key)!r}; "
+                            f"a checkpoint of its config has {expected.get(key)!r}")
 
     if not weights_path.exists():
         raise TruncatedBlobError(f"missing weights blob {weights_path}")
     blob = weights_path.read_bytes()
-    size = _flat_size(config)
-    if len(blob) != manifest["total_nbytes"] or len(blob) != 4 * size:
+    if len(blob) != expected["total_nbytes"]:
         raise TruncatedBlobError(
-            f"weights blob has {len(blob)} bytes, manifest promises {manifest['total_nbytes']}, "
-            f"the config needs {4 * size}"
-        )
-    table, entries = _tensor_table(config), manifest["tensors"]
-    if entries != table:
-        i, got, want = next((i, a, b) for i, (a, b) in enumerate(zip_longest(entries, table)) if a != b)
-        raise ShapeMismatchError(f"manifest tensor entry {i} is {got}; the config's layout has {want}")
+            f"weights blob has {len(blob)} bytes, manifest promises {expected['total_nbytes']}")
     params = ParameterSet(config, np.frombuffer(blob, dtype="<f4").astype(nk.F64))
     params.validate()
     return params

@@ -136,9 +136,7 @@ def kl(log_probs: np.ndarray, ref_log_probs: np.ndarray) -> np.ndarray:
 # -----------------------------------------------------------------------------
 
 
-def layer_norm(
-    x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = LAYER_NORM_EPS
-) -> tuple[np.ndarray, tuple]:
+def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, tuple]:
     """Normalize the last axis to zero mean / unit variance, then affine.
 
     Returns (out, cache) where cache feeds layer_norm_backward.
@@ -151,7 +149,7 @@ def layer_norm(
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * inv
     return gain * xhat + bias, (xhat, inv, gain)
 

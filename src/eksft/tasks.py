@@ -147,13 +147,6 @@ class TaskSpec:
             if not (1 <= self.str_len_min <= self.str_len_max):
                 raise ConfigError("need 1 <= str_len_min <= str_len_max")
 
-    @staticmethod
-    def from_dict(d: dict) -> "TaskSpec":
-        try:
-            return TaskSpec(**d)
-        except TypeError as e:
-            raise ConfigError(f"bad task spec: {e}") from e
-
     def counts(self) -> dict[str, int]:
         return {
             "pretrain": self.n_pretrain,
@@ -275,8 +268,11 @@ def load_samples(path: str | Path, context_len: int | None = None) -> list[Sampl
                 continue
             try:
                 obj = json.loads(line)
+                if not isinstance(obj, dict) or not all(
+                        isinstance(obj.get(k), str) for k in ("prompt", "response", "answer")):
+                    raise InputError(f"want an object of string prompt, response and answer, got {line}")
                 s = make_sample(obj["prompt"], obj["response"], obj["answer"])
-            except (json.JSONDecodeError, KeyError, TokenizationError) as e:
+            except (json.JSONDecodeError, InputError) as e:
                 raise InputError(f"{path} line {i}: {e}") from e
             if context_len is not None and len(s.tokens) > context_len + 1:
                 raise LengthError(

@@ -28,7 +28,7 @@ import csv
 import json
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -44,13 +44,7 @@ from .tasks import PAD, Sample
 
 log = logging.getLogger(__name__)
 
-SFT_METRICS_COLUMNS = [
-    "step", "epoch", "method", "loss_total", "ce_masked", "entropy_reg", "kl_reg",
-    "n_supervised", "n_masked", "mean_entropy", "mean_kl", "mask_iou",
-]
-RL_METRICS_COLUMNS = [
-    "step", "pg_loss", "mean_reward", "zero_variance_frac", "mean_entropy", "mean_gen_len",
-]
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.95, 1e-8
 
 
 @dataclass(frozen=True)
@@ -147,6 +141,10 @@ class RlMetricsRecord:
     mean_gen_len: float
 
 
+SFT_METRICS_COLUMNS = [f.name for f in fields(SftMetricsRecord)]
+RL_METRICS_COLUMNS = [f.name for f in fields(RlMetricsRecord)]
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -203,9 +201,6 @@ def adamw_step(
     grad: np.ndarray,
     state: AdamWState,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.95,
-    eps: float = 1e-8,
     weight_decay: float = 0.0,
 ) -> None:
     """One decoupled-weight-decay Adam update of params.flat, in place, one
@@ -216,15 +211,15 @@ def adamw_step(
         log.error("non-finite gradients at step %d in tensors %s", state.t + 1, bad)
         raise NumericError(f"non-finite gradient for tensors {bad}")
     state.t += 1
-    bc1 = 1.0 - beta1**state.t
-    bc2 = 1.0 - beta2**state.t
+    bc1 = 1.0 - ADAM_BETA1**state.t
+    bc2 = 1.0 - ADAM_BETA2**state.t
     for s in slices.values():
         p, g, m, v = params.flat[s], grad[s], state.m[s], state.v[s]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         if weight_decay:
             update = update + weight_decay * p
         p -= lr * update

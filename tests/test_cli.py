@@ -133,7 +133,7 @@ def test_eval_rejects_nonpositive_n_and_max_gen_len(tmp_path, capsys, monkeypatc
     assert not loads and not (tmp_path / "reports").exists()
 
 
-@pytest.mark.parametrize("ks", ["0,1", "1,64"])
+@pytest.mark.parametrize("ks", ["0,1", "1,64", "2,1,2"])
 def test_eval_rejects_ks_outside_one_to_n(tmp_path, capsys, monkeypatch, ks):
     data = _gen(tmp_path)
     ckpt = tmp_path / "base"
@@ -144,9 +144,40 @@ def test_eval_rejects_ks_outside_one_to_n(tmp_path, capsys, monkeypatch, ks):
         "eval", "--ckpt", str(ckpt), "--data", str(data / "eval.jsonl"),
         "--out", str(tmp_path / "reports"), "--n", "32", "--ks", ks,
     ]) == 2
-    bad = "0" if ks == "0,1" else "64"
+    bad = {"0,1": "0", "1,64": "64", "2,1,2": "2"}[ks]
     assert f"[{bad}]" in capsys.readouterr().err
     assert not loads and not (tmp_path / "reports").exists()
+
+
+def test_eval_on_non_object_manifest_exits_1(tmp_path, capsys):
+    data = _gen(tmp_path)
+    ckpt = tmp_path / "base"
+    manifest, _ = mdl.save_checkpoint(mdl.init(mdl.ModelConfig(d_model=16, context_len=48)), ckpt)
+    manifest.write_text("5")
+    assert main(["eval", "--ckpt", str(ckpt), "--data", str(data / "eval.jsonl"),
+                 "--out", str(tmp_path / "reports")]) == 1
+    assert capsys.readouterr().err.startswith("error: manifest")
+
+
+@pytest.mark.parametrize("line", ["[1, 2]", '{"prompt": 5, "response": "2#2", "answer": "2"}'])
+def test_train_sft_on_malformed_dataset_line_exits_1(tmp_path, capsys, line):
+    data = tmp_path / "sft.jsonl"
+    data.write_text('{"prompt": "1+1=", "response": "2#2", "answer": "2"}\n' + line + "\n")
+    assert main(["train-sft", "--data", str(data), "--out", str(tmp_path / "run"),
+                 *MODEL_FLAGS]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {data} line 1: ")
+    assert not (tmp_path / "run").exists()
+
+
+def test_run_root_prefixes_relative_outputs(tmp_path, monkeypatch):
+    monkeypatch.setenv("EKSFT_RUN_ROOT", str(tmp_path / "root"))
+    monkeypatch.chdir(tmp_path)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n_pretrain": 4, "n_sft": 2, "n_rl": 2, "n_eval": 2}))
+    assert main(["gen-data", "--spec", str(spec), "--out", "data"]) == 0
+    assert main(["gen-data", "--spec", str(spec), "--out", str(tmp_path / "abs")]) == 0
+    assert (tmp_path / "root" / "data" / "eval.jsonl").exists()
+    assert (tmp_path / "abs" / "eval.jsonl").exists() and not (tmp_path / "data").exists()
 
 
 def test_pretrain_then_rl_reward_curve(tmp_path):
@@ -255,6 +286,31 @@ def test_config_file_with_flag_override(tmp_path):
     resolved = json.loads((out / "config.json").read_text())
     assert resolved["train"]["epochs"] == 2  # flag wins
     assert resolved["train"]["learning_rate"] == 1e-3  # file value kept
+
+
+@pytest.mark.parametrize("cmd, cfg, message", [
+    ("train-sft", {"learning_rat": 1.0}, "['learning_rat']"),
+    ("train-sft", {"model": {"d_modle": 16}}, "['d_modle']"),
+    ("train-sft", {"model": 5}, "must be a JSON object"),
+    ("train-rl", {"steps": 2}, "['steps']"),
+    ("gen-data", {"family": "mod_add_chain", "bogus_key": 1}, "['bogus_key']"),
+])
+def test_config_file_unknown_key_exits_2(tmp_path, capsys, cmd, cfg, message):
+    data = _gen(tmp_path)
+    ckpt = tmp_path / "ckpt"
+    mdl.save_checkpoint(mdl.init(mdl.ModelConfig(d_model=16, context_len=48)), ckpt)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    argv = {
+        "train-sft": ["train-sft", "--data", str(data / "sft.jsonl"), "--config", str(path)],
+        "train-rl": ["train-rl", "--init", str(ckpt), "--prompts", str(data / "rl_prompts.jsonl"),
+                     "--config", str(path)],
+        "gen-data": ["gen-data", "--spec", str(path)],
+    }[cmd]
+    capsys.readouterr()
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_config_file_exits_2(tmp_path):

@@ -16,9 +16,9 @@ def small_model():
     return mdl.init(cfg)
 
 
-def _sample_one(params, prompt, max_len, seed, greedy=False):
+def _sample_one(params, prompt, max_len, seed):
     rng = np.random.default_rng(seed)
-    return ev.sample_group(params, prompt, 1, 1.0, max_len, rng, greedy)[0].tokens
+    return ev.sample_group(params, prompt, 1, 1.0, max_len, rng)[0].tokens
 
 
 def test_sample_deterministic(small_model):
@@ -28,18 +28,6 @@ def test_sample_deterministic(small_model):
     assert a == b
     c = _sample_one(small_model, prompt, max_len=10, seed=43)
     assert isinstance(c, list)
-
-
-def test_greedy_returns_argmax_continuation(small_model):
-    import eksft.numerics as nk
-
-    prompt = [tasks.BOS] + tasks.VOCAB.tokenize("1+2=")
-    out = _sample_one(small_model, prompt, max_len=3, seed=0, greedy=True)
-    ids = list(prompt)
-    for token in out:
-        logits, _ = mdl.forward(small_model, np.array([ids]), want_cache=False)
-        assert token == int(np.argmax(logits[0, -1]))
-        ids.append(token)
 
 
 def _force_constant_logits(params, token, scale=50.0):
@@ -61,7 +49,7 @@ def test_sample_stops_at_eos(small_model):
         assert g.tokens == [tasks.EOS]
 
 
-def _full_recompute_sampler(params, prompt_tokens, n, temperature, max_len, rng, greedy=False):
+def _full_recompute_sampler(params, prompt_tokens, n, temperature, max_len, rng):
     """The sampler before K/V caching: every step re-runs the whole prefix."""
     import eksft.numerics as nk
 
@@ -75,12 +63,9 @@ def _full_recompute_sampler(params, prompt_tokens, n, temperature, max_len, rng,
         logits, _ = mdl.forward(params, ids, want_cache=False)
         lp = nk.log_softmax(logits[:, -1, :] / temperature)
         probs = np.exp(lp)
-        if greedy:
-            nxt = np.argmax(lp, axis=-1)
-        else:
-            cdf = np.cumsum(probs, axis=-1)
-            u = rng.random(n)
-            nxt = np.minimum((cdf < u[:, None]).sum(axis=-1), cfg.vocab_size - 1)
+        cdf = np.cumsum(probs, axis=-1)
+        u = rng.random(n)
+        nxt = np.minimum((cdf < u[:, None]).sum(axis=-1), cfg.vocab_size - 1)
         ent = -np.sum(probs * np.where(probs > 0.0, lp, 0.0), axis=-1)
         for i in range(n):
             if active[i]:
@@ -94,7 +79,7 @@ def _full_recompute_sampler(params, prompt_tokens, n, temperature, max_len, rng,
     return out
 
 
-@pytest.mark.parametrize("case", ["eos", "context", "greedy"])
+@pytest.mark.parametrize("case", ["eos", "context"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_sample_group_matches_full_recompute(small_model, case, seed):
     params = small_model.copy()
@@ -104,9 +89,8 @@ def test_sample_group_matches_full_recompute(small_model, case, seed):
     text = "1+2+3+4+5+6+7+8+9+10+11+12=" if case == "context" else "1+2="
     prompt = [tasks.BOS] + tasks.VOCAB.tokenize(text)
     args = (params, prompt, 16, 1.0, 20)
-    greedy = case == "greedy"
-    got = ev.sample_group(*args, np.random.default_rng(seed), greedy=greedy)
-    want = _full_recompute_sampler(*args, np.random.default_rng(seed), greedy=greedy)
+    got = ev.sample_group(*args, np.random.default_rng(seed))
+    want = _full_recompute_sampler(*args, np.random.default_rng(seed))
     lengths = [len(g.tokens) for g in got]
     stopped = [g.tokens[-1] == tasks.EOS for g in got if g.tokens]
     if case == "eos":  # some rows stop at EOS while others decode on
@@ -119,7 +103,7 @@ def test_sample_group_matches_full_recompute(small_model, case, seed):
         assert np.abs(np.subtract(g.entropies, w.entropies)).max(initial=0.0) <= 1e-12
 
 
-def _lockstep_sampler(params, prompt_tokens, n, temperature, max_len, rng, greedy=False):
+def _lockstep_sampler(params, prompt_tokens, n, temperature, max_len, rng):
     """The sampler before prefill sharing and row compaction: n prompt rows are
     prefilled, and every row is fed at every step until the last one stops."""
     import eksft.numerics as nk
@@ -135,12 +119,9 @@ def _lockstep_sampler(params, prompt_tokens, n, temperature, max_len, rng, greed
             break
         logits, _ = mdl.forward(params, ids, want_cache=False, past=past)
         lp = nk.log_softmax(logits[:, -1, :] / temperature)
-        if greedy:
-            nxt = np.argmax(lp, axis=-1)
-        else:
-            cdf = np.cumsum(np.exp(lp), axis=-1)
-            u = rng.random(n)
-            nxt = np.minimum((cdf < u[:, None]).sum(axis=-1), cfg.vocab_size - 1)
+        cdf = np.cumsum(np.exp(lp), axis=-1)
+        u = rng.random(n)
+        nxt = np.minimum((cdf < u[:, None]).sum(axis=-1), cfg.vocab_size - 1)
         ent = nk.entropy(lp)
         for i in range(n):
             if active[i]:
@@ -157,7 +138,7 @@ def _lockstep_sampler(params, prompt_tokens, n, temperature, max_len, rng, greed
 # (d_model, n_layers, n_heads, context_len, EOS logit offset): a small model
 # and deskbench's model shape
 @pytest.mark.parametrize("shape", [(16, 1, 2, 32, 3.0), (64, 2, 2, 64, 4.0)])
-@pytest.mark.parametrize("case", ["eos", "context", "greedy", "n1"])
+@pytest.mark.parametrize("case", ["eos", "context", "n1"])
 def test_sample_group_matches_lockstep(shape, case):
     d_model, n_layers, n_heads, context_len, eos_offset = shape
     params = mdl.init(mdl.ModelConfig(vocab_size=32, d_model=d_model, n_layers=n_layers,
@@ -173,10 +154,9 @@ def test_sample_group_matches_lockstep(shape, case):
     prompt = [tasks.BOS] + tasks.VOCAB.tokenize(text)
     n = 1 if case == "n1" else 32
     args = (params, prompt, n, 0.9, 20)
-    greedy = case == "greedy"
     got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
-    got = ev.sample_group(*args, got_rng, greedy=greedy)
-    want = _lockstep_sampler(*args, want_rng, greedy=greedy)
+    got = ev.sample_group(*args, got_rng)
+    want = _lockstep_sampler(*args, want_rng)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
     lengths = [len(g.tokens) for g in got]
     if case == "eos":
@@ -184,8 +164,6 @@ def test_sample_group_matches_lockstep(shape, case):
         assert 1 in stops and max(stops) > 1
     if case == "context":  # the context fills before max_len
         assert max(lengths) == context_len - len(prompt) < 20
-    if case == "greedy":  # identical rows that decode past the first step
-        assert lengths == [lengths[0]] * n and lengths[0] > 1
     for g, w in zip(got, want, strict=True):
         assert g.tokens == w.tokens
         assert np.array_equal(g.logprobs, w.logprobs)

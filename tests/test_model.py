@@ -222,6 +222,37 @@ def test_checkpoint_hash_mismatch(tmp_path, tiny_config):
         mdl.load_checkpoint(tmp_path / "ckpt")
 
 
+@pytest.mark.parametrize("key, value", [
+    ("dtype", "<f8"), ("format_version", 99), ("seed", 4), ("run_id", "x"), ("version", "2"),
+    ("extra", 1),
+])
+def test_checkpoint_rejects_any_manifest_edit(tmp_path, tiny_config, key, value):
+    params = mdl.init(tiny_config)
+    manifest_path, _ = mdl.save_checkpoint(params, tmp_path / "ckpt")
+    manifest = json.loads(manifest_path.read_text())
+    manifest[key] = value
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ManifestError, match=f"'{key}' = {value!r}"):
+        mdl.load_checkpoint(tmp_path / "ckpt")
+
+
+def test_checkpoint_manifest_is_the_one_definition(tmp_path, tiny_config):
+    manifest_path, weights_path = mdl.save_checkpoint(mdl.init(tiny_config), tmp_path / "ckpt")
+    assert (manifest_path, weights_path) == mdl.checkpoint_paths(tmp_path / "ckpt")
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest == mdl._manifest(tiny_config)
+    assert manifest["total_nbytes"] == weights_path.stat().st_size
+
+
+@pytest.mark.parametrize("text", ["5", "[]", '"x"', "null", '{"config": 5}', "{}",
+                                  '{"config": {"d_model": 15}}', '{"config": {"n_heads": 0}}'])
+def test_checkpoint_rejects_non_manifest_json(tmp_path, tiny_config, text):
+    manifest_path, _ = mdl.save_checkpoint(mdl.init(tiny_config), tmp_path / "ckpt")
+    manifest_path.write_text(text)
+    with pytest.raises(ManifestError, match="holds no valid config"):
+        mdl.load_checkpoint(tmp_path / "ckpt")
+
+
 def test_checkpoint_corrupt_manifest(tmp_path, tiny_config):
     params = mdl.init(tiny_config)
     manifest_path, _ = mdl.save_checkpoint(params, tmp_path / "ckpt")

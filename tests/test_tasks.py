@@ -170,10 +170,20 @@ def test_load_samples_rejects_overlong(tmp_path):
     assert "sample 0" in str(exc.value)
 
 
+@pytest.mark.parametrize("line", [
+    "[1, 2]", "5", '"x"', '{"prompt": 5, "response": "2#2", "answer": "2"}',
+    '{"prompt": "1+1=", "response": "2#2"}', "{not json",
+])
+def test_load_samples_rejects_malformed_line(tmp_path, line):
+    path = tmp_path / "data.jsonl"
+    path.write_text('{"prompt": "1+1=", "response": "2#2", "answer": "2"}\n' + line + "\n",
+                    encoding="utf-8")
+    with pytest.raises(InputError, match="line 1: "):
+        tasks.load_samples(path)
+
+
 def test_task_spec_validation():
     with pytest.raises(ConfigError):
         TaskSpec(family="nope")
     with pytest.raises(ConfigError):
         TaskSpec(chain_len_min=1)
-    with pytest.raises(ConfigError):
-        TaskSpec.from_dict({"family": "mod_add_chain", "bogus_key": 1})
