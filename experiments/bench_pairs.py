@@ -12,7 +12,9 @@ at a time, and the side that runs first alternates from pair to pair.
 BENCH_<label>.json, at the repository root, holds every run's end-to-end
 metrics and failed-round count, and per workload and metric each side's
 median and quartiles, the pairs the change won (ties count for neither) and
-the verdict of deskbench/compare.py's rule against the metric's bound.
+the verdict of deskbench/compare.py's rule against the metric's bound. Its
+machine record holds the OPENBLAS_NUM_THREADS it saw and the thread count of
+each OpenBLAS pool as this tree's `eksft.numerics` leaves it at import.
 """
 
 from __future__ import annotations
@@ -34,8 +36,10 @@ import scipy
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "deskbench"))
+sys.path.insert(0, str(ROOT / "src"))
 
 from compare import verdict  # noqa: E402
+from eksft import numerics  # noqa: E402
 from sweep import parse_seeds, quartiles  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
@@ -119,6 +123,8 @@ def main(argv=None) -> int:
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
                     "numpy": numpy.__version__, "scipy": scipy.__version__,
                     "numpy_blas": blas_build(numpy), "scipy_blas": blas_build(scipy),
+                    "openblas_num_threads_env": os.environ.get("OPENBLAS_NUM_THREADS"),
+                    "blas_threads": numerics.blas_threads(),
                     "platform": platform.platform()},
         "started": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "workloads": {},

@@ -7,8 +7,9 @@ from which it can be reproduced bit-identically.
 
 Exit codes are uniform: 0 success, 1 runtime failure, 2 usage/config error.
 Values resolve as CLI flag > config-file entry > built-in default; a
-config-file key that names no field of the command's config is a usage
-error. Checkpoints are named by `model.checkpoint_paths` and checked by
+config-file key that names no field of the command's config, or that sets a
+field the command fixes (`pretrain`'s `method`, say) to another value, is a
+usage error. Checkpoints are named by `model.checkpoint_paths` and checked by
 `model.load_checkpoint`.
 """
 
@@ -71,13 +72,18 @@ def _load_config_file(path: str | None) -> dict:
 
 def _build(cls, file_cfg: dict, args: argparse.Namespace, overrides: dict | None = None):
     """Dataclass from defaults < config file < CLI flags (< hard overrides).
-    A config-file key that names no field of `cls` is a usage error."""
+    A config-file key that names no field of `cls`, or that sets a field the
+    command fixes to another value, is a usage error."""
     names = {f.name for f in dataclasses.fields(cls)}
     if not isinstance(file_cfg, dict):
         raise ConfigError(f"{cls.__name__} settings must be a JSON object, got {file_cfg!r}")
     unknown = sorted(file_cfg.keys() - names)
     if unknown:
         raise ConfigError(f"config keys {unknown} name no field of {cls.__name__}")
+    for name, value in (overrides or {}).items():
+        if name in file_cfg and file_cfg[name] != value:
+            raise ConfigError(f"config key {name!r} is {file_cfg[name]!r}, but this command "
+                              f"fixes {name} = {value!r}")
     kwargs = dict(file_cfg)
     for name in names:
         v = getattr(args, name, None)

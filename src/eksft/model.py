@@ -3,7 +3,11 @@
 Pre-norm blocks, learned absolute positions, separate output head, all math
 in float64, weights in one flat vector (`ParameterSet`). `forward` returns
 logits plus a cache; `backward` consumes the cache and a gradient w.r.t. the
-logits and returns the parameter gradient as one flat vector. For
+logits and returns the parameter gradient as one flat vector. Attention is
+numpy's stacked BLAS `@` over (B, H, ·, ·) views, one gemm per row and head.
+Its scores are keys-by-queries (B, H, M, L), so the softmax reduces over the
+strided key axis, which sums keys in order: a row padded with masked keys
+keeps its bits (see `_att_softmax`). For
 incremental decoding, `forward` also takes `past`, a list of per-layer (K, V)
 arrays that the call extends in place: the new ids then sit at the positions
 after the cached ones and attend to all of them. Checkpoints are a JSON
@@ -47,6 +51,9 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, value in asdict(self).items():
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.vocab_size < 8:
             raise ConfigError(f"vocab_size must be >= 8, got {self.vocab_size}")
         for name in ("d_model", "n_layers", "n_heads", "context_len"):
@@ -207,11 +214,15 @@ def _check_ids(config: ModelConfig, token_ids: np.ndarray, offset: int = 0) -> n
     return ids.astype(np.int64)
 
 
-def _att_softmax(scores: np.ndarray) -> np.ndarray:
+def _att_softmax(scores_t: np.ndarray) -> np.ndarray:
+    """Softmax over the keys of keys-by-queries scores (..., M, L); returns the
+    (..., L, M) attention as a view. Reducing over the strided axis -2 sums the
+    keys in order, so trailing masked keys (exact zeros after the shift) leave a
+    row's bits as they are; a reduction over a contiguous last axis would be
+    pairwise and regroup them."""
     # Masked entries sit at -1e30 and underflow to exactly 0 after the shift.
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(scores_t - scores_t.max(axis=-2, keepdims=True))
+    return (e / e.sum(axis=-2, keepdims=True)).swapaxes(-1, -2)
 
 
 def forward(
@@ -243,7 +254,8 @@ def forward(
     inv_sqrt_dh = 1.0 / math.sqrt(dh)
 
     x = nk.embedding_lookup(t["tok_emb"], ids) + t["pos_emb"][P : P + L]
-    causal_bias = np.triu(np.full((L, P + L), -1e30), k=P + 1)[None, None, :, :]
+    # keys-by-queries: key m is masked for query l when m > P + l
+    causal_bias_t = np.tril(np.full((P + L, L), -1e30), k=-(P + 1))
 
     cache: dict | None = {"ids": ids, "layers": []} if want_cache else None
     for i in range(cfg.n_layers):
@@ -262,9 +274,10 @@ def forward(
                 past[i] = (kh, vh)
             else:
                 past.append((kh, vh))
-        scores = np.einsum("blhd,bmhd->bhlm", qh, kh) * inv_sqrt_dh + causal_bias
-        att = _att_softmax(scores)
-        ctx = np.einsum("bhlm,bmhd->blhd", att, vh).reshape(B, L, cfg.d_model)
+        # (B, H, ·, dh) views for stacked BLAS products, one gemm per (row, head)
+        qt, kt, vt = (z.transpose(0, 2, 1, 3) for z in (qh, kh, vh))
+        att = _att_softmax((kt @ qt.swapaxes(-1, -2)) * inv_sqrt_dh + causal_bias_t)
+        ctx = (att @ vt).transpose(0, 2, 1, 3).reshape(B, L, cfg.d_model)
         x = x + nk.matmul(ctx, t[p + "wo"])
 
         h2, ln2_cache = nk.layer_norm(x, t[p + "ln2.g"], t[p + "ln2.b"])
@@ -274,7 +287,7 @@ def forward(
 
         if cache is not None:
             cache["layers"].append(
-                {"ln1": ln1_cache, "h": h, "qh": qh, "kh": kh, "vh": vh, "att": att,
+                {"ln1": ln1_cache, "h": h, "qt": qt, "kt": kt, "vt": vt, "att": att,
                  "ctx": ctx, "ln2": ln2_cache, "h2": h2, "u": u, "cdf": cdf}
             )
 
@@ -313,15 +326,14 @@ def backward(params: ParameterSet, cache: dict, dlogits: np.ndarray) -> np.ndarr
         dx = dx + dx_mid
 
         dctx, g[p + "wo"][...] = nk.matmul_backward(dx, c["ctx"], t[p + "wo"])
-        dctx_h = dctx.reshape(B, L, H, dh)
-        datt = np.einsum("blhd,bmhd->bhlm", dctx_h, c["vh"])
-        dvh = np.einsum("bhlm,blhd->bmhd", c["att"], dctx_h)
-        dscores = c["att"] * (datt - (c["att"] * datt).sum(axis=-1, keepdims=True))
-        dqh = np.einsum("bhlm,bmhd->blhd", dscores, c["kh"]) * inv_sqrt_dh
-        dkh = np.einsum("bhlm,blhd->bmhd", dscores, c["qh"]) * inv_sqrt_dh
-        dq = dqh.reshape(B, L, cfg.d_model)
-        dk = dkh.reshape(B, L, cfg.d_model)
-        dv = dvh.reshape(B, L, cfg.d_model)
+        dctx_t = dctx.reshape(B, L, H, dh).transpose(0, 2, 1, 3)
+        att = c["att"]
+        datt = dctx_t @ c["vt"].swapaxes(-1, -2)
+        dvt = att.swapaxes(-1, -2) @ dctx_t
+        dscores = att * (datt - (att * datt).sum(axis=-1, keepdims=True))
+        dqt = (dscores @ c["kt"]) * inv_sqrt_dh
+        dkt = (dscores.swapaxes(-1, -2) @ c["qt"]) * inv_sqrt_dh
+        dq, dk, dv = (z.transpose(0, 2, 1, 3).reshape(B, L, cfg.d_model) for z in (dqt, dkt, dvt))
 
         dh_sum = np.zeros_like(c["h"])
         for w_name, dmat in ((p + "wq", dq), (p + "wk", dk), (p + "wv", dv)):

@@ -10,17 +10,30 @@ Reductions rely on numpy's fixed evaluation order, so identical inputs give
 bit-identical outputs run to run. `matmul` and the weight gradient of
 `matmul_backward` are one scipy BLAS dgemm each over 2-D views, so a row's
 bits do not depend on how many rows share the call (see `matmul`).
+
+numpy and scipy each load their own OpenBLAS, each with a thread pool. At
+import both pools are set to one thread, unless OPENBLAS_NUM_THREADS is set:
+at these sizes a second thread doubles the CPU spent for no wall-time gain,
+and stalls behind any busy process on the same cores. Bits do not depend on
+the thread count (`set_blas_threads`, `blas_threads`).
 """
 
 from __future__ import annotations
 
+import ctypes
+import logging
 import math
+import os
+from pathlib import Path
 
 import numpy as np
+import scipy
 from scipy.linalg.blas import dgemm
 from scipy.special import erf
 
 from .errors import DimensionError, NumericError
+
+log = logging.getLogger(__name__)
 
 F64 = np.float64
 
@@ -38,6 +51,54 @@ def require_finite(name: str, arr: np.ndarray) -> None:
 
 def as_f64(arr) -> np.ndarray:
     return np.asarray(arr, dtype=F64)
+
+
+# -----------------------------------------------------------------------------
+# BLAS thread pools
+# -----------------------------------------------------------------------------
+
+# (package, its wheel's OpenBLAS in <package>.libs, symbol suffix of that build)
+_OPENBLAS = ((np, "libscipy_openblas64_*.so", "64_"), (scipy, "libscipy_openblas-*.so", ""))
+
+
+def _openblas_pools() -> dict[str, tuple]:
+    """package name -> (set_num_threads, get_num_threads) of the OpenBLAS it
+    loaded. A library or symbol that is missing is logged and left out."""
+    pools = {}
+    for package, pattern, suffix in _OPENBLAS:
+        name = package.__name__
+        found = sorted((Path(package.__file__).parent.parent / f"{name}.libs").glob(pattern))
+        try:
+            if not found:
+                raise OSError(f"no {pattern} in {name}.libs")
+            lib = ctypes.CDLL(str(found[0]))
+            set_threads = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+            get_threads = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+        except (OSError, AttributeError) as e:
+            log.warning("%s's OpenBLAS thread pool left as it is: %s", name, e)
+            continue
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        pools[name] = (set_threads, get_threads)
+    return pools
+
+
+_BLAS_POOLS = _openblas_pools()
+
+
+def set_blas_threads(n: int) -> None:
+    """Size every OpenBLAS thread pool found (numpy's, scipy's) to n threads."""
+    for set_threads, _ in _BLAS_POOLS.values():
+        set_threads(n)
+
+
+def blas_threads() -> dict[str, int]:
+    """Thread count of each OpenBLAS pool found, read back from the library."""
+    return {name: get_threads() for name, (_, get_threads) in _BLAS_POOLS.items()}
+
+
+if not os.environ.get("OPENBLAS_NUM_THREADS"):
+    set_blas_threads(1)
 
 
 # -----------------------------------------------------------------------------

@@ -323,6 +323,49 @@ def test_bad_config_file_exits_2(tmp_path):
     ]) == 2
 
 
+def test_non_integer_model_size_exits_2(tmp_path, capsys):
+    data = _gen(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": {"d_model": 16.0, "context_len": 48}}))
+    capsys.readouterr()
+    assert main(["train-sft", "--data", str(data / "sft.jsonl"), "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "d_model must be an integer, got 16.0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cmd, cfg", [
+    ("pretrain", {"method": "eksft", "rho": 0.5}),
+    ("train-sft", {"supervise_prompt": True}),
+    ("sweep", {"method": "sft"}),
+])
+def test_config_file_contradicting_the_command_exits_2(tmp_path, capsys, cmd, cfg):
+    data = _gen(tmp_path)
+    ckpt = tmp_path / "ckpt"
+    mdl.save_checkpoint(mdl.init(mdl.ModelConfig(d_model=16, context_len=48)), ckpt)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    argv = {
+        "pretrain": ["pretrain", "--data", str(data / "pretrain.jsonl")],
+        "train-sft": ["train-sft", "--data", str(data / "sft.jsonl")],
+        "sweep": ["analyze", "sweep", "--data", str(data / "sft.jsonl"),
+                  "--eval-data", str(data / "eval.jsonl"), "--init", str(ckpt)],
+    }[cmd]
+    capsys.readouterr()
+    assert main([*argv, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    key = next(iter(cfg))
+    assert f"config key {key!r} is {cfg[key]!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_file_agreeing_with_the_command_is_accepted(tmp_path):
+    data = _gen(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"method": "sft", "supervise_prompt": True, "epochs": 1}))
+    assert main(["pretrain", "--data", str(data / "pretrain.jsonl"), "--config", str(cfg),
+                 "--out", str(tmp_path / "out"), *MODEL_FLAGS]) == 0
+
+
 @pytest.mark.parametrize("flag", ["--ks", "--thresholds", "--rhos"])
 def test_malformed_list_flag_exits_2(tmp_path, capsys, flag):
     data = _gen(tmp_path)

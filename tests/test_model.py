@@ -115,6 +115,104 @@ def test_incremental_forward_matches_full_prefix(prefill):
     assert past[0][0].shape == (3, cfg.context_len, cfg.n_heads, cfg.head_dim)
 
 
+def einsum_forward_backward(params: mdl.ParameterSet, ids: np.ndarray, dlogits=None):
+    """Oracle: (logits, flat gradient or None) of `forward`/`backward` with the
+    attention written as the six einsums of the queries-by-keys formulation."""
+    cfg, t = params.config, params.tensors
+    B, L = ids.shape
+    H, dh, d = cfg.n_heads, cfg.head_dim, cfg.d_model
+    scale = 1.0 / math.sqrt(dh)
+    x = t["tok_emb"][ids] + t["pos_emb"][:L]
+    bias = np.triu(np.full((L, L), -1e30), k=1)
+    layers = []
+    for i in range(cfg.n_layers):
+        p = f"layer{i}."
+        h, ln1 = nk.layer_norm(x, t[p + "ln1.g"], t[p + "ln1.b"])
+        qh, kh, vh = ((h @ t[p + w]).reshape(B, L, H, dh) for w in ("wq", "wk", "wv"))
+        scores = np.einsum("blhd,bmhd->bhlm", qh, kh) * scale + bias
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        att = e / e.sum(axis=-1, keepdims=True)
+        ctx = np.einsum("bhlm,bmhd->blhd", att, vh).reshape(B, L, d)
+        x = x + ctx @ t[p + "wo"]
+        h2, ln2 = nk.layer_norm(x, t[p + "ln2.g"], t[p + "ln2.b"])
+        u = h2 @ t[p + "w1"]
+        a, cdf = nk.gelu(u)
+        x = x + a @ t[p + "w2"]
+        layers.append((h, ln1, qh, kh, vh, att, ctx, ln2, h2, u, a, cdf))
+    xf, lnf = nk.layer_norm(x, t["lnf.g"], t["lnf.b"])
+    logits = xf @ t["head.w"]
+    if dlogits is None:
+        return logits, None
+
+    grad = np.zeros_like(params.flat)
+    g = mdl.ParameterSet(cfg, grad).tensors
+
+    def linear_backward(dout, inp, w):
+        g[w][...] = inp.reshape(-1, inp.shape[-1]).T @ dout.reshape(-1, dout.shape[-1])
+        return dout @ t[w].T
+
+    dx, g["lnf.g"][...], g["lnf.b"][...] = nk.layer_norm_backward(
+        linear_backward(dlogits, xf, "head.w"), lnf)
+    for i in reversed(range(cfg.n_layers)):
+        p = f"layer{i}."
+        h, ln1, qh, kh, vh, att, ctx, ln2, h2, u, a, cdf = layers[i]
+        du = nk.gelu_backward(linear_backward(dx, a, p + "w2"), u, cdf)
+        dx_mid, g[p + "ln2.g"][...], g[p + "ln2.b"][...] = nk.layer_norm_backward(
+            linear_backward(du, h2, p + "w1"), ln2)
+        dx = dx + dx_mid
+        dctx_h = linear_backward(dx, ctx, p + "wo").reshape(B, L, H, dh)
+        datt = np.einsum("blhd,bmhd->bhlm", dctx_h, vh)
+        dvh = np.einsum("bhlm,blhd->bmhd", att, dctx_h)
+        dscores = att * (datt - (att * datt).sum(axis=-1, keepdims=True))
+        dqh = np.einsum("bhlm,bmhd->blhd", dscores, kh) * scale
+        dkh = np.einsum("bhlm,blhd->bmhd", dscores, qh) * scale
+        dh_sum = sum(linear_backward(dz.reshape(B, L, d), h, p + w)
+                     for w, dz in (("wq", dqh), ("wk", dkh), ("wv", dvh)))
+        dx_in, g[p + "ln1.g"][...], g[p + "ln1.b"][...] = nk.layer_norm_backward(dh_sum, ln1)
+        dx = dx + dx_in
+    g["pos_emb"][:L] = dx.sum(axis=0)
+    g["tok_emb"][...] = nk.embedding_lookup_backward(dx, ids, cfg.vocab_size)
+    return logits, grad
+
+
+def _rel_err(got: np.ndarray, want: np.ndarray) -> float:
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+def test_forward_and_backward_match_einsum_oracle():
+    cfg = mdl.ModelConfig(vocab_size=32, d_model=64, n_layers=2, n_heads=4, context_len=48, seed=2)
+    params = conditioned_point(cfg, 2)
+    rng = np.random.default_rng(2)
+    ids = rng.integers(0, cfg.vocab_size, size=(8, 24))
+    dlogits = rng.normal(size=(8, 24, cfg.vocab_size))
+    logits, cache = mdl.forward(params, ids)
+    want_logits, want_grad = einsum_forward_backward(params, ids, dlogits)
+    assert _rel_err(logits, want_logits) <= 1e-12
+    assert _rel_err(mdl.backward(params, cache, dlogits), want_grad) <= 1e-12
+
+    # a past= decode step: 16 rows prefilled with 10 ids, then one id each
+    ids = rng.integers(0, cfg.vocab_size, size=(16, 11))
+    past = []
+    mdl.forward(params, ids[:, :10], want_cache=False, past=past)
+    step, _ = mdl.forward(params, ids[:, 10:], want_cache=False, past=past)
+    assert _rel_err(step[:, 0], einsum_forward_backward(params, ids)[0][:, -1]) <= 1e-12
+
+
+@pytest.mark.parametrize("keys", [8, 9, 16, 23, 33, 64])
+def test_att_softmax_trailing_masked_keys_keep_row_bits(keys):
+    """Keys-by-queries scores: appending masked keys to a row leaves its
+    attention weights bit-identical, as a zero-padded batch needs."""
+    rng = np.random.default_rng(keys)
+    scores_t = rng.normal(0.0, 3.0, size=(2, 3, keys, 5))
+    att = mdl._att_softmax(scores_t)
+    assert att.shape == (2, 3, 5, keys)
+    for extra in (1, 7, 40):
+        padded = np.concatenate([scores_t, np.full((2, 3, extra, 5), -1e30)], axis=-2)
+        att_padded = mdl._att_softmax(padded)
+        assert np.array_equal(att_padded[..., :keys], att)
+        assert not att_padded[..., keys:].any()
+
+
 def test_full_nll_gradient_matches_fd(tiny_config):
     worst = 0.0
     for seed in range(5):

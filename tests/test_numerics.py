@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.special import erf, ndtr
 
+from eksft import model as mdl
 from eksft import numerics as nk
 from eksft.errors import DimensionError, NumericError
 
@@ -240,3 +244,55 @@ def test_kernels_are_pure():
     a, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 5))
     assert np.array_equal(nk.matmul(a, b), nk.matmul(a, b))
     assert all(np.array_equal(a, b) for a, b in zip(nk.gelu(z), nk.gelu(z)))
+
+
+def _blas_threads_at_import(env_value: str | None) -> str:
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if env_value is not None:
+        env["OPENBLAS_NUM_THREADS"] = env_value
+    code = "import eksft.numerics as nk; print(sorted(nk.blas_threads().items()))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    return proc.stdout.strip()
+
+
+def test_import_sets_both_blas_pools_to_one_thread():
+    assert _blas_threads_at_import(None) == "[('numpy', 1), ('scipy', 1)]"
+
+
+def test_import_honours_openblas_num_threads():
+    assert _blas_threads_at_import("2") == "[('numpy', 2), ('scipy', 2)]"
+
+
+def test_missing_openblas_is_logged_and_skipped(monkeypatch, caplog):
+    monkeypatch.setattr(nk, "_OPENBLAS", ((np, "no_such_openblas*.so", ""),
+                                          (np, "libscipy_openblas64_*.so", "_no_such_suffix")))
+    assert nk._openblas_pools() == {}
+    assert [r.levelname for r in caplog.records] == ["WARNING", "WARNING"]
+    assert "no no_such_openblas*.so in numpy.libs" in caplog.records[0].getMessage()
+
+
+def test_training_and_decode_bits_do_not_depend_on_blas_threads():
+    params = mdl.init(mdl.ModelConfig())
+    rng = np.random.default_rng(4)
+    ids = rng.integers(0, 32, size=(8, 32))
+    dlogits = rng.normal(size=(8, 32, 32))
+    prompts = rng.integers(0, 32, size=(64, 9))
+
+    def step():
+        logits, cache = mdl.forward(params, ids)
+        past = []
+        mdl.forward(params, prompts[:, :8], want_cache=False, past=past)
+        decoded, _ = mdl.forward(params, prompts[:, 8:], want_cache=False, past=past)
+        return logits, mdl.backward(params, cache, dlogits), decoded
+
+    (before,) = set(nk.blas_threads().values())
+    try:
+        runs = []
+        for n in (1, 2):
+            nk.set_blas_threads(n)
+            assert set(nk.blas_threads().values()) == {n}
+            runs.append(step())
+    finally:
+        nk.set_blas_threads(before)
+    assert all(np.array_equal(a, b) for a, b in zip(*runs))
