@@ -17,7 +17,7 @@ import numpy as np
 
 from . import model as mdl
 from . import selection as sel
-from .errors import ExportError, InputError
+from .errors import ConfigError, ExportError, InputError
 from .evaluation import evaluate
 from .tasks import Sample
 from .train import SftConfig, train_sft
@@ -192,6 +192,17 @@ def _check_mask_sizes(dump_path: Path, rho: float, batch_size: int) -> None:
             )
 
 
+def sweep_dir_names(rhos: list[float]) -> list[str]:
+    """Each ratio's run directory; one outside [0, 1], or two sharing a name, is a ConfigError."""
+    for r in rhos:
+        sel.selected_count(r, 1)  # validates range
+    names = [f"rho_{r:g}" for r in rhos]
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise ConfigError(f"every ratio must name its own run directory, got repeats {repeated}")
+    return names
+
+
 def ratio_sweep(
     base_params: mdl.ParameterSet,
     dataset: list[Sample],
@@ -213,8 +224,7 @@ def ratio_sweep(
     not checked.
     """
     rhos = [float(r) for r in rhos]
-    for r in rhos:
-        sel.selected_count(r, 1)  # validates range
+    names = sweep_dir_names(rhos)
     top = f"pass_at_{max(ks)}"
     columns = ["rho", "pass_at_1"] + ([top] if max(ks) > 1 else []) + [
         "drift_frac_1e-3", "mean_entropy", "final_loss"]
@@ -223,8 +233,8 @@ def ratio_sweep(
     rows: list[dict] = []
     csv_path = out_dir / "sweep.csv"
     try:
-        for rho in rhos:
-            run_dir = out_dir / f"rho_{rho:g}"
+        for rho, name in zip(rhos, names):
+            run_dir = out_dir / name
             params = base_params.copy()
             reference = mdl.snapshot_reference(base_params)
             cfg = replace(base_config, method="eksft", rho=rho)

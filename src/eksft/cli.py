@@ -151,25 +151,8 @@ def _add_sft_flags(p: argparse.ArgumentParser):
     p.add_argument("--epochs", type=int)
     p.add_argument("--grad-accum", dest="grad_accum", type=int)
     p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--lambda-h", dest="lambda_h", type=float)
-    p.add_argument("--lambda-kl", dest="lambda_kl", type=float)
-    p.add_argument("--drop-fraction", dest="drop_fraction", type=float)
     p.add_argument("--weight-decay", dest="weight_decay", type=float)
     p.add_argument("--seed", type=int)
-    p.add_argument("--force", action="store_true")
-
-
-def _init_model_and_reference(args, model_file_cfg: dict):
-    """Load --init checkpoint (or fresh-init) and snapshot it as the reference."""
-    if args.init:
-        params = mdl.load_checkpoint(_require_checkpoint(args.init))
-    else:
-        model_cfg = _build(mdl.ModelConfig, model_file_cfg, args,
-                           overrides={"seed": args.seed or 0})
-        params = mdl.init(model_cfg)
-    reference = mdl.snapshot_reference(params)
-    return params, reference
 
 
 # -----------------------------------------------------------------------------
@@ -193,7 +176,12 @@ def _run_supervised(args, supervise_prompt: bool, command: str) -> int:
     if supervise_prompt:
         overrides["method"] = "sft"
     config = _build(tr.SftConfig, file_cfg, args, overrides=overrides)
-    params, reference = _init_model_and_reference(args, model_file_cfg)
+    if args.init:
+        params = mdl.load_checkpoint(_require_checkpoint(args.init))
+    else:  # a fresh model takes the run's resolved seed
+        params = mdl.init(_build(mdl.ModelConfig, model_file_cfg, args,
+                                 overrides={"seed": config.seed}))
+    reference = mdl.snapshot_reference(params)
     dataset = tasks.load_samples(data_path, context_len=params.config.context_len)
     run_dir = _prepare_run_dir(args.out, args.force)
     _write_run_files(
@@ -315,6 +303,7 @@ def cmd_analyze(args) -> int:
         return 0
     if args.what == "sweep":
         _require_sampling_sizes(args)
+        ana.sweep_dir_names(args.rhos)
         file_cfg = _load_config_file(args.config)
         base_config = _build(tr.SftConfig, file_cfg, args, overrides={"method": "eksft"})
         data_path = _require_file(args.data, "dataset")
@@ -377,7 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--init", help="checkpoint prefix to start from (else fresh init)")
         if name == "train-sft":
             p.add_argument("--method", choices=("sft", "eksft", "dft", "random_mask", "global_reg"))
+            for flag in ("--rho", "--lambda-h", "--lambda-kl", "--drop-fraction"):
+                p.add_argument(flag, type=float)
         _add_sft_flags(p)
+        p.add_argument("--force", action="store_true")
         _add_model_flags(p)
         p.set_defaults(fn=fn)
 
@@ -425,7 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--out", default="iou_reports")
     a.set_defaults(fn=cmd_analyze)
 
-    a = asub.add_parser("sweep", help="masking-ratio sweep (train + eval per ratio)")
+    a = asub.add_parser("sweep", help="masking-ratio sweep (train + eval per ratio)",
+                        allow_abbrev=False)  # so --rho is not read as --rhos
     a.add_argument("--data", required=True)
     a.add_argument("--eval-data", dest="eval_data", required=True)
     a.add_argument("--init", required=True)
@@ -435,6 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--eval-seed", dest="eval_seed", type=int, default=0)
     a.add_argument("--max-gen-len", dest="max_gen_len", type=int, default=64)
     _add_sft_flags(a)
+    for flag in ("--lambda-h", "--lambda-kl"):  # EKSFT's; --rhos gives each ratio
+        a.add_argument(flag, type=float)
     a.set_defaults(fn=cmd_analyze)
 
     a = asub.add_parser("plots", help="SVG charts from a run directory")

@@ -5,9 +5,10 @@ and their logit-gradient sums; `objective.normalize_step` normalizes them
 once, in logit space, and one backward per micro-batch maps them to
 parameter space. So G accumulated micro-batches equal one step on the
 concatenated batch, with masks still built per micro-batch (the unit whose
-logits coexist). The reference is frozen and the samples are fixed, so
-`reference_rows` runs the reference forward once per run, before the first
-epoch, and each micro-batch gathers its samples' rows from it.
+logits coexist). `batchify`, the one code that pads token sequences for
+training, pads the dataset once per run (and each RL step's rollouts). The
+reference is frozen, so its logits are computed once too, before the first
+epoch, and a micro-batch is a gather of rows from these arrays.
 
 Parameters, gradients and AdamW's moments are flat vectors in one layout:
 a step adds up its micro-batches' gradients with one `+=` each.
@@ -161,16 +162,20 @@ def _write_run_outputs(
     timings: list[tuple[int, float]],
     dump_rows: Sequence[dict] = (),
 ) -> None:
-    """metrics.csv, mask_dump.jsonl (if any rows), timings.csv and checkpoints/final."""
+    """metrics.csv, mask_dump.jsonl (removed if there are no rows), timings.csv and
+    checkpoints/final."""
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "metrics.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(columns)
         w.writerows([_fmt(getattr(rec, col)) for col in columns] for rec in records)
+    dump = out_dir / "mask_dump.jsonl"
     if dump_rows:
-        with open(out_dir / "mask_dump.jsonl", "w", encoding="utf-8") as fh:
+        with open(dump, "w", encoding="utf-8") as fh:
             for row in dump_rows:
                 fh.write(json.dumps(row) + "\n")
+    else:
+        dump.unlink(missing_ok=True)  # a forced re-run must not leave an earlier run's dump
     with open(out_dir / "timings.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["step", "seconds"])
@@ -230,52 +235,32 @@ def adamw_step(
 # -----------------------------------------------------------------------------
 
 
-def batchify(samples: Sequence[Sample], supervise_prompt: bool = False):
-    """Pack samples into (inputs, targets, valid_mask) arrays.
+def batchify(samples: Sequence[tuple[Sequence[int], Sequence[int]]], supervise_prompt: bool = False):
+    """Pack (prompt_tokens, response_tokens) pairs into (inputs, targets, valid) arrays.
 
-    Inputs are tokens[:-1], targets tokens[1:]; valid marks the positions
-    whose target is a response token (or every real position when
-    supervise_prompt is set, as in pretraining).
+    Row i holds pair i's tokens shifted by one, inputs tokens[:-1] and targets
+    tokens[1:], then PAD. valid marks the positions whose target is a
+    response token (or every real position when supervise_prompt is set, as
+    in pretraining).
     """
     if not samples:
         raise InputError("empty batch")
-    max_len = max(len(s.tokens) for s in samples) - 1
-    B = len(samples)
-    inputs = np.full((B, max_len), PAD, dtype=np.int64)
-    targets = np.full((B, max_len), PAD, dtype=np.int64)
-    valid = np.zeros((B, max_len), dtype=bool)
-    for i, s in enumerate(samples):
-        toks = np.asarray(s.tokens, dtype=np.int64)
-        n = toks.size - 1
+    lengths = [len(prompt) + len(response) - 1 for prompt, response in samples]
+    shape = (len(samples), max(lengths))
+    inputs = np.full(shape, PAD, dtype=np.int64)
+    targets = np.full(shape, PAD, dtype=np.int64)
+    valid = np.zeros(shape, dtype=bool)
+    for i, ((prompt, response), n) in enumerate(zip(samples, lengths)):
+        toks = np.asarray((*prompt, *response), dtype=np.int64)
         inputs[i, :n] = toks[:-1]
         targets[i, :n] = toks[1:]
-        start = 0 if supervise_prompt else len(s.prompt_tokens) - 1
-        valid[i, start:n] = True
+        valid[i, 0 if supervise_prompt else len(prompt) - 1 : n] = True
     return inputs, targets, valid
 
 
 # -----------------------------------------------------------------------------
 # supervised stage
 # -----------------------------------------------------------------------------
-
-
-def reference_rows(
-    reference: mdl.ReferenceModel, dataset: Sequence[Sample], batch_size: int
-) -> list[np.ndarray]:
-    """Each sample's (len(tokens) - 1, V) reference logits, in dataset order.
-
-    One reference forward per chunk of batch_size samples; the rows are
-    copied out so the padded chunk arrays are freed. A causal row sees
-    neither its batch mates nor the padding after it, so the rows equal, bit
-    for bit, those of a forward over any micro-batch that holds the sample
-    (tests/test_train.py checks this on every sample of a mixed-length set).
-    """
-    rows: list[np.ndarray] = []
-    for c0 in range(0, len(dataset), batch_size):
-        chunk = list(dataset[c0 : c0 + batch_size])
-        logits = reference.logits(batchify(chunk)[0])
-        rows += [logits[i, : len(s.tokens) - 1].copy() for i, s in enumerate(chunk)]
-    return rows
 
 
 def train_sft(
@@ -296,7 +281,17 @@ def train_sft(
     dump_rows: list[dict] = []
     records: list[SftMetricsRecord] = []
     timings: list[tuple[int, float]] = []
-    ref_rows = reference_rows(reference, dataset, config.batch_size)
+    lengths = np.array([len(s.tokens) - 1 for s in dataset])
+    packed = batchify([(s.prompt_tokens, s.response_tokens) for s in dataset],
+                      config.supervise_prompt)
+    # One reference forward per chunk: a causal row sees neither its batch mates
+    # nor the padding after it, so its bits are those of any micro-batch.
+    ref_table = np.zeros((*packed[0].shape, reference.config.vocab_size))
+    for c0 in range(0, len(dataset), config.batch_size):
+        rows = slice(c0, c0 + config.batch_size)
+        width = lengths[rows].max()
+        ref_table[rows, :width] = reference.logits(packed[0][rows, :width])
+    ref_table[np.arange(ref_table.shape[1]) >= lengths[:, None]] = 0.0
     opt = adamw_init(params)
     shuffle_rng = np.random.default_rng([config.seed, 1])
     group_size = config.batch_size * config.grad_accum
@@ -314,12 +309,9 @@ def train_sft(
 
             for micro, m0 in enumerate(range(0, len(group_idx), config.batch_size)):
                 idx = group_idx[m0 : m0 + config.batch_size]
-                inputs, targets, valid = batchify([dataset[i] for i in idx], config.supervise_prompt)
+                width = lengths[idx].max()
+                inputs, targets, valid, ref_logits = (a[idx, :width] for a in (*packed, ref_table))
                 logits, cache = mdl.forward(params, inputs)
-                # padding rows stay 0: past the row-wise log_softmax only valid rows are read
-                ref_logits = np.zeros_like(logits)
-                for row, i in enumerate(idx):
-                    ref_logits[row, : len(ref_rows[i])] = ref_rows[i]
                 rng = (
                     np.random.default_rng([config.seed, 2, step, micro])
                     if config.method == "random_mask"
@@ -492,17 +484,11 @@ def _rl_update(params, opt, episodes, config: RlConfig) -> float:
 
     `sample_group` stops at the context, so every episode fits one row.
     """
-    n_in = [len(s.prompt_tokens) + len(toks) - 1 for s, toks, _, _ in episodes]
-    n_gen = [len(toks) for _, toks, _, _ in episodes]
-    inputs = np.full((len(episodes), max(n_in)), PAD, dtype=np.int64)
-    for i, (s, toks, _, _) in enumerate(episodes):
-        inputs[i, : n_in[i]] = (list(s.prompt_tokens) + toks)[:-1]
-    # generated token j of a row is predicted at position len(prompt) - 1 + j
-    rows = np.repeat(np.arange(len(episodes)), n_gen)
-    pos = np.concatenate([np.arange(n - g, n) for n, g in zip(n_in, n_gen)])
-    tok = np.concatenate([toks for _, toks, _, _ in episodes])
+    inputs, targets, valid = batchify([(s.prompt_tokens, toks) for s, toks, _, _ in episodes])
+    rows, pos = np.nonzero(valid)
+    tok = targets[rows, pos]
     old_lp = np.concatenate([lps for _, _, lps, _ in episodes])
-    adv = np.repeat([a for _, _, _, a in episodes], n_gen)
+    adv = np.repeat([a for _, _, _, a in episodes], valid.sum(axis=1))
 
     logits, cache = mdl.forward(params, inputs)
     log_probs = nk.log_softmax(logits / config.temperature)

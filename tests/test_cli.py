@@ -70,6 +70,16 @@ def test_train_sft_run_directory_contents(tmp_path):
     assert "sha256" in manifest["datasets"]["data"]
 
 
+def test_forced_rerun_without_mask_dump_removes_the_stale_one(tmp_path):
+    data = _gen(tmp_path)
+    run = _train(tmp_path, data, method="eksft")
+    assert (run / "mask_dump.jsonl").exists()
+    _train(tmp_path, data, method="sft", extra=("--force",))
+    assert not (run / "mask_dump.jsonl").exists()
+    assert json.loads((run / "config.json").read_text())["train"]["method"] == "sft"
+    assert (run / "checkpoints" / "final.manifest.json").exists()
+
+
 def test_train_refuses_populated_run_dir(tmp_path):
     data = _gen(tmp_path)
     _train(tmp_path, data, out="run")
@@ -271,6 +281,36 @@ def test_analyze_sweep_rejects_nonpositive_n_and_max_gen_len(tmp_path, capsys, m
     assert not loads and not (tmp_path / "sweep").exists()
 
 
+@pytest.mark.parametrize("rhos, name", [("0.2,0.2", "rho_0.2"), ("0.1,0.10000001", "rho_0.1")])
+def test_analyze_sweep_rejects_ratios_that_share_a_run_directory(tmp_path, capsys, rhos, name):
+    capsys.readouterr()
+    assert main([
+        "analyze", "sweep", "--data", str(tmp_path / "sft.jsonl"),
+        "--eval-data", str(tmp_path / "eval.jsonl"), "--init", str(tmp_path / "missing"),
+        "--out", str(tmp_path / "sweep"), "--rhos", rhos,
+    ]) == 2
+    assert f"repeats [{name!r}]" in capsys.readouterr().err  # before the checkpoint loads
+    assert not (tmp_path / "sweep").exists()
+
+
+@pytest.mark.parametrize("cmd, flag", [
+    ("pretrain", "--rho"), ("pretrain", "--lambda-h"), ("pretrain", "--lambda-kl"),
+    ("pretrain", "--drop-fraction"),
+    ("sweep", "--rho"), ("sweep", "--drop-fraction"), ("sweep", "--force"),
+])
+def test_flag_the_command_never_reads_exits_2(tmp_path, capsys, cmd, flag):
+    argv = {
+        "pretrain": ["pretrain", "--data", str(tmp_path / "pretrain.jsonl")],
+        "sweep": ["analyze", "sweep", "--data", str(tmp_path / "sft.jsonl"),
+                  "--eval-data", str(tmp_path / "eval.jsonl"), "--init", str(tmp_path / "ckpt")],
+    }[cmd]
+    value = [] if flag == "--force" else ["0.5"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "out"), flag, *value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join([flag, *value])}" in capsys.readouterr().err
+
+
 def test_config_file_with_flag_override(tmp_path):
     data = _gen(tmp_path)
     cfg = tmp_path / "train.json"
@@ -286,6 +326,28 @@ def test_config_file_with_flag_override(tmp_path):
     resolved = json.loads((out / "config.json").read_text())
     assert resolved["train"]["epochs"] == 2  # flag wins
     assert resolved["train"]["learning_rate"] == 1e-3  # file value kept
+
+
+def test_fresh_init_takes_the_seed_of_the_config_file(tmp_path, capsys):
+    data = _gen(tmp_path)
+    cfg = {"epochs": 1, "batch_size": 3, "grad_accum": 1, "seed": 5,
+           "model": {"vocab_size": 32, "d_model": 16, "n_layers": 1, "n_heads": 2,
+                     "context_len": 48}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    argv = ["train-sft", "--data", str(data / "sft.jsonl"), "--config", str(path)]
+    assert main([*argv, "--out", str(tmp_path / "file")]) == 0
+    assert main([*argv, "--out", str(tmp_path / "flag"), "--seed", "5"]) == 0
+    assert json.loads((tmp_path / "file" / "config.json").read_text())["model"]["seed"] == 5
+    for suffix in (".manifest.json", ".weights.bin"):
+        start = Path("checkpoints") / f"start{suffix}"
+        assert (tmp_path / "file" / start).read_bytes() == (tmp_path / "flag" / start).read_bytes()
+
+    cfg["model"]["seed"] = 0  # a model seed other than the run's is still refused
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main([*argv, "--out", str(tmp_path / "other")]) == 2
+    assert "config key 'seed' is 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cmd, cfg, message", [

@@ -22,6 +22,10 @@ def small_dataset(n=16, seed=1):
     return tasks.generate_splits(spec)["sft"]
 
 
+def _pairs(samples):
+    return [(s.prompt_tokens, s.response_tokens) for s in samples]
+
+
 # -----------------------------------------------------------------------------
 # AdamW
 # -----------------------------------------------------------------------------
@@ -183,7 +187,7 @@ def test_grad_accumulation_matches_concatenated_batch(method):
     opt = tr.adamw_init(params_b)
     order = np.random.default_rng([config.seed, 1]).permutation(len(dataset))
     batch = [dataset[i] for i in order]
-    inputs, targets, valid = tr.batchify(batch)
+    inputs, targets, valid = tr.batchify(_pairs(batch))
     logits, cache = mdl.forward(params_b, inputs)
     ref_logits = reference.logits(inputs)
     d_ce = np.zeros_like(logits)
@@ -275,6 +279,20 @@ def _mixed_lengths_dataset():
     return splits["pretrain"] + long + splits["sft"]
 
 
+def _cached_reference_rows(reference, dataset, batch_size):
+    """Each sample's rows of the chunked reference forward that train_sft runs."""
+    chunks = []
+    logits = mdl.ReferenceModel.logits
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mdl.ReferenceModel, "logits",
+                   lambda self, ids: chunks.append(logits(self, ids)) or chunks[-1])
+        config = tr.SftConfig(learning_rate=1e-3, epochs=1, batch_size=batch_size,
+                              grad_accum=len(dataset))
+        tr.train_sft(mdl.init(reference.config), reference, dataset, config)
+    rows = [chunk[r] for chunk in chunks for r in range(len(chunk))]
+    return [row[: len(s.tokens) - 1] for row, s in zip(rows, dataset, strict=True)]
+
+
 def test_reference_rows_match_any_batch():
     """Every sample's cached rows equal, bit for bit, its rows in micro-batches of
     shuffled compositions and different padded lengths."""
@@ -282,7 +300,7 @@ def test_reference_rows_match_any_batch():
     dataset = _mixed_lengths_dataset()
     lengths = {len(s.tokens) for s in dataset}
     assert len(lengths) >= 10 and max(lengths) == 49
-    rows = tr.reference_rows(reference, dataset, 5)
+    rows = _cached_reference_rows(reference, dataset, 5)
     assert [r.shape for r in rows] == [(len(s.tokens) - 1, 32) for s in dataset]
     padded = [set() for _ in dataset]
     for seed in range(3):
@@ -290,7 +308,7 @@ def test_reference_rows_match_any_batch():
         for batch_size in (1, 3, 7, len(dataset)):
             for m0 in range(0, len(order), batch_size):
                 idx = order[m0 : m0 + batch_size]
-                inputs, _, _ = tr.batchify([dataset[i] for i in idx])
+                inputs, _, _ = tr.batchify(_pairs(dataset[i] for i in idx))
                 logits = reference.logits(inputs)
                 for row, i in enumerate(idx):
                     assert np.array_equal(logits[row, : len(rows[i])], rows[i])
@@ -357,6 +375,28 @@ def test_group_advantages_centered():
 def test_group_advantages_needs_two():
     with pytest.raises(InputError):
         tr.group_advantages([1.0])
+
+
+def test_batchify_marks_exactly_the_generated_positions():
+    """Rollout pairs of mixed lengths, as `_rl_update` packs them: valid marks the
+    positions that predict a generated token, and the targets there are those tokens."""
+    rng = np.random.default_rng(8)
+    pairs = [
+        ((tasks.BOS, *rng.integers(3, 32, size=n_prompt).tolist()),
+         rng.integers(3, 32, size=n_gen).tolist())
+        for n_prompt, n_gen in ((4, 1), (9, 6), (1, 12), (6, 3))
+    ]
+    inputs, targets, valid = tr.batchify(pairs)
+    assert inputs.shape == targets.shape == valid.shape == (4, 15)
+    rows, pos = np.nonzero(valid)
+    expected = [(i, len(prompt) - 1 + j) for i, (prompt, gen) in enumerate(pairs)
+                for j in range(len(gen))]
+    assert list(zip(rows.tolist(), pos.tolist())) == expected
+    assert targets[rows, pos].tolist() == [t for _, gen in pairs for t in gen]
+    for i, (prompt, gen) in enumerate(pairs):
+        n = len(prompt) + len(gen) - 1
+        assert inputs[i, :n].tolist() == [*prompt, *gen][:-1]
+        assert (inputs[i, n:] == tasks.PAD).all() and (targets[i, n:] == tasks.PAD).all()
 
 
 def test_clipped_pg_ratio_one_centered_advantages():
