@@ -5,13 +5,15 @@
 The "parent" side is the committed files of --base (default HEAD), unpacked
 with `git archive` as experiments/bench_pairs.py does; the "change" side is
 this working tree. Each side runs, one fresh process per command: gen-data,
-pretrain, train-sft for all five methods at --grad-accum 2, one train-sft
-from a --config file (training and model keys, fresh init), train-rl, eval,
+pretrain, train-sft for all five methods at --grad-accum 2, train-rl, eval,
 analyze drift, analyze iou, analyze plots with --eval-csv and --drift-csv,
 and analyze sweep at --n 32, 4 and 2 (at 2 the only k is 1, so sweep.csv has
-one pass@ column). Run
-directories and reports record their input paths, so both sides write into
-one path, and each side's outputs are moved aside before the other runs.
+one pass@ column). Then it runs pretrain and train-sft from a --config file
+(training and model keys, fresh init), and train-rl and analyze sweep from a
+--config file, so every config-backed command is also run from a file. The
+files hold only keys that each command reads, so both sides accept them.
+Run directories and reports record their input paths, so both sides write
+into one path, and each side's outputs are moved aside before the other runs.
 
 Every output file but timings.csv is compared byte for byte, each command's
 stdout included. The script lists the files that differ and exits 1 if any
@@ -35,10 +37,18 @@ from bench_pairs import ROOT, git, unpack
 
 METHODS = ("sft", "eksft", "dft", "random_mask", "global_reg")
 SPEC = {"seed": 5, "n_pretrain": 256, "n_sft": 24, "n_rl": 16, "n_eval": 6}
-TRAIN_CONFIG = {"method": "eksft", "learning_rate": 2e-3, "epochs": 2, "batch_size": 4,
-                "grad_accum": 2, "rho": 0.3, "seed": 3,
-                "model": {"vocab_size": 32, "d_model": 32, "n_layers": 1, "n_heads": 2,
-                          "context_len": 48}}
+SMALL_MODEL = {"vocab_size": 32, "d_model": 32, "n_layers": 1, "n_heads": 2, "context_len": 48}
+CONFIG_FILES = {
+    "pretrain.json": {"learning_rate": 3e-3, "epochs": 2, "batch_size": 8, "grad_accum": 1,
+                      "weight_decay": 0.01, "seed": 4, "model": SMALL_MODEL},
+    "train.json": {"method": "eksft", "learning_rate": 2e-3, "epochs": 2, "batch_size": 4,
+                   "grad_accum": 2, "rho": 0.3, "seed": 3, "model": SMALL_MODEL},
+    "rl.json": {"learning_rate": 1e-3, "total_steps": 3, "rollout_group_size": 4,
+                "prompts_per_step": 2, "clip_low": 0.1, "clip_high": 0.3, "temperature": 0.9,
+                "max_gen_len": 12, "weight_decay": 0.01, "seed": 5},
+    "sweep.json": {"learning_rate": 2e-3, "epochs": 2, "batch_size": 4, "grad_accum": 2,
+                   "weight_decay": 0.01, "seed": 6, "lambda_h": 0.1, "lambda_kl": 0.02},
+}
 SWEEP_NS = (32, 4, 2)
 MODEL = ["--vocab-size", "32", "--d-model", "32", "--n-layers", "2", "--n-heads", "2",
          "--context-len", "48"]
@@ -58,9 +68,6 @@ def pipeline(run: Path) -> list[tuple[str, list[str]]]:
         cmds.append((f"train-sft_{method}", [
             "train-sft", "--method", method, "--data", str(data / "sft.jsonl"), "--init", str(base),
             "--out", str(run / method), *sft]))
-    cmds.append(("train-sft_config", [
-        "train-sft", "--data", str(data / "sft.jsonl"), "--config", str(run / "train.json"),
-        "--out", str(run / "config_run")]))
     eksft = run / "eksft" / "checkpoints" / "final"
     cmds += [
         ("train-rl", ["train-rl", "--init", str(eksft), "--prompts", str(data / "rl_prompts.jsonl"),
@@ -84,6 +91,22 @@ def pipeline(run: Path) -> list[tuple[str, list[str]]]:
             "--eval-data", str(data / "eval.jsonl"), "--init", str(base),
             "--out", str(run / f"sweep_n{n}"), "--rhos", "0.0,0.2", "--n", str(n),
             "--max-gen-len", "12", *sft]))
+    cmds += [
+        ("pretrain_config", ["pretrain", "--data", str(data / "pretrain.jsonl"),
+                             "--config", str(run / "pretrain.json"),
+                             "--out", str(run / "base_config")]),
+        ("train-sft_config", ["train-sft", "--data", str(data / "sft.jsonl"),
+                              "--config", str(run / "train.json"),
+                              "--out", str(run / "config_run")]),
+        ("train-rl_config", ["train-rl", "--init", str(eksft),
+                             "--prompts", str(data / "rl_prompts.jsonl"),
+                             "--config", str(run / "rl.json"), "--out", str(run / "rl_config")]),
+        ("analyze-sweep_config", [
+            "analyze", "sweep", "--data", str(data / "sft.jsonl"),
+            "--eval-data", str(data / "eval.jsonl"), "--init", str(base),
+            "--config", str(run / "sweep.json"), "--out", str(run / "sweep_config"),
+            "--rhos", "0.1", "--n", "4", "--max-gen-len", "12"]),
+    ]
     return cmds
 
 
@@ -92,7 +115,8 @@ def run_side(tree: Path, run: Path) -> None:
     shutil.rmtree(run, ignore_errors=True)
     (run / "stdout").mkdir(parents=True)
     (run / "spec.json").write_text(json.dumps(SPEC) + "\n", encoding="utf-8")
-    (run / "train.json").write_text(json.dumps(TRAIN_CONFIG) + "\n", encoding="utf-8")
+    for name, cfg in CONFIG_FILES.items():
+        (run / name).write_text(json.dumps(cfg) + "\n", encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     for name, argv in pipeline(run):
         proc = subprocess.run([sys.executable, "-m", "eksft.cli", *argv], cwd=run, env=env,

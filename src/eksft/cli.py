@@ -6,17 +6,19 @@ directory (config.json, manifest.json, metrics.csv, checkpoints/, reports/)
 from which it can be reproduced bit-identically.
 
 Exit codes are uniform: 0 success, 1 runtime failure, 2 usage/config error.
-Values resolve as CLI flag > config-file entry > built-in default; a
-config-file key that names no field of the command's config, or that sets a
-field the command fixes (`pretrain`'s `method`, say) to another value, is a
-usage error. Checkpoints are named by `model.checkpoint_paths` and checked by
-`model.load_checkpoint`.
+`READS` says, for each config-backed command, which fields of its config
+dataclass it reads and which it fixes. Each field read is one flag (`flag`)
+and one config-file key; values resolve as fixed > flag > file > default. A
+flag, file key or model setting outside the command's entry, or a file key
+that sets a fixed field to another value, is a usage error. Checkpoints are
+named by `model.checkpoint_paths` and checked by `model.load_checkpoint`.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -31,6 +33,32 @@ from . import train as tr
 from .errors import ConfigError, EksftError
 
 RUN_ROOT_ENV = "EKSFT_RUN_ROOT"
+
+_SFT_COMMON = ("learning_rate", "epochs", "grad_accum", "batch_size", "weight_decay", "seed")
+_MODEL_SIZES = ("vocab_size", "d_model", "n_layers", "n_heads", "context_len")
+
+# command -> (config dataclass, fields it reads, {field: value} it fixes).
+# pretrain and train-sft also read _MODEL_SIZES of ModelConfig on a fresh init.
+READS = {
+    "gen-data": (tasks.TaskSpec, tuple(f.name for f in dataclasses.fields(tasks.TaskSpec)), {}),
+    "pretrain": (tr.SftConfig, _SFT_COMMON, {"method": "sft", "supervise_prompt": True}),
+    "train-sft": (tr.SftConfig,
+                  _SFT_COMMON + ("method", "rho", "lambda_h", "lambda_kl", "drop_fraction"),
+                  {"supervise_prompt": False}),
+    "train-rl": (tr.RlConfig, tuple(f.name for f in dataclasses.fields(tr.RlConfig)), {}),
+    # EKSFT reads no drop fraction, and --rhos gives each run its ratio
+    "analyze sweep": (tr.SftConfig, _SFT_COMMON + ("lambda_h", "lambda_kl"),
+                      {"method": "eksft", "supervise_prompt": False}),
+}
+
+# spellings older than READS, kept because scripts pass them
+_FLAG_SPELLINGS = {"learning_rate": "--lr", "total_steps": "--steps",
+                   "rollout_group_size": "--group-size"}
+
+
+def flag(name: str) -> str:
+    """The command-line flag of config field `name`."""
+    return _FLAG_SPELLINGS.get(name, "--" + name.replace("_", "-"))
 
 
 def _resolve_out(path: str) -> Path:
@@ -70,30 +98,28 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
-def _build(cls, file_cfg: dict, args: argparse.Namespace, overrides: dict | None = None):
-    """Dataclass from defaults < config file < CLI flags (< hard overrides).
-    A config-file key that names no field of `cls`, or that sets a field the
-    command fixes to another value, is a usage error."""
-    names = {f.name for f in dataclasses.fields(cls)}
+def _build(cls, reads: tuple[str, ...], fixed: dict, file_cfg: dict, args: argparse.Namespace):
+    """`cls` from defaults < config file < flags < `fixed`. A file key that sets
+    a fixed field to another value, or that is neither read nor fixed, is a
+    usage error."""
     if not isinstance(file_cfg, dict):
         raise ConfigError(f"{cls.__name__} settings must be a JSON object, got {file_cfg!r}")
-    unknown = sorted(file_cfg.keys() - names)
-    if unknown:
-        raise ConfigError(f"config keys {unknown} name no field of {cls.__name__}")
-    for name, value in (overrides or {}).items():
+    for name, value in fixed.items():
         if name in file_cfg and file_cfg[name] != value:
             raise ConfigError(f"config key {name!r} is {file_cfg[name]!r}, but this command "
                               f"fixes {name} = {value!r}")
+    unknown = sorted(file_cfg.keys() - set(reads) - fixed.keys())
+    if unknown:
+        raise ConfigError(f"config keys {unknown} name no {cls.__name__} field this command "
+                          f"reads; it reads {list(reads)}")
     kwargs = dict(file_cfg)
-    for name in names:
-        v = getattr(args, name, None)
-        if v is not None:
-            kwargs[name] = v
-    if overrides:
-        kwargs.update(overrides)
+    for name in reads:
+        if getattr(args, name) is not None:
+            kwargs[name] = getattr(args, name)
+    kwargs.update(fixed)
     try:
         return cls(**kwargs)
-    except TypeError as e:
+    except TypeError as e:  # __post_init__ comparing a file value of the wrong type
         raise ConfigError(str(e)) from e
 
 
@@ -137,22 +163,11 @@ def float_list(text: str) -> list[float]:
     return [float(item) for item in text.split(",")]
 
 
-def _add_model_flags(p: argparse.ArgumentParser):
-    p.add_argument("--vocab-size", dest="vocab_size", type=int)
-    p.add_argument("--d-model", dest="d_model", type=int)
-    p.add_argument("--n-layers", dest="n_layers", type=int)
-    p.add_argument("--n-heads", dest="n_heads", type=int)
-    p.add_argument("--context-len", dest="context_len", type=int)
-
-
-def _add_sft_flags(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="JSON config file; flags override its entries")
-    p.add_argument("--lr", dest="learning_rate", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--grad-accum", dest="grad_accum", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float)
-    p.add_argument("--seed", type=int)
+def _add_flags(p: argparse.ArgumentParser, cls, names: tuple[str, ...]):
+    """One flag per field of `cls` in `names`, typed by its default; `cls` validates the value."""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    for name in names:
+        p.add_argument(flag(name), dest=name, type=type(defaults[name]))
 
 
 # -----------------------------------------------------------------------------
@@ -161,26 +176,29 @@ def _add_sft_flags(p: argparse.ArgumentParser):
 
 
 def cmd_gen_data(args) -> int:
-    spec = _build(tasks.TaskSpec, _load_config_file(args.spec), args)
+    spec = _build(*READS["gen-data"], _load_config_file(args.spec), args)
     report = tasks.generate_dataset(spec, _resolve_out(args.out), force=args.force)
     for name, info in report.items():
         print(f"{name}: {info['count']} samples  sha256={info['sha256'][:16]}  {info['path']}")
     return 0
 
 
-def _run_supervised(args, supervise_prompt: bool, command: str) -> int:
+def _run_supervised(args, command: str) -> int:
+    """pretrain and train-sft: one supervised run from --init or a fresh model."""
     file_cfg = _load_config_file(args.config)
+    given = ["config key 'model'"] if "model" in file_cfg else []
+    given += [flag(name) for name in _MODEL_SIZES if getattr(args, name) is not None]
+    if args.init and given:
+        raise ConfigError(f"{', '.join(given)} set the model, but --init takes it from "
+                          f"the checkpoint")
     model_file_cfg = file_cfg.pop("model", {})
     data_path = _require_file(args.data, "dataset")
-    overrides = {"supervise_prompt": supervise_prompt}
-    if supervise_prompt:
-        overrides["method"] = "sft"
-    config = _build(tr.SftConfig, file_cfg, args, overrides=overrides)
+    config = _build(*READS[command], file_cfg, args)
     if args.init:
         params = mdl.load_checkpoint(_require_checkpoint(args.init))
     else:  # a fresh model takes the run's resolved seed
-        params = mdl.init(_build(mdl.ModelConfig, model_file_cfg, args,
-                                 overrides={"seed": config.seed}))
+        params = mdl.init(_build(mdl.ModelConfig, _MODEL_SIZES, {"seed": config.seed},
+                                 model_file_cfg, args))
     reference = mdl.snapshot_reference(params)
     dataset = tasks.load_samples(data_path, context_len=params.config.context_len)
     run_dir = _prepare_run_dir(args.out, args.force)
@@ -202,17 +220,8 @@ def _run_supervised(args, supervise_prompt: bool, command: str) -> int:
     return 0
 
 
-def cmd_pretrain(args) -> int:
-    return _run_supervised(args, supervise_prompt=True, command="pretrain")
-
-
-def cmd_train_sft(args) -> int:
-    return _run_supervised(args, supervise_prompt=False, command="train-sft")
-
-
 def cmd_train_rl(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    config = _build(tr.RlConfig, file_cfg, args)
+    config = _build(*READS["train-rl"], _load_config_file(args.config), args)
     prompts_path = _require_file(args.prompts, "prompt set")
     params = mdl.load_checkpoint(_require_checkpoint(args.init))
     prompts = tasks.load_samples(prompts_path, context_len=params.config.context_len)
@@ -277,66 +286,69 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_analyze(args) -> int:
-    if args.what == "drift":
-        before = mdl.load_checkpoint(_require_checkpoint(args.before))
-        after = mdl.load_checkpoint(_require_checkpoint(args.after))
-        report = ana.parameter_drift(before, after, args.thresholds or ana.DEFAULT_DRIFT_THRESHOLDS)
-        out = _resolve_out(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "drift.json").write_text(report.to_json(), encoding="utf-8")
-        (out / "drift.csv").write_text(report.csv_text(), encoding="utf-8")
-        print(f"global mean relative change: {report.global_mean_rel_change:.3e}")
-        for t in report.thresholds:
-            print(f"fraction exceeding {t:g}: {report.global_frac_exceeding[t]:.4f}")
-        return 0
-    if args.what == "iou":
-        dump = _require_file(args.dump, "mask dump")
-        series, summary = ana.iou_series(dump)
-        out = _resolve_out(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        ana.write_iou_csv(series, summary, out / "iou.csv")
-        print(f"steps: {summary['steps']}  skipped lines: {summary['skipped_lines']}")
-        print(f"IoU min/mean/max: {summary['min']} / {summary['mean']} / {summary['max']}")
-        ref = summary["reference_large_scale"]
-        print(f"large-scale reference: min {ref['min']} / mean {ref['mean']} / max {ref['max']}")
-        return 0
-    if args.what == "sweep":
-        _require_sampling_sizes(args)
-        ana.sweep_dir_names(args.rhos)
-        file_cfg = _load_config_file(args.config)
-        base_config = _build(tr.SftConfig, file_cfg, args, overrides={"method": "eksft"})
-        data_path = _require_file(args.data, "dataset")
-        eval_path = _require_file(args.eval_data, "eval set")
-        params = mdl.load_checkpoint(_require_checkpoint(args.init))
-        dataset = tasks.load_samples(data_path, context_len=params.config.context_len)
-        eval_set = tasks.load_samples(eval_path, context_len=params.config.context_len)
-        ks = [k for k in (1, 4, 8, 16, 32) if k <= args.n]
-        rows = ana.ratio_sweep(
-            params, dataset, eval_set, base_config, args.rhos, _resolve_out(args.out),
-            n_per_prompt=args.n, ks=ks, eval_seed=args.eval_seed, max_gen_len=args.max_gen_len,
+def cmd_drift(args) -> int:
+    before = mdl.load_checkpoint(_require_checkpoint(args.before))
+    after = mdl.load_checkpoint(_require_checkpoint(args.after))
+    report = ana.parameter_drift(before, after, args.thresholds or ana.DEFAULT_DRIFT_THRESHOLDS)
+    out = _resolve_out(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "drift.json").write_text(report.to_json(), encoding="utf-8")
+    (out / "drift.csv").write_text(report.csv_text(), encoding="utf-8")
+    print(f"global mean relative change: {report.global_mean_rel_change:.3e}")
+    for t in report.thresholds:
+        print(f"fraction exceeding {t:g}: {report.global_frac_exceeding[t]:.4f}")
+    return 0
+
+
+def cmd_iou(args) -> int:
+    dump = _require_file(args.dump, "mask dump")
+    series, summary = ana.iou_series(dump)
+    out = _resolve_out(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    ana.write_iou_csv(series, summary, out / "iou.csv")
+    print(f"steps: {summary['steps']}  skipped lines: {summary['skipped_lines']}")
+    print(f"IoU min/mean/max: {summary['min']} / {summary['mean']} / {summary['max']}")
+    ref = summary["reference_large_scale"]
+    print(f"large-scale reference: min {ref['min']} / mean {ref['mean']} / max {ref['max']}")
+    return 0
+
+
+def cmd_sweep(args) -> int:
+    _require_sampling_sizes(args)
+    ana.sweep_dir_names(args.rhos)
+    base_config = _build(*READS["analyze sweep"], _load_config_file(args.config), args)
+    data_path = _require_file(args.data, "dataset")
+    eval_path = _require_file(args.eval_data, "eval set")
+    params = mdl.load_checkpoint(_require_checkpoint(args.init))
+    dataset = tasks.load_samples(data_path, context_len=params.config.context_len)
+    eval_set = tasks.load_samples(eval_path, context_len=params.config.context_len)
+    ks = [k for k in (1, 4, 8, 16, 32) if k <= args.n]
+    rows = ana.ratio_sweep(
+        params, dataset, eval_set, base_config, args.rhos, _resolve_out(args.out),
+        n_per_prompt=args.n, ks=ks, eval_seed=args.eval_seed, max_gen_len=args.max_gen_len,
+    )
+    for row in rows:
+        top = f"pass@{ks[-1]}={row[f'pass_at_{ks[-1]}']:.4f}  " if ks[-1] > 1 else ""
+        print(
+            f"rho={row['rho']:g}  pass@1={row['pass_at_1']:.4f}  {top}"
+            f"drift>{1e-3:g}={row['drift_frac_1e-3']:.4f}"
         )
-        for row in rows:
-            top = f"pass@{ks[-1]}={row[f'pass_at_{ks[-1]}']:.4f}  " if ks[-1] > 1 else ""
-            print(
-                f"rho={row['rho']:g}  pass@1={row['pass_at_1']:.4f}  {top}"
-                f"drift>{1e-3:g}={row['drift_frac_1e-3']:.4f}"
-            )
-        return 0
-    if args.what == "plots":
-        run_dir = Path(_require_file(Path(args.run) / "metrics.csv", "metrics CSV")).parent
-        out_dir = run_dir / "reports"
-        made = ana.export_training_plots(run_dir / "metrics.csv", out_dir)
-        if args.eval_csv:
-            made.append(out_dir / "passk.svg")
-            ana.export_pass_at_k_plot(_require_file(args.eval_csv, "eval CSV"), made[-1])
-        if args.drift_csv:
-            made.append(out_dir / "drift.svg")
-            ana.export_drift_plot(_require_file(args.drift_csv, "drift CSV"), made[-1])
-        for p in made:
-            print(f"wrote {p}")
-        return 0
-    raise ConfigError(f"unknown analyze target {args.what!r}")
+    return 0
+
+
+def cmd_plots(args) -> int:
+    run_dir = Path(_require_file(Path(args.run) / "metrics.csv", "metrics CSV")).parent
+    out_dir = run_dir / "reports"
+    made = ana.export_training_plots(run_dir / "metrics.csv", out_dir)
+    if args.eval_csv:
+        made.append(out_dir / "passk.svg")
+        ana.export_pass_at_k_plot(_require_file(args.eval_csv, "eval CSV"), made[-1])
+    if args.drift_csv:
+        made.append(out_dir / "drift.svg")
+        ana.export_drift_plot(_require_file(args.drift_csv, "drift CSV"), made[-1])
+    for p in made:
+        print(f"wrote {p}")
+    return 0
 
 
 # -----------------------------------------------------------------------------
@@ -347,47 +359,38 @@ def cmd_analyze(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="eksft", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="cmd", required=True)
+    # no abbreviations: --rho must not be read as --rhos
+    no_abbrev = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    sub = parser.add_subparsers(dest="cmd", required=True, parser_class=no_abbrev)
 
     p = sub.add_parser("gen-data", help="generate the four dataset splits")
     p.add_argument("--spec", help="task spec JSON file")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
     p.add_argument("--force", action="store_true")
+    _add_flags(p, *READS["gen-data"][:2])
     p.set_defaults(fn=cmd_gen_data)
 
-    for name, fn, help_text in (
-        ("pretrain", cmd_pretrain, "LM-pretrain a base model (prompt tokens supervised)"),
-        ("train-sft", cmd_train_sft, "supervised stage with any method"),
+    for name, help_text in (
+        ("pretrain", "LM-pretrain a base model (prompt tokens supervised)"),
+        ("train-sft", "supervised stage with any method"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--data", required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--init", help="checkpoint prefix to start from (else fresh init)")
-        if name == "train-sft":
-            p.add_argument("--method", choices=("sft", "eksft", "dft", "random_mask", "global_reg"))
-            for flag in ("--rho", "--lambda-h", "--lambda-kl", "--drop-fraction"):
-                p.add_argument(flag, type=float)
-        _add_sft_flags(p)
+        p.add_argument("--config", help="JSON config file; flags override its entries")
         p.add_argument("--force", action="store_true")
-        _add_model_flags(p)
-        p.set_defaults(fn=fn)
+        _add_flags(p, *READS[name][:2])
+        _add_flags(p, mdl.ModelConfig, _MODEL_SIZES)
+        p.set_defaults(fn=functools.partial(_run_supervised, command=name))
 
     p = sub.add_parser("train-rl", help="clipped group-rollout RL from a checkpoint")
     p.add_argument("--init", required=True, help="checkpoint prefix")
     p.add_argument("--prompts", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--config")
-    p.add_argument("--steps", dest="total_steps", type=int)
-    p.add_argument("--group-size", dest="rollout_group_size", type=int)
-    p.add_argument("--prompts-per-step", dest="prompts_per_step", type=int)
-    p.add_argument("--clip-low", dest="clip_low", type=float)
-    p.add_argument("--clip-high", dest="clip_high", type=float)
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--max-gen-len", dest="max_gen_len", type=int)
-    p.add_argument("--lr", dest="learning_rate", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--config", help="JSON config file; flags override its entries")
     p.add_argument("--force", action="store_true")
+    _add_flags(p, *READS["train-rl"][:2])
     p.set_defaults(fn=cmd_train_rl)
 
     p = sub.add_parser("eval", help="pass@k evaluation of a checkpoint")
@@ -403,22 +406,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("analyze", help="post-hoc analyzers")
-    asub = p.add_subparsers(dest="what", required=True)
+    asub = p.add_subparsers(dest="what", required=True, parser_class=no_abbrev)
 
     a = asub.add_parser("drift", help="parameter drift between two checkpoints")
     a.add_argument("--before", required=True)
     a.add_argument("--after", required=True)
     a.add_argument("--thresholds", type=float_list)
     a.add_argument("--out", default="drift_reports")
-    a.set_defaults(fn=cmd_analyze)
+    a.set_defaults(fn=cmd_drift)
 
     a = asub.add_parser("iou", help="mask-overlap series from a mask dump")
     a.add_argument("--dump", required=True)
     a.add_argument("--out", default="iou_reports")
-    a.set_defaults(fn=cmd_analyze)
+    a.set_defaults(fn=cmd_iou)
 
-    a = asub.add_parser("sweep", help="masking-ratio sweep (train + eval per ratio)",
-                        allow_abbrev=False)  # so --rho is not read as --rhos
+    a = asub.add_parser("sweep", help="masking-ratio sweep (train + eval per ratio)")
     a.add_argument("--data", required=True)
     a.add_argument("--eval-data", dest="eval_data", required=True)
     a.add_argument("--init", required=True)
@@ -427,16 +429,15 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--n", type=int, default=32)
     a.add_argument("--eval-seed", dest="eval_seed", type=int, default=0)
     a.add_argument("--max-gen-len", dest="max_gen_len", type=int, default=64)
-    _add_sft_flags(a)
-    for flag in ("--lambda-h", "--lambda-kl"):  # EKSFT's; --rhos gives each ratio
-        a.add_argument(flag, type=float)
-    a.set_defaults(fn=cmd_analyze)
+    a.add_argument("--config", help="JSON config file; flags override its entries")
+    _add_flags(a, *READS["analyze sweep"][:2])
+    a.set_defaults(fn=cmd_sweep)
 
     a = asub.add_parser("plots", help="SVG charts from a run directory")
     a.add_argument("--run", required=True)
     a.add_argument("--eval-csv", dest="eval_csv")
     a.add_argument("--drift-csv", dest="drift_csv")
-    a.set_defaults(fn=cmd_analyze)
+    a.set_defaults(fn=cmd_plots)
 
     return parser
 

@@ -1,9 +1,8 @@
 """Synthetic verifiable tasks: generation, tokenization, answer checking.
 
-Two char-level families, each producing prompt/response/answer triples:
+One char-level family produces prompt/response/answer triples:
 
   mod_add_chain  "3+7+2="  ->  "10,12#12"   (running sums mod M, then #answer)
-  reverse_copy   "abc>"    ->  "#cba"        (> rendered as a unicode arrow)
 
 Responses end with the answer marker '#' followed by the canonical answer;
 an EOS token is appended at tokenization time. Splits are a seeded
@@ -26,11 +25,13 @@ BOS = 1
 EOS = 2
 ANSWER_MARK = 3
 
+# No task writes the arrow or the letters; they hold ids 17-31, so the
+# vocabulary stays at 32 tokens and a model's vocab_size still covers it.
 _ARROW = "→"
 _LETTERS = "abcdefghijklmn"
 _TEXT_CHARS = "#" + "0123456789" + "+=," + _ARROW + _LETTERS  # id 3 onward
 
-FAMILIES = ("mod_add_chain", "reverse_copy")
+FAMILIES = ("mod_add_chain",)
 
 
 @dataclass(frozen=True)
@@ -130,22 +131,16 @@ class TaskSpec:
     chain_len_min: int = 2
     chain_len_max: int = 3
     modulus: int = 100
-    str_len_min: int = 3
-    str_len_max: int = 5
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         if min(self.n_pretrain, self.n_sft, self.n_rl, self.n_eval) < 0:
             raise ConfigError("split counts must be >= 0")
-        if self.family == "mod_add_chain":
-            if not (2 <= self.chain_len_min <= self.chain_len_max):
-                raise ConfigError("need 2 <= chain_len_min <= chain_len_max")
-            if self.modulus < 2:
-                raise ConfigError("modulus must be >= 2")
-        else:
-            if not (1 <= self.str_len_min <= self.str_len_max):
-                raise ConfigError("need 1 <= str_len_min <= str_len_max")
+        if not (2 <= self.chain_len_min <= self.chain_len_max):
+            raise ConfigError("need 2 <= chain_len_min <= chain_len_max")
+        if self.modulus < 2:
+            raise ConfigError("modulus must be >= 2")
 
     def counts(self) -> dict[str, int]:
         return {
@@ -160,35 +155,24 @@ SPLIT_NAMES = ("pretrain", "sft", "rl_prompts", "eval")
 
 
 def instance_space_size(spec: TaskSpec) -> int:
-    if spec.family == "mod_add_chain":
-        return sum(10**n for n in range(spec.chain_len_min, spec.chain_len_max + 1))
-    return sum(len(_LETTERS) ** n for n in range(spec.str_len_min, spec.str_len_max + 1))
+    return sum(10**n for n in range(spec.chain_len_min, spec.chain_len_max + 1))
 
 
 def _draw_instance(spec: TaskSpec, rng: np.random.Generator):
-    if spec.family == "mod_add_chain":
-        n = int(rng.integers(spec.chain_len_min, spec.chain_len_max + 1))
-        return tuple(int(d) for d in rng.integers(0, 10, size=n))
-    n = int(rng.integers(spec.str_len_min, spec.str_len_max + 1))
-    return "".join(_LETTERS[i] for i in rng.integers(0, len(_LETTERS), size=n))
+    n = int(rng.integers(spec.chain_len_min, spec.chain_len_max + 1))
+    return tuple(int(d) for d in rng.integers(0, 10, size=n))
 
 
-def render_instance(spec: TaskSpec, instance) -> Sample:
+def render_instance(spec: TaskSpec, digits) -> Sample:
     """Build the full Sample (prompt, expert response, gold answer) for one instance."""
-    if spec.family == "mod_add_chain":
-        digits = instance
-        prompt = "+".join(str(d) for d in digits) + "="
-        partials = []
-        acc = digits[0]
-        for d in digits[1:]:
-            acc = (acc + d) % spec.modulus
-            partials.append(acc)
-        answer = str(acc)
-        response = ",".join(str(p) for p in partials) + "#" + answer
-    else:
-        prompt = instance + _ARROW
-        answer = instance[::-1]
-        response = "#" + answer
+    prompt = "+".join(str(d) for d in digits) + "="
+    partials = []
+    acc = digits[0]
+    for d in digits[1:]:
+        acc = (acc + d) % spec.modulus
+        partials.append(acc)
+    answer = str(acc)
+    response = ",".join(str(p) for p in partials) + "#" + answer
     return make_sample(prompt, response, answer)
 
 

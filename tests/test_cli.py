@@ -1,8 +1,11 @@
+import argparse
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
+from eksft import cli
 from eksft import model as mdl
 from eksft.cli import main
 
@@ -356,6 +359,9 @@ def test_fresh_init_takes_the_seed_of_the_config_file(tmp_path, capsys):
     ("train-sft", {"model": 5}, "must be a JSON object"),
     ("train-rl", {"steps": 2}, "['steps']"),
     ("gen-data", {"family": "mod_add_chain", "bogus_key": 1}, "['bogus_key']"),
+    ("pretrain", {"rho": 0.9}, "['rho']"),
+    ("sweep", {"rho": 0.5}, "['rho']"),
+    ("sweep", {"drop_fraction": 0.5}, "['drop_fraction']"),
 ])
 def test_config_file_unknown_key_exits_2(tmp_path, capsys, cmd, cfg, message):
     data = _gen(tmp_path)
@@ -368,10 +374,40 @@ def test_config_file_unknown_key_exits_2(tmp_path, capsys, cmd, cfg, message):
         "train-rl": ["train-rl", "--init", str(ckpt), "--prompts", str(data / "rl_prompts.jsonl"),
                      "--config", str(path)],
         "gen-data": ["gen-data", "--spec", str(path)],
+        "pretrain": ["pretrain", "--data", str(data / "pretrain.jsonl"), "--config", str(path)],
+        "sweep": ["analyze", "sweep", "--data", str(data / "sft.jsonl"),
+                  "--eval-data", str(data / "eval.jsonl"), "--init", str(ckpt),
+                  "--config", str(path)],
     }[cmd]
     capsys.readouterr()
     assert main([*argv, "--out", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys):
+    data = _gen(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"epochs": "2"}))
+    capsys.readouterr()
+    assert main(["train-sft", "--data", str(data / "sft.jsonl"), "--config", str(path),
+                 "--out", str(tmp_path / "out"), *MODEL_FLAGS]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("setting", ["config key 'model'", "--d-model"])
+def test_model_setting_with_init_exits_2(tmp_path, capsys, setting):
+    data = _gen(tmp_path)
+    ckpt = tmp_path / "ckpt"
+    mdl.save_checkpoint(mdl.init(mdl.ModelConfig(d_model=16, context_len=48)), ckpt)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"epochs": 1, "model": {"d_model": 16}}))
+    extra = ["--config", str(path)] if setting.startswith("config") else ["--d-model", "16"]
+    capsys.readouterr()
+    assert main(["train-sft", "--data", str(data / "sft.jsonl"), "--init", str(ckpt),
+                 "--out", str(tmp_path / "out"), *extra]) == 2
+    assert setting in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -400,6 +436,7 @@ def test_non_integer_model_size_exits_2(tmp_path, capsys):
     ("pretrain", {"method": "eksft", "rho": 0.5}),
     ("train-sft", {"supervise_prompt": True}),
     ("sweep", {"method": "sft"}),
+    ("sweep", {"supervise_prompt": True}),
 ])
 def test_config_file_contradicting_the_command_exits_2(tmp_path, capsys, cmd, cfg):
     data = _gen(tmp_path)
@@ -443,3 +480,50 @@ def test_malformed_list_flag_exits_2(tmp_path, capsys, flag):
         main([*argv, flag, "1,x", "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
+
+
+# each command's flags that are not config fields
+OWN_FLAGS = {
+    "gen-data": {"--spec", "--out", "--force"},
+    "pretrain": {"--data", "--out", "--init", "--config", "--force"},
+    "train-sft": {"--data", "--out", "--init", "--config", "--force"},
+    "train-rl": {"--init", "--prompts", "--out", "--config", "--force"},
+    "analyze sweep": {"--data", "--eval-data", "--init", "--out", "--rhos", "--n", "--eval-seed",
+                      "--max-gen-len", "--config"},
+}
+
+
+def _other_value(cls, name):
+    """A valid value of field `name` other than its default, where one exists."""
+    default = {f.name: f.default for f in dataclasses.fields(cls)}[name]
+    if isinstance(default, str):
+        return {"method": "eksft"}.get(name, default)
+    return default * 2 or type(default)(1)
+
+
+@pytest.mark.parametrize("command", sorted(cli.READS))
+def test_each_field_read_is_one_flag_and_one_file_key(command):
+    parser = cli.build_parser()
+    for name in command.split():
+        parser = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices[name]
+    options = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+    cls, reads, fixed = cli.READS[command]
+    parts = [(cls, reads, fixed)]
+    if command in ("pretrain", "train-sft"):
+        parts.append((mdl.ModelConfig, cli._MODEL_SIZES, {}))
+    assert options == OWN_FLAGS[command] | {cli.flag(n) for _, names, _ in parts for n in names}
+
+    required = [s for a in parser._actions if a.required for s in (a.option_strings[0], "x")]
+    for cls, names, fixed in parts:
+        values = {name: _other_value(cls, name) for name in names}
+
+        def build(file_cfg, argv):
+            return cli._build(cls, names, fixed, file_cfg, parser.parse_args([*required, *argv]))
+
+        from_file = build(values, [])
+        assert {n: getattr(from_file, n) for n in names} == values
+        assert all(getattr(from_file, k) == v for k, v in fixed.items())
+        for name in names:
+            rest = {k: v for k, v in values.items() if k != name}
+            assert build(rest, [cli.flag(name), str(values[name])]) == from_file, name

@@ -46,22 +46,10 @@ def test_render_mod_add_chain_wraps_modulus():
     assert s.response == "7#7"
 
 
-def test_render_reverse_copy():
-    spec = TaskSpec(family="reverse_copy")
-    s = tasks.render_instance(spec, "abc")
-    assert s.prompt == "abc→"
-    assert s.response == "#cba"
-    assert s.answer == "cba"
-
-
 def test_expert_responses_verify():
-    for spec in (
-        TaskSpec(family="mod_add_chain", n_pretrain=50, n_sft=10, n_rl=10, n_eval=10, seed=2),
-        TaskSpec(family="reverse_copy", n_pretrain=50, n_sft=10, n_rl=10, n_eval=10, seed=2),
-    ):
-        splits = tasks.generate_splits(spec)
-        for samples in splits.values():
-            assert all(tasks.verify(s, s.response_tokens) for s in samples)
+    spec = TaskSpec(family="mod_add_chain", n_pretrain=50, n_sft=10, n_rl=10, n_eval=10, seed=2)
+    for samples in tasks.generate_splits(spec).values():
+        assert all(tasks.verify(s, s.response_tokens) for s in samples)
 
 
 def test_verify_requires_marker():
