@@ -25,10 +25,19 @@ eksft pretrain --data "$DATA/pretrain.jsonl" --out "$OUT/base" \
 BASE="$OUT/base/checkpoints/final"
 
 # --- 1. supervised-stage comparison -----------------------------------------
+# Each method is given only the hyper-parameters it reads (objective.METHODS);
+# train-sft refuses the others.
+declare -A READS=(
+    [sft]=""
+    [eksft]="--rho 0.2 --lambda-h 0.05 --lambda-kl 0.05"
+    [random_mask]="--drop-fraction 0.10 --lambda-h 0.05 --lambda-kl 0.05"
+    [global_reg]="--lambda-h 0.05 --lambda-kl 0.05"
+    [dft]=""
+)
 for METHOD in sft eksft random_mask global_reg dft; do
+    # shellcheck disable=SC2086  # READS entries are word-split into flags
     eksft train-sft --method "$METHOD" --data "$DATA/sft.jsonl" \
-        --init "$BASE" --out "$OUT/$METHOD" "${SFT[@]}" \
-        --rho 0.2 --lambda-h 0.05 --lambda-kl 0.05 --drop-fraction 0.10 \
+        --init "$BASE" --out "$OUT/$METHOD" "${SFT[@]}" ${READS[$METHOD]} \
         --seed "$SEED" --force
     eksft eval --ckpt "$OUT/$METHOD/checkpoints/final" --data "$DATA/eval.jsonl" \
         --n 32 --ks 1,4,8,16,32 --out "$OUT/$METHOD/reports" --label "$METHOD"

@@ -9,9 +9,12 @@ pretrain, train-sft for all five methods at --grad-accum 2, train-rl, eval,
 analyze drift, analyze iou, analyze plots with --eval-csv and --drift-csv,
 and analyze sweep at --n 32, 4 and 2 (at 2 the only k is 1, so sweep.csv has
 one pass@ column). Then it runs pretrain and train-sft from a --config file
-(training and model keys, fresh init), and train-rl and analyze sweep from a
---config file, so every config-backed command is also run from a file. The
-files hold only keys that each command reads, so both sides accept them.
+(training and model keys, fresh init), train-sft of random_mask from a
+--config file of the method's own fields (drop_fraction, lambda_h,
+lambda_kl) from --init, and train-rl and analyze sweep from a --config
+file, so every config-backed command, and train-sft's per-method reads, also
+run from a file. The files hold only keys that each command, and each
+method, reads, so both sides accept them.
 Run directories and reports record their input paths, so both sides write
 into one path, and each side's outputs are moved aside before the other runs.
 
@@ -44,8 +47,11 @@ CONFIG_FILES = {
     "train.json": {"method": "eksft", "learning_rate": 2e-3, "epochs": 2, "batch_size": 4,
                    "grad_accum": 2, "rho": 0.3, "seed": 3, "model": SMALL_MODEL},
     "rl.json": {"learning_rate": 1e-3, "total_steps": 3, "rollout_group_size": 4,
-                "prompts_per_step": 2, "clip_low": 0.1, "clip_high": 0.3, "temperature": 0.9,
+                "prompts_per_step": 2, "temperature": 0.9,
                 "max_gen_len": 12, "weight_decay": 0.01, "seed": 5},
+    "random_mask.json": {"method": "random_mask", "learning_rate": 2e-3, "epochs": 2,
+                         "batch_size": 4, "grad_accum": 2, "drop_fraction": 0.3,
+                         "lambda_h": 0.1, "lambda_kl": 0.02, "seed": 7},
     "sweep.json": {"learning_rate": 2e-3, "epochs": 2, "batch_size": 4, "grad_accum": 2,
                    "weight_decay": 0.01, "seed": 6, "lambda_h": 0.1, "lambda_kl": 0.02},
 }
@@ -98,6 +104,10 @@ def pipeline(run: Path) -> list[tuple[str, list[str]]]:
         ("train-sft_config", ["train-sft", "--data", str(data / "sft.jsonl"),
                               "--config", str(run / "train.json"),
                               "--out", str(run / "config_run")]),
+        ("train-sft_config_random_mask", ["train-sft", "--data", str(data / "sft.jsonl"),
+                                          "--init", str(base),
+                                          "--config", str(run / "random_mask.json"),
+                                          "--out", str(run / "config_random_mask")]),
         ("train-rl_config", ["train-rl", "--init", str(eksft),
                              "--prompts", str(data / "rl_prompts.jsonl"),
                              "--config", str(run / "rl.json"), "--out", str(run / "rl_config")]),

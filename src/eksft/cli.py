@@ -8,10 +8,14 @@ from which it can be reproduced bit-identically.
 Exit codes are uniform: 0 success, 1 runtime failure, 2 usage/config error.
 `READS` says, for each config-backed command, which fields of its config
 dataclass it reads and which it fixes. Each field read is one flag (`flag`)
-and one config-file key; values resolve as fixed > flag > file > default. A
-flag, file key or model setting outside the command's entry, or a file key
-that sets a fixed field to another value, is a usage error. Checkpoints are
-named by `model.checkpoint_paths` and checked by `model.load_checkpoint`.
+and one config-file key; values resolve as fixed > flag > file > default.
+Of the method fields, the hyper-parameters in `objective.METHODS`, a run
+reads only those of its resolved method (`method_reads`): `train-sft
+--method sft --rho 0.3` is refused, as eksft alone reads rho. A flag, file
+key or model setting outside the command's entry or its method's fields,
+a value of the wrong type, or a file key that sets a fixed field to
+another value, is a usage error. Checkpoints are named by
+`model.checkpoint_paths` and checked by `model.load_checkpoint`.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from . import __version__
 from . import analyze as ana
 from . import evaluation as ev
 from . import model as mdl
+from . import objective as obj
 from . import tasks
 from . import train as tr
 from .errors import ConfigError, EksftError
@@ -36,18 +41,21 @@ RUN_ROOT_ENV = "EKSFT_RUN_ROOT"
 
 _SFT_COMMON = ("learning_rate", "epochs", "grad_accum", "batch_size", "weight_decay", "seed")
 _MODEL_SIZES = ("vocab_size", "d_model", "n_layers", "n_heads", "context_len")
+# every field that some method reads (rho, lambda_h, lambda_kl, drop_fraction)
+_METHOD_FIELDS = tuple(dict.fromkeys(n for names in obj.METHODS.values() for n in names))
 
 # command -> (config dataclass, fields it reads, {field: value} it fixes).
 # pretrain and train-sft also read _MODEL_SIZES of ModelConfig on a fresh init.
 READS = {
     "gen-data": (tasks.TaskSpec, tuple(f.name for f in dataclasses.fields(tasks.TaskSpec)), {}),
     "pretrain": (tr.SftConfig, _SFT_COMMON, {"method": "sft", "supervise_prompt": True}),
-    "train-sft": (tr.SftConfig,
-                  _SFT_COMMON + ("method", "rho", "lambda_h", "lambda_kl", "drop_fraction"),
+    # a train-sft run reads only its method's share of these (method_reads)
+    "train-sft": (tr.SftConfig, _SFT_COMMON + ("method",) + _METHOD_FIELDS,
                   {"supervise_prompt": False}),
     "train-rl": (tr.RlConfig, tuple(f.name for f in dataclasses.fields(tr.RlConfig)), {}),
-    # EKSFT reads no drop fraction, and --rhos gives each run its ratio
-    "analyze sweep": (tr.SftConfig, _SFT_COMMON + ("lambda_h", "lambda_kl"),
+    # --rhos gives each run its ratio
+    "analyze sweep": (tr.SftConfig,
+                      _SFT_COMMON + tuple(n for n in obj.METHODS["eksft"] if n != "rho"),
                       {"method": "eksft", "supervise_prompt": False}),
 }
 
@@ -98,10 +106,17 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
+def method_reads(reads: tuple[str, ...], method: str) -> tuple[str, ...]:
+    """The fields of `reads` that a run of `method` reads: of the method fields,
+    only its own (`obj.METHODS[method]`)."""
+    return tuple(n for n in reads if n not in _METHOD_FIELDS or n in obj.METHODS[method])
+
+
 def _build(cls, reads: tuple[str, ...], fixed: dict, file_cfg: dict, args: argparse.Namespace):
     """`cls` from defaults < config file < flags < `fixed`. A file key that sets
     a fixed field to another value, or that is neither read nor fixed, is a
-    usage error."""
+    usage error, and so is a flag or file key of a field that the resolved
+    method does not read."""
     if not isinstance(file_cfg, dict):
         raise ConfigError(f"{cls.__name__} settings must be a JSON object, got {file_cfg!r}")
     for name, value in fixed.items():
@@ -117,10 +132,15 @@ def _build(cls, reads: tuple[str, ...], fixed: dict, file_cfg: dict, args: argpa
         if getattr(args, name) is not None:
             kwargs[name] = getattr(args, name)
     kwargs.update(fixed)
-    try:
-        return cls(**kwargs)
-    except TypeError as e:  # __post_init__ comparing a file value of the wrong type
-        raise ConfigError(str(e)) from e
+    method = kwargs.get("method", tr.SftConfig.method)
+    if cls is tr.SftConfig and isinstance(method, str) and method in obj.METHODS:
+        read = method_reads(reads, method)
+        unread = [n for n in reads if n in kwargs and n not in read]
+        if unread:
+            raise ConfigError(f"method {method!r} does not read {unread}, given as a flag or "
+                              f"config key; of {list(_METHOD_FIELDS)} it reads "
+                              f"{list(obj.METHODS[method])}")
+    return cls(**kwargs)  # an unknown method or a bad value is its ConfigError
 
 
 def _prepare_run_dir(out: str, force: bool) -> Path:

@@ -3,8 +3,13 @@
 Every error raised by the package derives from EksftError so callers (the
 CLI in particular) can map failures to exit codes: ConfigError means the
 user gave us something unusable (exit 2), everything else is a runtime
-failure (exit 1).
+failure (exit 1). `check_field_types` is the one type check of the config
+dataclasses.
 """
+
+import dataclasses
+
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
 
 
 class EksftError(Exception):
@@ -13,6 +18,17 @@ class EksftError(Exception):
 
 class ConfigError(EksftError):
     """Invalid configuration value or combination."""
+
+
+def check_field_types(config) -> None:
+    """Raise ConfigError naming the first field of dataclass `config` whose value
+    is not of its default's type. An int field takes no bool; a float field
+    takes an int too, but no bool; str and bool fields take only their own type."""
+    for f in dataclasses.fields(config):
+        value, kind = getattr(config, f.name), type(f.default)
+        accepted = (int, float) if kind is float else kind
+        if not isinstance(value, accepted) or (kind is not bool and isinstance(value, bool)):
+            raise ConfigError(f"{f.name} must be {_TYPE_NAMES[kind]}, got {value!r}")
 
 
 class InputError(EksftError):

@@ -35,6 +35,7 @@ from .errors import (
     ManifestError,
     ShapeMismatchError,
     TruncatedBlobError,
+    check_field_types,
 )
 
 INIT_STD = 0.02
@@ -51,9 +52,7 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, value in asdict(self).items():
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        check_field_types(self)
         if self.vocab_size < 8:
             raise ConfigError(f"vocab_size must be >= 8, got {self.vocab_size}")
         for name in ("d_model", "n_layers", "n_heads", "context_len"):

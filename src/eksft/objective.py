@@ -2,7 +2,10 @@
 
 Five methods share one objective: a (possibly weighted) NLL sum over the
 supervised positions, plus entropy and KL sums over the regularized
-positions. `objective_terms`, the one entry point of training, computes it
+positions. `METHODS` names, per method, the hyper-parameters it reads:
+none for sft and dft, rho (the Top-K ratio) for eksft, drop_fraction for
+random_mask, and the weights lambda_h and lambda_kl for the three that
+regularize. `objective_terms`, the one entry point of training, computes it
 for a micro-batch in two parts:
 
   * `stop_gradient_constants` picks, per method, the supervised and
@@ -46,7 +49,14 @@ from . import selection as sel
 from .errors import ConfigError, InputError
 from .selection import MaskSet
 
-METHODS = ("sft", "eksft", "dft", "random_mask", "global_reg")
+# method -> the SftConfig fields its objective reads, besides those every method reads
+METHODS = {
+    "sft": (),
+    "eksft": ("rho", "lambda_h", "lambda_kl"),
+    "dft": (),
+    "random_mask": ("drop_fraction", "lambda_h", "lambda_kl"),
+    "global_reg": ("lambda_h", "lambda_kl"),
+}
 
 
 # -----------------------------------------------------------------------------
@@ -161,7 +171,7 @@ def stop_gradient_constants(
     regularizes every valid token; sft and dft supervise every valid token.
     """
     if method not in METHODS:
-        raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
+        raise ConfigError(f"unknown method {method!r}; expected one of {tuple(METHODS)}")
     if method == "global_reg":
         return Constants(valid_mask, valid_mask, None, None)
     if method in ("sft", "dft"):

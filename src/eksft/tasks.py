@@ -1,8 +1,9 @@
 """Synthetic verifiable tasks: generation, tokenization, answer checking.
 
-One char-level family produces prompt/response/answer triples:
+One char-level task, mod_add_chain, produces prompt/response/answer
+triples; it is the only task, so a spec does not name it:
 
-  mod_add_chain  "3+7+2="  ->  "10,12#12"   (running sums mod M, then #answer)
+  "3+7+2="  ->  "10,12#12"   (running sums mod M, then #answer)
 
 Responses end with the answer marker '#' followed by the canonical answer;
 an EOS token is appended at tokenization time. Splits are a seeded
@@ -18,7 +19,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, GenerationError, InputError, LengthError, TokenizationError
+from .errors import (
+    ConfigError,
+    GenerationError,
+    InputError,
+    LengthError,
+    TokenizationError,
+    check_field_types,
+)
 
 PAD = 0
 BOS = 1
@@ -30,8 +38,6 @@ ANSWER_MARK = 3
 _ARROW = "→"
 _LETTERS = "abcdefghijklmn"
 _TEXT_CHARS = "#" + "0123456789" + "+=," + _ARROW + _LETTERS  # id 3 onward
-
-FAMILIES = ("mod_add_chain",)
 
 
 @dataclass(frozen=True)
@@ -122,7 +128,6 @@ def verify(sample: Sample, generated_tokens) -> bool:
 
 @dataclass(frozen=True)
 class TaskSpec:
-    family: str = "mod_add_chain"
     seed: int = 0
     n_pretrain: int = 512
     n_sft: int = 64
@@ -133,8 +138,7 @@ class TaskSpec:
     modulus: int = 100
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ConfigError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+        check_field_types(self)
         if min(self.n_pretrain, self.n_sft, self.n_rl, self.n_eval) < 0:
             raise ConfigError("split counts must be >= 0")
         if not (2 <= self.chain_len_min <= self.chain_len_max):
@@ -183,7 +187,7 @@ def generate_splits(spec: TaskSpec) -> dict[str, list[Sample]]:
     space = instance_space_size(spec)
     if total > space:
         raise GenerationError(
-            f"requested {total} instances but the {spec.family} space only has {space}"
+            f"requested {total} instances but the instance space only has {space}"
         )
     rng = np.random.default_rng(spec.seed)
     seen = set()

@@ -15,9 +15,13 @@ a step adds up its micro-batches' gradients with one `+=` each.
 
 RL stage: group rollouts per prompt, binary verifier rewards, group-mean
 normalized advantages, and an asymmetrically clipped policy-gradient
-surrogate (clip band [1 - c_l, 1 + c_h]). No reference/KL term. A step
-whose gradient is exactly zero (all groups reward-uniform) is skipped so
-parameters stay bit-identical.
+surrogate with the fixed band [1 - CLIP_LOW, 1 + CLIP_HIGH]. No
+reference/KL term. A step whose gradient is exactly zero (all groups
+reward-uniform) is skipped so parameters stay bit-identical. Each rollout
+batch serves one update, made with the parameters that sampled it, so the
+importance ratio is 1 up to roundoff and the band never binds. It binds
+only once a rollout batch serves more than one update; until then the band
+is a constant, not a setting.
 
 Wall-clock timings go to a separate timings.csv: metrics.csv must stay
 byte-identical across reruns of the same config.
@@ -39,13 +43,15 @@ from . import model as mdl
 from . import numerics as nk
 from . import objective as obj
 from . import selection as sel
-from .errors import ConfigError, InputError, LengthError, NumericError
+from .errors import ConfigError, InputError, LengthError, NumericError, check_field_types
 from .evaluation import sample_group
 from .tasks import PAD, Sample
 
 log = logging.getLogger(__name__)
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.95, 1e-8
+# DAPO's clip-higher band [1 - CLIP_LOW, 1 + CLIP_HIGH]; see the module docstring
+CLIP_LOW, CLIP_HIGH = 0.2, 0.28
 
 
 @dataclass(frozen=True)
@@ -64,8 +70,10 @@ class SftConfig:
     supervise_prompt: bool = False
 
     def __post_init__(self):
+        check_field_types(self)
         if self.method not in obj.METHODS:
-            raise ConfigError(f"unknown method {self.method!r}; expected one of {obj.METHODS}")
+            raise ConfigError(f"unknown method {self.method!r}; "
+                              f"expected one of {tuple(obj.METHODS)}")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be > 0")
         if self.epochs < 1 or self.grad_accum < 1 or self.batch_size < 1:
@@ -88,18 +96,13 @@ class RlConfig:
     total_steps: int = 200
     rollout_group_size: int = 16
     prompts_per_step: int = 8
-    clip_low: float = 0.2
-    clip_high: float = 0.28
     temperature: float = 1.0
     max_gen_len: int = 64
     weight_decay: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 < self.clip_low < 1.0):
-            raise ConfigError(f"clip_low must lie in (0, 1), got {self.clip_low}")
-        if self.clip_high <= 0:
-            raise ConfigError(f"clip_high must be > 0, got {self.clip_high}")
+        check_field_types(self)
         if self.rollout_group_size < 2:
             raise ConfigError("rollout_group_size must be >= 2")
         if self.total_steps < 1 or self.prompts_per_step < 1:
@@ -494,7 +497,7 @@ def _rl_update(params, opt, episodes, config: RlConfig) -> float:
     log_probs = nk.log_softmax(logits / config.temperature)
     new_lp = log_probs[rows, pos, tok]
 
-    loss, d_lp = clipped_pg_loss(new_lp, old_lp, adv, config.clip_low, config.clip_high)
+    loss, d_lp = clipped_pg_loss(new_lp, old_lp, adv, CLIP_LOW, CLIP_HIGH)
 
     d_lp_rows = np.zeros((tok.size, logits.shape[-1]))
     d_lp_rows[np.arange(tok.size), tok] = d_lp

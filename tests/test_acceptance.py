@@ -266,8 +266,7 @@ class SeedRun:
 
 
 def _stage1(seed: int) -> SeedRun:
-    spec = tasks.TaskSpec(family="mod_add_chain", seed=100 + seed,
-                          n_pretrain=512, n_sft=64, n_rl=256, n_eval=48)
+    spec = tasks.TaskSpec(seed=100 + seed, n_pretrain=512, n_sft=64, n_rl=256, n_eval=48)
     splits = tasks.generate_splits(spec)
     cfg = mdl.ModelConfig(vocab_size=32, d_model=64, n_layers=2, n_heads=2,
                           context_len=64, seed=seed)
@@ -332,7 +331,7 @@ def test_c08_rl_from_sft_vs_eksft(stage1_runs):
     for seed in SEEDS:
         run = stage1_runs[seed]
         hard_prompts = tasks.generate_splits(tasks.TaskSpec(
-            family="mod_add_chain", seed=900 + seed, chain_len_min=4, chain_len_max=4,
+            seed=900 + seed, chain_len_min=4, chain_len_max=4,
             n_pretrain=0, n_sft=0, n_rl=256, n_eval=0,
         ))["rl_prompts"]
         finals = {}
@@ -436,7 +435,7 @@ def test_c11_pipeline_determinism(tmp_path):
     root = tmp_path / "run"
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(
-        {"family": "mod_add_chain", "seed": 77,
+        {"seed": 77,
          "n_pretrain": 16, "n_sft": 8, "n_rl": 8, "n_eval": 4}
     ))
     model_flags = ["--vocab-size", "32", "--d-model", "16", "--n-layers", "1",

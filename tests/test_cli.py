@@ -7,6 +7,7 @@ import pytest
 
 from eksft import cli
 from eksft import model as mdl
+from eksft import objective as obj
 from eksft.cli import main
 
 MODEL_FLAGS = ["--vocab-size", "32", "--d-model", "16", "--n-layers", "1",
@@ -17,7 +18,6 @@ def _gen(tmp_path, seed=3, counts=(8, 6, 6, 4)) -> Path:
     tmp_path.mkdir(parents=True, exist_ok=True)
     data = tmp_path / "data"
     spec = {
-        "family": "mod_add_chain",
         "seed": seed,
         "n_pretrain": counts[0],
         "n_sft": counts[1],
@@ -300,12 +300,16 @@ def test_analyze_sweep_rejects_ratios_that_share_a_run_directory(tmp_path, capsy
     ("pretrain", "--rho"), ("pretrain", "--lambda-h"), ("pretrain", "--lambda-kl"),
     ("pretrain", "--drop-fraction"),
     ("sweep", "--rho"), ("sweep", "--drop-fraction"), ("sweep", "--force"),
+    ("train-rl", "--clip-low"), ("train-rl", "--clip-high"), ("gen-data", "--family"),
 ])
 def test_flag_the_command_never_reads_exits_2(tmp_path, capsys, cmd, flag):
     argv = {
         "pretrain": ["pretrain", "--data", str(tmp_path / "pretrain.jsonl")],
         "sweep": ["analyze", "sweep", "--data", str(tmp_path / "sft.jsonl"),
                   "--eval-data", str(tmp_path / "eval.jsonl"), "--init", str(tmp_path / "ckpt")],
+        "train-rl": ["train-rl", "--init", str(tmp_path / "ckpt"),
+                     "--prompts", str(tmp_path / "rl_prompts.jsonl")],
+        "gen-data": ["gen-data"],
     }[cmd]
     value = [] if flag == "--force" else ["0.5"]
     with pytest.raises(SystemExit) as exc:
@@ -358,10 +362,12 @@ def test_fresh_init_takes_the_seed_of_the_config_file(tmp_path, capsys):
     ("train-sft", {"model": {"d_modle": 16}}, "['d_modle']"),
     ("train-sft", {"model": 5}, "must be a JSON object"),
     ("train-rl", {"steps": 2}, "['steps']"),
-    ("gen-data", {"family": "mod_add_chain", "bogus_key": 1}, "['bogus_key']"),
+    ("gen-data", {"seed": 3, "bogus_key": 1}, "['bogus_key']"),
     ("pretrain", {"rho": 0.9}, "['rho']"),
     ("sweep", {"rho": 0.5}, "['rho']"),
     ("sweep", {"drop_fraction": 0.5}, "['drop_fraction']"),
+    ("gen-data", {"family": "mod_add_chain"}, "['family']"),
+    ("train-rl", {"clip_low": 0.2, "clip_high": 0.28}, "['clip_high', 'clip_low']"),
 ])
 def test_config_file_unknown_key_exits_2(tmp_path, capsys, cmd, cfg, message):
     data = _gen(tmp_path)
@@ -388,11 +394,37 @@ def test_config_file_unknown_key_exits_2(tmp_path, capsys, cmd, cfg, message):
 def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys):
     data = _gen(tmp_path)
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"epochs": "2"}))
-    capsys.readouterr()
-    assert main(["train-sft", "--data", str(data / "sft.jsonl"), "--config", str(path),
-                 "--out", str(tmp_path / "out"), *MODEL_FLAGS]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    for cfg, message in (
+        ({"epochs": "2"}, "epochs must be an integer, got '2'"),
+        ({"epochs": 2.5}, "epochs must be an integer, got 2.5"),
+        ({"batch_size": True, "epochs": 1}, "batch_size must be an integer, got True"),
+        ({"learning_rate": False}, "learning_rate must be a number, got False"),
+        ({"method": 1}, "method must be a string, got 1"),
+    ):
+        path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert main(["train-sft", "--data", str(data / "sft.jsonl"), "--config", str(path),
+                     "--out", str(tmp_path / "out"), *MODEL_FLAGS]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+
+UNREAD = [(method, name) for method, names in obj.METHODS.items()
+          for name in cli._METHOD_FIELDS if name not in names]
+
+
+@pytest.mark.parametrize("given", ["flag", "file key"])
+@pytest.mark.parametrize("method, name", UNREAD)
+def test_method_field_the_method_never_reads_exits_2(tmp_path, capsys, method, name, given):
+    data = tmp_path / "sft.jsonl"
+    data.write_text('{"prompt": "1+1=", "response": "2#2", "answer": "2"}\n')
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"method": method, name: 0.5} if given == "file key" else {}))
+    extra = [] if given == "file key" else ["--method", method, cli.flag(name), "0.5"]
+    assert main(["train-sft", "--data", str(data), "--config", str(path),
+                 "--out", str(tmp_path / "out"), *MODEL_FLAGS, *extra]) == 2
+    err = capsys.readouterr().err
+    assert f"method {method!r} does not read [{name!r}]" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -501,6 +533,11 @@ def _other_value(cls, name):
     return default * 2 or type(default)(1)
 
 
+# settable values: the config fields read plus the model sizes, per method for train-sft
+SETTABLE = {"gen-data": 8, "pretrain": 11, "train-rl": 8, "analyze sweep": 8,
+            "train-sft": {"sft": 12, "dft": 12, "eksft": 15, "random_mask": 15, "global_reg": 14}}
+
+
 @pytest.mark.parametrize("command", sorted(cli.READS))
 def test_each_field_read_is_one_flag_and_one_file_key(command):
     parser = cli.build_parser()
@@ -509,21 +546,31 @@ def test_each_field_read_is_one_flag_and_one_file_key(command):
                       if isinstance(a, argparse._SubParsersAction)).choices[name]
     options = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
     cls, reads, fixed = cli.READS[command]
-    parts = [(cls, reads, fixed)]
-    if command in ("pretrain", "train-sft"):
-        parts.append((mdl.ModelConfig, cli._MODEL_SIZES, {}))
-    assert options == OWN_FLAGS[command] | {cli.flag(n) for _, names, _ in parts for n in names}
-
+    sizes = cli._MODEL_SIZES if command in ("pretrain", "train-sft") else ()
+    assert options == OWN_FLAGS[command] | {cli.flag(n) for n in reads + sizes}
     required = [s for a in parser._actions if a.required for s in (a.option_strings[0], "x")]
-    for cls, names, fixed in parts:
-        values = {name: _other_value(cls, name) for name in names}
 
-        def build(file_cfg, argv):
-            return cli._build(cls, names, fixed, file_cfg, parser.parse_args([*required, *argv]))
+    counts = SETTABLE[command] if command == "train-sft" else {None: SETTABLE[command]}
+    assert set(counts) == (set(obj.METHODS) if command == "train-sft" else {None})
+    for method, count in counts.items():
+        read = cli.method_reads(reads, method) if method else reads
+        assert len(read + sizes) == count, method
+        # (dataclass, fields the command accepts, fields this run reads, fixed fields)
+        parts = [(cls, reads, read, fixed)]
+        if sizes:
+            parts.append((mdl.ModelConfig, sizes, sizes, {}))
+        for kind, accepted, names, fixed_ in parts:
+            values = {name: _other_value(kind, name) for name in names}
+            if "method" in values:
+                values["method"] = method
 
-        from_file = build(values, [])
-        assert {n: getattr(from_file, n) for n in names} == values
-        assert all(getattr(from_file, k) == v for k, v in fixed.items())
-        for name in names:
-            rest = {k: v for k, v in values.items() if k != name}
-            assert build(rest, [cli.flag(name), str(values[name])]) == from_file, name
+            def build(file_cfg, argv):
+                args = parser.parse_args([*required, *argv])
+                return cli._build(kind, accepted, fixed_, file_cfg, args)
+
+            from_file = build(values, [])
+            assert {n: getattr(from_file, n) for n in names} == values
+            assert all(getattr(from_file, k) == v for k, v in fixed_.items())
+            for name in names:
+                rest = {k: v for k, v in values.items() if k != name}
+                assert build(rest, [cli.flag(name), str(values[name])]) == from_file, name

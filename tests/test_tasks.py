@@ -30,7 +30,7 @@ def test_detokenize_rejects_structural_ids():
 
 
 def test_render_mod_add_chain():
-    spec = TaskSpec(family="mod_add_chain", chain_len_min=2, chain_len_max=4)
+    spec = TaskSpec(chain_len_min=2, chain_len_max=4)
     s = tasks.render_instance(spec, (3, 7, 2))
     assert s.prompt == "3+7+2="
     assert s.response == "10,12#12"
@@ -40,14 +40,14 @@ def test_render_mod_add_chain():
 
 
 def test_render_mod_add_chain_wraps_modulus():
-    spec = TaskSpec(family="mod_add_chain", chain_len_min=2, chain_len_max=4, modulus=10)
+    spec = TaskSpec(chain_len_min=2, chain_len_max=4, modulus=10)
     s = tasks.render_instance(spec, (9, 8))
     assert s.answer == "7"
     assert s.response == "7#7"
 
 
 def test_expert_responses_verify():
-    spec = TaskSpec(family="mod_add_chain", n_pretrain=50, n_sft=10, n_rl=10, n_eval=10, seed=2)
+    spec = TaskSpec(n_pretrain=50, n_sft=10, n_rl=10, n_eval=10, seed=2)
     for samples in tasks.generate_splits(spec).values():
         assert all(tasks.verify(s, s.response_tokens) for s in samples)
 
@@ -125,7 +125,7 @@ def test_splits_disjoint_by_hash_join():
 
 def test_generation_infeasible_counts():
     spec = TaskSpec(
-        family="mod_add_chain", chain_len_min=2, chain_len_max=2,
+        chain_len_min=2, chain_len_max=2,
         n_pretrain=90, n_sft=10, n_rl=10, n_eval=10,  # 120 > 100 instances
     )
     with pytest.raises(GenerationError):
@@ -171,7 +171,5 @@ def test_load_samples_rejects_malformed_line(tmp_path, line):
 
 
 def test_task_spec_validation():
-    with pytest.raises(ConfigError):
-        TaskSpec(family="nope")
     with pytest.raises(ConfigError):
         TaskSpec(chain_len_min=1)

@@ -85,8 +85,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         tr.SftConfig(rho=1.5)
     with pytest.raises(ConfigError):
-        tr.RlConfig(clip_low=1.5)
-    with pytest.raises(ConfigError):
         tr.RlConfig(rollout_group_size=1)
     with pytest.raises(ConfigError):
         tr.SftConfig(weight_decay=-1.0)
@@ -98,6 +96,20 @@ def test_config_validation():
         tr.RlConfig(max_gen_len=0)
     tr.SftConfig(weight_decay=0.0)
     tr.RlConfig(weight_decay=0.0, max_gen_len=1)
+    tr.SftConfig(learning_rate=1, rho=1)  # a float field takes an int
+    tr.RlConfig(temperature=2)
+
+
+@pytest.mark.parametrize("cls, name, value", [
+    (tr.SftConfig, "epochs", 2.5), (tr.SftConfig, "batch_size", True),
+    (tr.SftConfig, "learning_rate", True), (tr.SftConfig, "rho", "0.2"),
+    (tr.SftConfig, "method", 1), (tr.SftConfig, "supervise_prompt", 1),
+    (tr.RlConfig, "total_steps", 3.0), (tr.RlConfig, "temperature", None),
+    (tasks.TaskSpec, "modulus", True), (mdl.ModelConfig, "d_model", 16.0),
+])
+def test_config_field_of_another_type_is_refused_by_name(cls, name, value):
+    with pytest.raises(ConfigError, match=f"^{name} must be "):
+        cls(**{name: value})
 
 
 def test_overfit_single_sample():
@@ -219,6 +231,25 @@ def test_grad_accumulation_matches_concatenated_batch(method):
 
     for name in params_a.tensors:
         assert np.max(np.abs(params_a.tensors[name] - params_b.tensors[name])) <= 1e-9
+
+
+@pytest.mark.parametrize("method", obj.METHODS)
+def test_method_table_names_exactly_the_fields_that_act(method):
+    """A method field changes the trained weights iff objective.METHODS lists it."""
+    other = {"rho": 0.5, "lambda_h": 0.5, "lambda_kl": 0.5, "drop_fraction": 0.5}
+    assert set(other) == {n for names in obj.METHODS.values() for n in names}
+    dataset = small_dataset(n=4, seed=5)
+
+    def trained(**kw):
+        params = mdl.init(small_model_config(seed=11))
+        config = tr.SftConfig(method=method, learning_rate=1e-2, epochs=1, grad_accum=1,
+                              batch_size=2, seed=13, **kw)
+        return tr.train_sft(params, mdl.snapshot_reference(params), dataset, config)[0].flat
+
+    default = trained()
+    acts = {name for name, value in other.items()
+            if not np.array_equal(trained(**{name: value}), default)}
+    assert acts == set(obj.METHODS[method])
 
 
 @pytest.mark.parametrize("method,kw", [
@@ -489,6 +520,28 @@ def test_rl_verifier_exception_scores_zero(caplog):
         _, records = tr.train_rl(params, prompts, bad_verifier, config)
     assert records[0].mean_reward == 0.0
     assert any("verifier raised" in r.message for r in caplog.records)
+
+
+def test_one_update_per_rollout_batch_keeps_every_ratio_inside_the_clip_band(monkeypatch):
+    """Why the clip band is a constant, not a setting: a rollout batch serves one
+    update, made with the parameters that sampled it, so every importance ratio
+    is 1 up to roundoff, even in groups whose rewards differ. A second update
+    per rollout batch would be the change that lets the band bind."""
+    calls = []
+    pg_loss = tr.clipped_pg_loss
+    monkeypatch.setattr(tr, "clipped_pg_loss", lambda *a: calls.append(a) or pg_loss(*a))
+    params, prompts = _rl_setup(seed=2)
+    before = params.flat.copy()
+    config = tr.RlConfig(learning_rate=1e-2, total_steps=4, rollout_group_size=4,
+                         prompts_per_step=2, max_gen_len=8, seed=5)
+    tr.train_rl(params, prompts, lambda s, toks: len(toks) % 2 == 0, config)
+    assert len(calls) == 4 and not np.array_equal(params.flat, before)
+    assert sum(np.count_nonzero(adv) for _, _, adv, _, _ in calls) > 0  # groups not uniform
+    for new, old, _, c_l, c_h in calls:
+        assert (c_l, c_h) == (tr.CLIP_LOW, tr.CLIP_HIGH)
+        ratio = np.exp(new - old)
+        assert np.all((ratio >= 1.0 - c_l) & (ratio <= 1.0 + c_h))
+        assert np.max(np.abs(ratio - 1.0)) < 1e-12
 
 
 def test_rl_writes_metrics(tmp_path):
