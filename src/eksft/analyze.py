@@ -2,7 +2,9 @@
 
 All file outputs are deterministic: identical inputs give byte-identical
 CSV and SVG bytes. SVGs are written by hand (no plotting library) for
-exactly that reason.
+exactly that reason, and every file goes through `files`. The plot readers
+refuse a missing column or a cell that is not a number with an ExportError
+naming the file, row and column.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import files
 from . import model as mdl
 from . import selection as sel
 from .errors import ConfigError, ExportError, InputError
@@ -51,40 +54,6 @@ class DriftReport:
     global_mean_rel_change: float
     global_frac_exceeding: dict[float, float]
 
-    def to_json(self) -> str:
-        payload = {
-            "thresholds": list(self.thresholds),
-            "global_mean_rel_change": self.global_mean_rel_change,
-            "global_frac_exceeding": {repr(k): v for k, v in self.global_frac_exceeding.items()},
-            "per_tensor": [
-                {
-                    "name": t.name,
-                    "mean_rel_change": t.mean_rel_change,
-                    "frac_exceeding": {repr(k): v for k, v in t.frac_exceeding.items()},
-                }
-                for t in self.per_tensor
-            ],
-        }
-        return json.dumps(payload, indent=1, sort_keys=True) + "\n"
-
-    def csv_text(self) -> str:
-        cols = ["tensor", "mean_rel_change"] + [f"frac_gt_{t!r}" for t in self.thresholds]
-        lines = [",".join(cols)]
-        for t in self.per_tensor:
-            lines.append(
-                ",".join(
-                    [t.name, repr(t.mean_rel_change)]
-                    + [repr(t.frac_exceeding[th]) for th in self.thresholds]
-                )
-            )
-        lines.append(
-            ",".join(
-                ["GLOBAL", repr(self.global_mean_rel_change)]
-                + [repr(self.global_frac_exceeding[th]) for th in self.thresholds]
-            )
-        )
-        return "\n".join(lines) + "\n"
-
 
 def parameter_drift(
     before: mdl.ParameterSet,
@@ -110,6 +79,30 @@ def parameter_drift(
         global_mean_rel_change=float(rel.mean()),
         global_frac_exceeding={t: float((rel > t).mean()) for t in thresholds},
     )
+
+
+def write_drift_report(report: DriftReport, out_dir: str | Path) -> tuple[Path, Path]:
+    """drift.json, and drift.csv with one row per tensor and a GLOBAL row; returns both paths.
+    A threshold names its key and column by its repr."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    json_path, csv_path = out_dir / "drift.json", out_dir / "drift.csv"
+    files.write_json(json_path, {
+        "thresholds": list(report.thresholds),
+        "global_mean_rel_change": report.global_mean_rel_change,
+        "global_frac_exceeding": {repr(k): v for k, v in report.global_frac_exceeding.items()},
+        "per_tensor": [
+            {"name": t.name, "mean_rel_change": t.mean_rel_change,
+             "frac_exceeding": {repr(k): v for k, v in t.frac_exceeding.items()}}
+            for t in report.per_tensor
+        ],
+    })
+    rows = [(t.name, t.mean_rel_change, t.frac_exceeding) for t in report.per_tensor]
+    rows.append(("GLOBAL", report.global_mean_rel_change, report.global_frac_exceeding))
+    files.write_csv(
+        csv_path, ["tensor", "mean_rel_change"] + [f"frac_gt_{t!r}" for t in report.thresholds],
+        ([name, mean, *(frac[t] for t in report.thresholds)] for name, mean, frac in rows))
+    return json_path, csv_path
 
 
 # -----------------------------------------------------------------------------
@@ -161,13 +154,8 @@ def iou_series(dump_path: str | Path) -> tuple[list[tuple[int, float]], dict]:
 
 
 def write_iou_csv(series, summary, path: str | Path) -> None:
-    lines = ["step,iou"]
-    for step, v in series:
-        lines.append(f"{step},{v!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    Path(path).with_suffix(".summary.json").write_text(
-        json.dumps(summary, indent=1, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    files.write_csv(path, ["step", "iou"], series)
+    files.write_json(Path(path).with_suffix(".summary.json"), summary)
 
 
 # -----------------------------------------------------------------------------
@@ -258,10 +246,7 @@ def ratio_sweep(
                 }
             )
     finally:
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join(repr(float(row[c])) for c in columns))
-        csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        files.write_csv(csv_path, columns, ([float(row[c]) for c in columns] for row in rows))
     return rows
 
 
@@ -396,12 +381,24 @@ def bar_chart(labels: list[str], values: list[float], title: str, ylabel: str) -
 # -----------------------------------------------------------------------------
 
 
-def _read_csv(path: str | Path) -> tuple[list[str], list[dict]]:
+def _read_csv(path: str | Path, required=()) -> tuple[list[str], list[dict]]:
+    """Header and rows; a column of `required` missing from a non-empty header is an ExportError."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            return [], []
-        return list(reader.fieldnames), list(reader)
+        header, rows = list(reader.fieldnames or []), list(reader)
+    missing = [col for col in required if header and col not in header]
+    if missing:
+        raise ExportError(f"column {missing[0]!r} missing from {path}")
+    return header, rows
+
+
+def _number(path: str | Path, i: int, row: dict, col: str) -> float:
+    """Cell `col` of data row i (from 1) as a float; else an ExportError naming file, row and column."""
+    try:
+        return float(row[col])
+    except (TypeError, ValueError):
+        raise ExportError(f"{path} row {i}: column {col!r} holds {row[col]!r}, "
+                          f"not a number") from None
 
 
 def plot_series_csv(
@@ -410,26 +407,17 @@ def plot_series_csv(
     """Plot columns of a CSV as lines; returns the number of points drawn.
 
     Rows whose y-cell is empty are skipped (e.g. mask IoU on methods without
-    masks); a missing column is an error naming the column.
+    masks); a missing column, or a cell that is not a number, is an error
+    naming it.
     """
-    header, rows = _read_csv(csv_path)
-    for col in [x_col, *y_cols]:
-        if header and col not in header:
-            raise ExportError(f"column {col!r} missing from {csv_path}")
-    series = []
-    n_points = 0
-    for col in y_cols:
-        pts = [
-            (float(r[x_col]), float(r[col]))
-            for r in rows
-            if r.get(col) not in (None, "")
-        ]
-        n_points += len(pts)
-        series.append((col, pts))
-    Path(out_svg).write_text(
-        line_chart(series, title, x_col, ", ".join(y_cols)), encoding="utf-8"
-    )
-    return n_points
+    _, rows = _read_csv(csv_path, [x_col, *y_cols])
+    series = [
+        (col, [(_number(csv_path, i, r, x_col), _number(csv_path, i, r, col))
+               for i, r in enumerate(rows, 1) if r.get(col) not in (None, "")])
+        for col in y_cols
+    ]
+    files.write_text(out_svg, line_chart(series, title, x_col, ", ".join(y_cols)))
+    return sum(len(pts) for _, pts in series)
 
 
 def export_training_plots(metrics_csv: str | Path, out_dir: str | Path) -> list[Path]:
@@ -460,32 +448,26 @@ def export_training_plots(metrics_csv: str | Path, out_dir: str | Path) -> list[
 
 def export_pass_at_k_plot(eval_csv: str | Path, out_svg: str | Path) -> int:
     """pass@k vs k, one line per checkpoint label in the CSV."""
-    header, rows = _read_csv(eval_csv)
-    for col in ("checkpoint", "k", "pass_at_k"):
-        if header and col not in header:
-            raise ExportError(f"column {col!r} missing from {eval_csv}")
+    _, rows = _read_csv(eval_csv, ("checkpoint", "k", "pass_at_k"))
     by_label: dict[str, list[tuple[float, float]]] = {}
-    for r in rows:
-        by_label.setdefault(r["checkpoint"], []).append((float(r["k"]), float(r["pass_at_k"])))
+    for i, r in enumerate(rows, 1):
+        by_label.setdefault(r["checkpoint"], []).append(
+            (_number(eval_csv, i, r, "k"), _number(eval_csv, i, r, "pass_at_k")))
     series = [(label, sorted(pts)) for label, pts in sorted(by_label.items())]
-    Path(out_svg).write_text(
-        line_chart(series, "pass@k", "k", "pass@k"), encoding="utf-8"
-    )
+    files.write_text(out_svg, line_chart(series, "pass@k", "k", "pass@k"))
     return sum(len(pts) for _, pts in series)
 
 
 def export_drift_plot(drift_csv: str | Path, out_svg: str | Path) -> int:
     """Per-tensor drift fractions at the first threshold column as bars."""
-    header, rows = _read_csv(drift_csv)
+    header, rows = _read_csv(drift_csv, ("tensor",))
     if not header:
-        Path(out_svg).write_text(bar_chart([], [], "parameter drift", ""), encoding="utf-8")
+        files.write_text(out_svg, bar_chart([], [], "parameter drift", ""))
         return 0
     col = next((c for c in header if c.startswith("frac_gt_")), None)
     if col is None:
         raise ExportError(f"no frac_gt_* column in {drift_csv}")
     labels = [r["tensor"] for r in rows]
-    values = [float(r[col]) for r in rows]
-    Path(out_svg).write_text(
-        bar_chart(labels, values, "parameter drift", col), encoding="utf-8"
-    )
+    values = [_number(drift_csv, i, r, col) for i, r in enumerate(rows, 1)]
+    files.write_text(out_svg, bar_chart(labels, values, "parameter drift", col))
     return len(values)

@@ -3,7 +3,7 @@
 Subcommands: gen-data, pretrain, train-sft, train-rl, eval,
 analyze {drift,iou,sweep,plots}. Every run writes a self-contained run
 directory (config.json, manifest.json, metrics.csv, checkpoints/, reports/)
-from which it can be reproduced bit-identically.
+from which it can be reproduced bit-identically; `files` writes every file.
 
 Exit codes are uniform: 0 success, 1 runtime failure, 2 usage/config error.
 `READS` says, for each config-backed command, which fields of its config
@@ -31,6 +31,7 @@ from pathlib import Path
 from . import __version__
 from . import analyze as ana
 from . import evaluation as ev
+from . import files
 from . import model as mdl
 from . import objective as obj
 from . import tasks
@@ -153,8 +154,8 @@ def _prepare_run_dir(out: str, force: bool) -> Path:
 
 
 def _write_run_files(run_dir: Path, command: str, config: dict, datasets: dict, columns: list[str]):
-    config_text = json.dumps(config, indent=1, sort_keys=True) + "\n"
-    (run_dir / "config.json").write_text(config_text, encoding="utf-8")
+    config_text = files.json_text(config)
+    files.write_text(run_dir / "config.json", config_text)
     digest_src = config_text + json.dumps(datasets, sort_keys=True)
     manifest = {
         "command": command,
@@ -164,9 +165,7 @@ def _write_run_files(run_dir: Path, command: str, config: dict, datasets: dict, 
         "metrics_columns": columns,
         "note": "timings.csv is wall-clock and excluded from determinism guarantees",
     }
-    (run_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=1, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    files.write_json(run_dir / "manifest.json", manifest)
 
 
 def _dataset_meta(path: Path) -> dict:
@@ -310,10 +309,7 @@ def cmd_drift(args) -> int:
     before = mdl.load_checkpoint(_require_checkpoint(args.before))
     after = mdl.load_checkpoint(_require_checkpoint(args.after))
     report = ana.parameter_drift(before, after, args.thresholds or ana.DEFAULT_DRIFT_THRESHOLDS)
-    out = _resolve_out(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "drift.json").write_text(report.to_json(), encoding="utf-8")
-    (out / "drift.csv").write_text(report.csv_text(), encoding="utf-8")
+    ana.write_drift_report(report, _resolve_out(args.out))
     print(f"global mean relative change: {report.global_mean_rel_change:.3e}")
     for t in report.thresholds:
         print(f"fraction exceeding {t:g}: {report.global_frac_exceeding[t]:.4f}")

@@ -4,7 +4,8 @@ Every error raised by the package derives from EksftError so callers (the
 CLI in particular) can map failures to exit codes: ConfigError means the
 user gave us something unusable (exit 2), everything else is a runtime
 failure (exit 1). `check_field_types` is the one type check of the config
-dataclasses.
+dataclasses, and the one place where a float field given as an integer
+becomes a float.
 """
 
 import dataclasses
@@ -23,12 +24,15 @@ class ConfigError(EksftError):
 def check_field_types(config) -> None:
     """Raise ConfigError naming the first field of dataclass `config` whose value
     is not of its default's type. An int field takes no bool; a float field
-    takes an int too, but no bool; str and bool fields take only their own type."""
+    takes an int too, but no bool, and stores it as a float, so `1` and `1.0`
+    make one config; str and bool fields take only their own type."""
     for f in dataclasses.fields(config):
         value, kind = getattr(config, f.name), type(f.default)
         accepted = (int, float) if kind is float else kind
         if not isinstance(value, accepted) or (kind is not bool and isinstance(value, bool)):
             raise ConfigError(f"{f.name} must be {_TYPE_NAMES[kind]}, got {value!r}")
+        if kind is float:
+            object.__setattr__(config, f.name, float(value))  # the dataclasses are frozen
 
 
 class InputError(EksftError):

@@ -3,16 +3,17 @@
 pass@k follows the unbiased estimator convention: with n samples of which
 c are correct, pass@k = 1 - C(n-c, k) / C(n, k), computed in product form
 so large n never overflows. avg@n equals pass@1 = c/n by the same formula.
+`write_eval_report` writes a report through `files`.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import files
 from . import numerics as nk
 from . import model as mdl
 from .errors import ConfigError, InputError
@@ -112,26 +113,6 @@ class EvalReport:
     mean_response_entropy: float
     config: dict = field(default_factory=dict)
 
-    def to_json(self) -> str:
-        payload = {
-            "n_per_prompt": self.n_per_prompt,
-            "temperature": self.temperature,
-            "seed": self.seed,
-            "ks": self.ks,
-            "per_prompt": [list(pc) for pc in self.per_prompt],
-            "pass_at": {str(k): v for k, v in self.pass_at.items()},
-            "avg_at_n": self.avg_at_n,
-            "mean_response_entropy": self.mean_response_entropy,
-            "config": self.config,
-        }
-        return json.dumps(payload, indent=1, sort_keys=True) + "\n"
-
-    def csv_rows(self, label: str = "") -> list[dict]:
-        return [
-            {"checkpoint": label, "k": k, "pass_at_k": self.pass_at[k]}
-            for k in self.ks
-        ]
-
 
 def evaluate(
     params: mdl.ParameterSet,
@@ -180,9 +161,9 @@ def write_eval_report(report: EvalReport, out_dir: str | Path, label: str = "eva
     out_dir.mkdir(parents=True, exist_ok=True)
     json_path = out_dir / f"{label}.json"
     csv_path = out_dir / f"{label}.csv"
-    json_path.write_text(report.to_json(), encoding="utf-8")
-    lines = ["checkpoint,k,pass_at_k"]
-    for row in report.csv_rows(label):
-        lines.append(f"{row['checkpoint']},{row['k']},{row['pass_at_k']!r}")
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # pass_at's keys become strings before sort_keys orders them, as text
+    files.write_json(json_path, {**asdict(report),
+                                 "pass_at": {str(k): v for k, v in report.pass_at.items()}})
+    files.write_csv(csv_path, ["checkpoint", "k", "pass_at_k"],
+                    ([label, k, report.pass_at[k]] for k in report.ks))
     return json_path, csv_path

@@ -11,8 +11,9 @@ keeps its bits (see `_att_softmax`). For
 incremental decoding, `forward` also takes `past`, a list of per-layer (K, V)
 arrays that the call extends in place: the new ids then sit at the positions
 after the cached ones and attend to all of them. Checkpoints are a JSON
-manifest plus the flat vector as one little-endian float32 blob; `_manifest`
-is the one definition of the manifest, which a load must match whole.
+manifest plus the flat vector as one little-endian float32 blob, both
+written by `files`; `_manifest` is the one definition of the manifest, which
+a load must match whole.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import files
 from . import numerics as nk
 from .errors import (
     ConfigError,
@@ -382,9 +384,8 @@ def save_checkpoint(params: ParameterSet, prefix: str | Path) -> tuple[Path, Pat
     params.validate()
     manifest_path, weights_path = checkpoint_paths(prefix)
     manifest_path.parent.mkdir(parents=True, exist_ok=True)
-    manifest_path.write_text(json.dumps(_manifest(params.config), indent=1, sort_keys=True) + "\n",
-                             encoding="utf-8")
-    weights_path.write_bytes(params.flat.astype("<f4").tobytes())
+    files.write_json(manifest_path, _manifest(params.config))
+    files.write_bytes(weights_path, params.flat.astype("<f4").tobytes())
     return manifest_path, weights_path
 
 

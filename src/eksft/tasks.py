@@ -8,6 +8,7 @@ triples; it is the only task, so a spec does not name it:
 Responses end with the answer marker '#' followed by the canonical answer;
 an EOS token is appended at tokenization time. Splits are a seeded
 partition of the instance space, so pretrain/sft/rl/eval never overlap.
+`files` writes each as JSONL; its sha256 is `dataset_hash` of that file.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import files
 from .errors import (
     ConfigError,
     GenerationError,
@@ -216,17 +218,6 @@ def generate_splits(spec: TaskSpec) -> dict[str, list[Sample]]:
     return splits
 
 
-def write_jsonl(samples: list[Sample], path: Path) -> str:
-    """Write one {prompt, response, answer} object per line; returns sha256 hex."""
-    lines = [
-        json.dumps({"prompt": s.prompt, "response": s.response, "answer": s.answer})
-        for s in samples
-    ]
-    data = ("\n".join(lines) + "\n") if lines else ""
-    path.write_text(data, encoding="utf-8")
-    return hashlib.sha256(data.encode("utf-8")).hexdigest()
-
-
 def generate_dataset(spec: TaskSpec, out_dir: str | Path, force: bool = False) -> dict:
     """Write the four split files; returns {split: {path, sha256, count}}."""
     out_dir = Path(out_dir)
@@ -238,11 +229,11 @@ def generate_dataset(spec: TaskSpec, out_dir: str | Path, force: bool = False) -
     splits = generate_splits(spec)
     report = {}
     for name in SPLIT_NAMES:
-        digest = write_jsonl(splits[name], paths[name])
-        report[name] = {"path": str(paths[name]), "sha256": digest, "count": len(splits[name])}
-    (out_dir / "task_spec.json").write_text(
-        json.dumps(spec.__dict__, indent=1, sort_keys=True) + "\n", encoding="utf-8"
-    )
+        files.write_jsonl(paths[name], ({"prompt": s.prompt, "response": s.response,
+                                         "answer": s.answer} for s in splits[name]))
+        report[name] = {"path": str(paths[name]), "sha256": dataset_hash(paths[name]),
+                        "count": len(splits[name])}
+    files.write_json(out_dir / "task_spec.json", spec.__dict__)
     return report
 
 

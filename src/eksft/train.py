@@ -24,13 +24,11 @@ only once a rollout batch serves more than one update; until then the band
 is a constant, not a setting.
 
 Wall-clock timings go to a separate timings.csv: metrics.csv must stay
-byte-identical across reruns of the same config.
+byte-identical across reruns of the same config. `files` writes every run file.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import logging
 import time
 from dataclasses import dataclass, fields
@@ -39,6 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import files
 from . import model as mdl
 from . import numerics as nk
 from . import objective as obj
@@ -149,14 +148,6 @@ SFT_METRICS_COLUMNS = [f.name for f in fields(SftMetricsRecord)]
 RL_METRICS_COLUMNS = [f.name for f in fields(RlMetricsRecord)]
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_run_outputs(
     out_dir: Path,
     params: mdl.ParameterSet,
@@ -168,21 +159,14 @@ def _write_run_outputs(
     """metrics.csv, mask_dump.jsonl (removed if there are no rows), timings.csv and
     checkpoints/final."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "metrics.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(columns)
-        w.writerows([_fmt(getattr(rec, col)) for col in columns] for rec in records)
+    files.write_csv(out_dir / "metrics.csv", columns,
+                    ([getattr(rec, col) for col in columns] for rec in records))
     dump = out_dir / "mask_dump.jsonl"
     if dump_rows:
-        with open(dump, "w", encoding="utf-8") as fh:
-            for row in dump_rows:
-                fh.write(json.dumps(row) + "\n")
+        files.write_jsonl(dump, dump_rows)
     else:
         dump.unlink(missing_ok=True)  # a forced re-run must not leave an earlier run's dump
-    with open(out_dir / "timings.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step", "seconds"])
-        w.writerows(timings)
+    files.write_csv(out_dir / "timings.csv", ["step", "seconds"], timings)
     mdl.save_checkpoint(params, out_dir / "checkpoints" / "final")
 
 

@@ -272,12 +272,35 @@ def test_export_pass_at_k_plot(tmp_path):
     assert svg.count("<circle") == 4
 
 
+def test_plot_readers_refuse_a_cell_that_is_not_a_number(tmp_path):
+    def loss_plot(path, out):
+        return ana.plot_series_csv(path, "step", ["loss_total"], "loss", out)
+
+    cases = [
+        (loss_plot, "step,loss_total\n0,1.5\n1,nope\n", "row 2: column 'loss_total' holds 'nope'"),
+        (loss_plot, "step,loss_total\nzero,1.5\n", "row 1: column 'step' holds 'zero'"),
+        (ana.export_pass_at_k_plot, "checkpoint,k,pass_at_k\nsft,1,high\n",
+         "row 1: column 'pass_at_k' holds 'high'"),
+        (ana.export_pass_at_k_plot, "checkpoint,k,pass_at_k\nsft,1,0.5\nsft,4\n",
+         "row 2: column 'pass_at_k' holds None"),
+        (ana.export_drift_plot, "tensor,mean_rel_change,frac_gt_0.001\ntok_emb,0.1,\n",
+         "row 1: column 'frac_gt_0.001' holds ''"),
+    ]
+    for i, (export, text, message) in enumerate(cases):
+        path, out = tmp_path / f"{i}.csv", tmp_path / f"{i}.svg"
+        path.write_text(text)
+        with pytest.raises(ExportError) as err:
+            export(path, out)
+        assert str(err.value) == f"{path} {message}, not a number"
+        assert not out.exists()
+
+
 def test_export_drift_plot(tmp_path):
     p = _model(seed=8)
     q = p.copy()
     q.tensors["tok_emb"][:] *= 1.01
     report = ana.parameter_drift(p, q)
-    (tmp_path / "drift.csv").write_text(report.csv_text())
-    n = ana.export_drift_plot(tmp_path / "drift.csv", tmp_path / "drift.svg")
+    _, drift_csv = ana.write_drift_report(report, tmp_path)
+    n = ana.export_drift_plot(drift_csv, tmp_path / "drift.svg")
     svg = (tmp_path / "drift.svg").read_text()
     assert svg.count('class="bar"') == n

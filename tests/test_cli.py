@@ -249,6 +249,86 @@ def test_analyze_iou_and_plots(tmp_path):
     assert (run / "reports" / "loss.svg").exists()
 
 
+def _circles(svg: Path) -> int:
+    return svg.read_text().count("<circle")
+
+
+def test_analyze_plots_on_an_rl_run(tmp_path, capsys):
+    data = _gen(tmp_path)
+    assert main([
+        "pretrain", "--data", str(data / "pretrain.jsonl"), "--out", str(tmp_path / "base"),
+        "--epochs", "1", "--batch-size", "4", "--grad-accum", "1", "--seed", "1", *MODEL_FLAGS,
+    ]) == 0
+    rl = tmp_path / "rl"
+    assert main([
+        "train-rl", "--init", str(tmp_path / "base/checkpoints/final"),
+        "--prompts", str(data / "rl_prompts.jsonl"), "--out", str(rl), "--steps", "3",
+        "--group-size", "2", "--prompts-per-step", "2", "--max-gen-len", "4", "--seed", "2",
+    ]) == 0
+    capsys.readouterr()
+    assert main(["analyze", "plots", "--run", str(rl)]) == 0
+    names = ["reward.svg", "loss.svg", "entropy.svg"]
+    assert capsys.readouterr().out == "".join(f"wrote {rl / 'reports' / n}\n" for n in names)
+    assert [_circles(rl / "reports" / n) for n in names] == [3, 3, 3]
+
+
+def test_analyze_plots_with_eval_and_drift_csv(tmp_path, capsys):
+    data = _gen(tmp_path)
+    run = _train(tmp_path, data, method="eksft")
+    ckpt, reports = run / "checkpoints", tmp_path / "reports"
+    assert main(["eval", "--ckpt", str(ckpt / "final"), "--data", str(data / "eval.jsonl"),
+                 "--n", "4", "--ks", "1,2,4", "--max-gen-len", "6", "--out", str(reports),
+                 "--label", "eksft"]) == 0
+    assert main(["analyze", "drift", "--before", str(ckpt / "start"),
+                 "--after", str(ckpt / "final"), "--out", str(reports)]) == 0
+    capsys.readouterr()
+    assert main(["analyze", "plots", "--run", str(run), "--eval-csv", str(reports / "eksft.csv"),
+                 "--drift-csv", str(reports / "drift.csv")]) == 0
+    names = ["loss.svg", "entropy.svg", "kl.svg", "iou.svg", "passk.svg", "drift.svg"]
+    assert capsys.readouterr().out == "".join(f"wrote {run / 'reports' / n}\n" for n in names)
+    steps = 4  # 6 samples in batches of 3, 2 epochs
+    assert [_circles(run / "reports" / n) for n in names[:5]] == [2 * steps, steps, steps, steps, 3]
+    n_tensors = len(mdl.tensor_slices(mdl.load_checkpoint(str(ckpt / "final")).config))
+    assert (run / "reports" / "drift.svg").read_text().count('class="bar"') == n_tensors + 1
+
+
+def test_eval_label_with_a_comma_plots_one_point_per_k(tmp_path):
+    data = _gen(tmp_path)
+    run = _train(tmp_path, data)
+    reports = tmp_path / "reports"
+    assert main(["eval", "--ckpt", str(run / "checkpoints" / "final"),
+                 "--data", str(data / "eval.jsonl"), "--n", "4", "--ks", "1,2,4",
+                 "--max-gen-len", "6", "--out", str(reports), "--label", "a,b"]) == 0
+    assert (reports / "a,b.csv").read_text().splitlines()[1].startswith('"a,b",1,')
+    assert main(["analyze", "plots", "--run", str(run), "--eval-csv", str(reports / "a,b.csv")]) == 0
+    svg = (run / "reports" / "passk.svg").read_text()
+    assert svg.count("<circle") == 3 and ">a,b</text>" in svg
+
+
+def test_plots_on_a_non_numeric_cell_exit_1_naming_file_row_and_column(tmp_path, capsys):
+    data = _gen(tmp_path)
+    run = _train(tmp_path, data)
+    bad = tmp_path / "eval.csv"
+    bad.write_text("checkpoint,k,pass_at_k\nsft,1,0.5\nsft,run1,1,0.0\n")
+    capsys.readouterr()
+    assert main(["analyze", "plots", "--run", str(run), "--eval-csv", str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: {bad} row 2: column 'k' holds 'run1', not a number\n"
+
+
+def test_float_field_given_as_an_integer_makes_one_run_id(tmp_path):
+    """`{"learning_rate": 1}` in a file and `--lr 1` are one setting, so one config.json."""
+    data = _gen(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"learning_rate": 1, "epochs": 1}))
+    argv = ["train-sft", "--data", str(data / "sft.jsonl"), "--batch-size", "3",
+            "--grad-accum", "1", *MODEL_FLAGS]
+    assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / "file")]) == 0
+    assert main([*argv, "--lr", "1", "--epochs", "1", "--out", str(tmp_path / "flag")]) == 0
+    for name in ("config.json", "manifest.json", "metrics.csv"):
+        assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "flag" / name).read_bytes()
+    assert '"learning_rate": 1.0,' in (tmp_path / "file" / "config.json").read_text()
+
+
 def test_analyze_sweep_default_five_rows(tmp_path):
     data = _gen(tmp_path, counts=(4, 4, 4, 2))
     base = tmp_path / "base"
