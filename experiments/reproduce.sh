@@ -14,8 +14,8 @@ DATA="$OUT/data"
 mkdir -p "$OUT"
 
 MODEL=(--vocab-size 32 --d-model 64 --n-layers 2 --n-heads 2 --context-len 64)
-PRETRAIN=(--epochs 12 --batch-size 16 --grad-accum 1 --lr 3e-3)
-SFT=(--epochs 96 --batch-size 8 --grad-accum 1 --lr 5e-4)
+PRETRAIN=(--epochs 12 --batch-size 16 --lr 3e-3)
+SFT=(--epochs 96 --batch-size 8 --lr 5e-4)
 
 eksft gen-data --out "$DATA" --seed $((100 + SEED)) --force
 
@@ -62,7 +62,7 @@ eksft analyze iou --dump "$OUT/eksft/mask_dump.jsonl" --out "$OUT/eksft/reports"
 # --- 4. masking-ratio sweep --------------------------------------------------
 eksft analyze sweep --data "$DATA/sft.jsonl" --eval-data "$DATA/eval.jsonl" \
     --init "$BASE" --out "$OUT/sweep" --rhos 0.0,0.1,0.2,0.3,0.4 \
-    --epochs 24 --batch-size 8 --grad-accum 1 --lr 5e-4 --seed "$SEED" --n 32
+    --epochs 24 --batch-size 8 --lr 5e-4 --seed "$SEED" --n 32
 
 # --- 5. charts ----------------------------------------------------------------
 for METHOD in sft eksft random_mask global_reg dft; do

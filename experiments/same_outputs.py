@@ -5,7 +5,7 @@
 The "parent" side is the committed files of --base (default HEAD), unpacked
 with `git archive` as experiments/bench_pairs.py does; the "change" side is
 this working tree. Each side runs, one fresh process per command: gen-data,
-pretrain, train-sft for all five methods at --grad-accum 2, train-rl, eval,
+pretrain, train-sft for all five methods at --batch-size 8, train-rl, eval,
 analyze drift, analyze iou, analyze plots with --eval-csv and --drift-csv,
 and analyze sweep at --n 32, 4 and 2 (at 2 the only k is 1, so sweep.csv has
 one pass@ column). Then it runs pretrain and train-sft from a --config file
@@ -42,18 +42,18 @@ METHODS = ("sft", "eksft", "dft", "random_mask", "global_reg")
 SPEC = {"seed": 5, "n_pretrain": 256, "n_sft": 24, "n_rl": 16, "n_eval": 6}
 SMALL_MODEL = {"vocab_size": 32, "d_model": 32, "n_layers": 1, "n_heads": 2, "context_len": 48}
 CONFIG_FILES = {
-    "pretrain.json": {"learning_rate": 3e-3, "epochs": 2, "batch_size": 8, "grad_accum": 1,
+    "pretrain.json": {"learning_rate": 3e-3, "epochs": 2, "batch_size": 8,
                       "weight_decay": 0.01, "seed": 4, "model": SMALL_MODEL},
-    "train.json": {"method": "eksft", "learning_rate": 2e-3, "epochs": 2, "batch_size": 4,
-                   "grad_accum": 2, "rho": 0.3, "seed": 3, "model": SMALL_MODEL},
+    "train.json": {"method": "eksft", "learning_rate": 2e-3, "epochs": 2, "batch_size": 8,
+                   "rho": 0.3, "seed": 3, "model": SMALL_MODEL},
     "rl.json": {"learning_rate": 1e-3, "total_steps": 3, "rollout_group_size": 4,
                 "prompts_per_step": 2, "temperature": 0.9,
                 "max_gen_len": 12, "weight_decay": 0.01, "seed": 5},
     "random_mask.json": {"method": "random_mask", "learning_rate": 2e-3, "epochs": 2,
-                         "batch_size": 4, "grad_accum": 2, "drop_fraction": 0.3,
+                         "batch_size": 8, "drop_fraction": 0.3,
                          "lambda_h": 0.1, "lambda_kl": 0.02, "seed": 7},
-    "sweep.json": {"learning_rate": 2e-3, "epochs": 2, "batch_size": 4, "grad_accum": 2,
-                   "weight_decay": 0.01, "seed": 6, "lambda_h": 0.1, "lambda_kl": 0.02},
+    "sweep.json": {"learning_rate": 2e-3, "epochs": 2, "batch_size": 8, "weight_decay": 0.01,
+                   "seed": 6, "lambda_h": 0.1, "lambda_kl": 0.02},
 }
 SWEEP_NS = (32, 4, 2)
 MODEL = ["--vocab-size", "32", "--d-model", "32", "--n-layers", "2", "--n-heads", "2",
@@ -63,11 +63,11 @@ MODEL = ["--vocab-size", "32", "--d-model", "32", "--n-layers", "2", "--n-heads"
 def pipeline(run: Path) -> list[tuple[str, list[str]]]:
     """(name, argv) of every command, in order; all outputs land under `run`."""
     data, base = run / "data", run / "base" / "checkpoints" / "final"
-    sft = ["--epochs", "2", "--batch-size", "4", "--grad-accum", "2", "--lr", "2e-3", "--seed", "3"]
+    sft = ["--epochs", "2", "--batch-size", "8", "--lr", "2e-3", "--seed", "3"]
     cmds = [
         ("gen-data", ["gen-data", "--spec", str(run / "spec.json"), "--out", str(data)]),
         ("pretrain", ["pretrain", "--data", str(data / "pretrain.jsonl"), "--out", str(run / "base"),
-                      "--epochs", "8", "--batch-size", "8", "--grad-accum", "1", "--lr", "3e-3",
+                      "--epochs", "8", "--batch-size", "8", "--lr", "3e-3",
                       "--seed", "1", *MODEL]),
     ]
     for method in METHODS:

@@ -2,9 +2,9 @@
 
 All file outputs are deterministic: identical inputs give byte-identical
 CSV and SVG bytes. SVGs are written by hand (no plotting library) for
-exactly that reason, and every file goes through `files`. The plot readers
-refuse a missing column or a cell that is not a number with an ExportError
-naming the file, row and column.
+exactly that reason, with their text XML-escaped, and every file goes
+through `files`. The plot readers refuse a missing column or a cell that is
+not a number with an ExportError naming the file, row and column.
 """
 
 from __future__ import annotations
@@ -162,21 +162,20 @@ def write_iou_csv(series, summary, path: str | Path) -> None:
 # masking-ratio sweep
 # -----------------------------------------------------------------------------
 
-def _check_mask_sizes(dump_path: Path, rho: float, batch_size: int) -> None:
-    """Mechanical invariant: each micro-batch selected exactly ceil(rho * |T|)."""
-    groups: dict[tuple[int, int], list[dict]] = {}
+def _check_mask_sizes(dump_path: Path, rho: float) -> None:
+    """Mechanical invariant: each step's batch selected exactly ceil(rho * |T|)."""
+    groups: dict[int, list[dict]] = {}
     with open(dump_path, encoding="utf-8") as fh:
         for line in fh:
             row = json.loads(line)
-            micro = row["seq"] // batch_size
-            groups.setdefault((row["step"], micro), []).append(row)
-    for (step, micro), rows in groups.items():
+            groups.setdefault(row["step"], []).append(row)
+    for step, rows in groups.items():
         k = sel.selected_count(rho, len(rows))
         n_h = sum(1 for r in rows if r["in_mH"])
         n_kl = sum(1 for r in rows if r["in_mKL"])
         if n_h != k or n_kl != k:
             raise InputError(
-                f"mask size mismatch at step {step} micro {micro}: |mH|={n_h}, |mKL|={n_kl}, k={k}"
+                f"mask size mismatch at step {step}: |mH|={n_h}, |mKL|={n_kl}, k={k}"
             )
 
 
@@ -189,6 +188,12 @@ def sweep_dir_names(rhos: list[float]) -> list[str]:
     if repeated:
         raise ConfigError(f"every ratio must name its own run directory, got repeats {repeated}")
     return names
+
+
+def sweep_columns(ks) -> list[str]:
+    """The columns of sweep.csv: the second pass@ column is the largest k's, if above 1."""
+    top = [f"pass_at_{max(ks)}"] if max(ks) > 1 else []
+    return ["rho", "pass_at_1", *top, "drift_frac_1e-3", "mean_entropy", "final_loss"]
 
 
 def ratio_sweep(
@@ -214,8 +219,7 @@ def ratio_sweep(
     rhos = [float(r) for r in rhos]
     names = sweep_dir_names(rhos)
     top = f"pass_at_{max(ks)}"
-    columns = ["rho", "pass_at_1"] + ([top] if max(ks) > 1 else []) + [
-        "drift_frac_1e-3", "mean_entropy", "final_loss"]
+    columns = sweep_columns(ks)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows: list[dict] = []
@@ -229,7 +233,7 @@ def ratio_sweep(
             params, records = train_sft(params, reference, dataset, cfg, run_dir=run_dir)
             dump = run_dir / "mask_dump.jsonl"
             if dump.exists():
-                _check_mask_sizes(dump, rho, cfg.batch_size)
+                _check_mask_sizes(dump, rho)
             report = evaluate(
                 params, eval_set, n_per_prompt, ks, temperature=1.0,
                 seed=eval_seed, max_len=max_gen_len,
@@ -271,8 +275,20 @@ def _scale(lo: float, hi: float) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
+def _escape(text: str) -> str:
+    """`text` with &, < and > escaped, for an SVG <text> element.
+
+    xml.sax imports urllib.request, http.client and ssl, about 2 MB of
+    resident memory, so only the commands that draw a chart import it.
+    """
+    from xml.sax.saxutils import escape
+
+    return escape(text)
+
+
 def _axes(title: str, xlabel: str, ylabel: str, xlo, xhi, ylo, yhi) -> list[str]:
     px, py = _W - _ML - _MR, _H - _MT - _MB
+    title, xlabel, ylabel = _escape(title), _escape(xlabel), _escape(ylabel)
     parts = [
         f'<rect x="{_ML}" y="{_MT}" width="{px}" height="{py}" fill="none" stroke="#333333" stroke-width="1"/>',
         f'<text x="{_W // 2}" y="20" text-anchor="middle" font-size="14" font-family="sans-serif">{title}</text>',
@@ -336,7 +352,7 @@ def line_chart(series: list[tuple[str, list[tuple[float, float]]]], title: str, 
             )
         parts.append(
             f'<text x="{_W - _MR - 6}" y="{_MT + 16 + 14 * idx}" text-anchor="end" font-size="11" '
-            f'font-family="sans-serif" fill="{color}">{label}</text>'
+            f'font-family="sans-serif" fill="{color}">{_escape(label)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -370,7 +386,7 @@ def bar_chart(labels: list[str], values: list[float], title: str, ylabel: str) -
         )
         parts.append(
             f'<text x="{_fmt_num(x0 + width * 0.35)}" y="{_H - _MB + 16}" text-anchor="middle" '
-            f'font-size="9" font-family="sans-serif">{label}</text>'
+            f'font-size="9" font-family="sans-serif">{_escape(label)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -40,7 +40,7 @@ from .errors import ConfigError, EksftError
 
 RUN_ROOT_ENV = "EKSFT_RUN_ROOT"
 
-_SFT_COMMON = ("learning_rate", "epochs", "grad_accum", "batch_size", "weight_decay", "seed")
+_SFT_COMMON = ("learning_rate", "epochs", "batch_size", "weight_decay", "seed")
 _MODEL_SIZES = ("vocab_size", "d_model", "n_layers", "n_heads", "context_len")
 # every field that some method reads (rho, lambda_h, lambda_kl, drop_fraction)
 _METHOD_FIELDS = tuple(dict.fromkeys(n for names in obj.METHODS.values() for n in names))
@@ -183,10 +183,14 @@ def float_list(text: str) -> list[float]:
 
 
 def _add_flags(p: argparse.ArgumentParser, cls, names: tuple[str, ...]):
-    """One flag per field of `cls` in `names`, typed by its default; `cls` validates the value."""
+    """One flag per field of `cls` in `names`, typed by its default; `cls` validates the value.
+    The SftConfig commands also take a hidden `--grad-accum` that accepts only 1 and sets
+    nothing: an SFT step is one batch, and deskbench/workloads.py still passes it."""
     defaults = {f.name: f.default for f in dataclasses.fields(cls)}
     for name in names:
         p.add_argument(flag(name), dest=name, type=type(defaults[name]))
+    if cls is tr.SftConfig:
+        p.add_argument("--grad-accum", type=int, choices=(1,), help=argparse.SUPPRESS)
 
 
 # -----------------------------------------------------------------------------
@@ -339,8 +343,25 @@ def cmd_sweep(args) -> int:
     dataset = tasks.load_samples(data_path, context_len=params.config.context_len)
     eval_set = tasks.load_samples(eval_path, context_len=params.config.context_len)
     ks = [k for k in (1, 4, 8, 16, 32) if k <= args.n]
+    out = _resolve_out(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_run_files(
+        out,
+        "analyze sweep",
+        {
+            "train": dataclasses.asdict(base_config),
+            "rhos": args.rhos,
+            "n": args.n,
+            "ks": ks,
+            "eval_seed": args.eval_seed,
+            "max_gen_len": args.max_gen_len,
+            "init_checkpoint": args.init,
+        },
+        {"data": _dataset_meta(data_path), "eval_data": _dataset_meta(eval_path)},
+        ana.sweep_columns(ks),
+    )
     rows = ana.ratio_sweep(
-        params, dataset, eval_set, base_config, args.rhos, _resolve_out(args.out),
+        params, dataset, eval_set, base_config, args.rhos, out,
         n_per_prompt=args.n, ks=ks, eval_seed=args.eval_seed, max_gen_len=args.max_gen_len,
     )
     for row in rows:

@@ -1,28 +1,26 @@
 """Training objectives with analytic logit gradients.
 
-Five methods share one objective: a (possibly weighted) NLL sum over the
-supervised positions, plus entropy and KL sums over the regularized
-positions. `METHODS` names, per method, the hyper-parameters it reads:
-none for sft and dft, rho (the Top-K ratio) for eksft, drop_fraction for
-random_mask, and the weights lambda_h and lambda_kl for the three that
-regularize. `objective_terms`, the one entry point of training, computes it
-for a micro-batch in two parts:
+Five methods share one objective: a (possibly weighted) NLL mean over the
+supervised positions, with an entropy bonus and a KL penalty, each a mean
+over the regularized positions. `METHODS` names, per method, the
+hyper-parameters it reads: none for sft and dft, rho (the Top-K ratio) for
+eksft, drop_fraction for random_mask, and the weights lambda_h and
+lambda_kl for the three that regularize. `objective_terms`, the one entry
+point of training, computes it for one batch (one optimizer step) in two
+parts:
 
   * `stop_gradient_constants` picks, per method, the supervised and
     regularized (B, L) position sets and the DFT weights; eksft and
-    random_mask read the micro-batch's token statistics, the record array
-    of `selection.stats_from_log_probs`, which `ObjectiveTerms.stats` keeps;
-  * `objective_sums`, the differentiable core, returns the sums and their
-    exact gradients w.r.t. the logits for those constants. It is a function
+    random_mask read the batch's token statistics, the record array of
+    `selection.stats_from_log_probs`, which `ObjectiveTerms.stats` keeps;
+  * `objective_sums`, the differentiable core, returns the normalized loss
+    ce_sum/N_sup - l_H * h_sum/N_reg + l_KL * kl_sum/N_reg and its exact
+    gradient w.r.t. the logits, d_ce_sum/N_sup + d_reg_sum/N_reg, for those
+    constants; training runs one model `backward` on it. It is a function
     of the logits alone, so it computes the regularized rows' entropy and
     KL again rather than take them from the statistics: the
     finite-difference checks then probe exactly the path that trains, and
     selection's KL_FLOOR clamp never reaches the loss.
-
-`normalize_step` normalizes an optimizer step's G micro-batch sums once, in
-logit space: the loss is ce_sum/N_sup - l_H * h_sum/N_reg + l_KL * kl_sum/N_reg
-(counts summed over the step) and a micro-batch's logit gradient is
-d_ce_sum/N_sup + d_reg_sum/N_reg, on which training runs one model `backward`.
 
 The per-row entropy and KL are `numerics.entropy` and `numerics.kl`, the
 same kernels that rank tokens in `selection`; their logit gradients are
@@ -138,17 +136,18 @@ class Constants:
 
 @dataclass
 class ObjectiveTerms:
-    """Unnormalized per-micro-batch pieces of one objective; see `normalize_step`."""
+    """One batch's objective, normalized: total = ce - l_H * h + l_KL * kl.
 
-    ce_sum: float
-    n_sup: int
-    d_ce_sum: np.ndarray
-    h_sum: float
-    kl_sum: float
-    n_reg: int
-    d_reg_sum: np.ndarray | None  # grad of (-l_H * h_sum + l_KL * kl_sum), already weighted
-    lambda_h: float
-    lambda_kl: float
+    An empty position set contributes zero: ce is 0 when nothing is
+    supervised, h and kl are 0 when nothing is regularized.
+    """
+
+    total: float
+    ce: float  # ce_sum / N_sup
+    h: float  # h_sum / N_reg
+    kl: float  # kl_sum / N_reg
+    n_sup: int  # N_sup
+    dlogits: np.ndarray | None  # d total / d logits; None: nothing to back-propagate
     mask: MaskSet | None = None
     stats: np.recarray | None = None  # `selection.stats_from_log_probs`, set by objective_terms
 
@@ -207,29 +206,27 @@ def objective_sums(
     lambda_h: float,
     lambda_kl: float,
 ) -> ObjectiveTerms:
-    """NLL, entropy and KL sums with their logit gradients, for fixed constants."""
+    """The normalized loss and its logit gradient, for fixed constants.
+
+    The logit gradient is d_ce_sum/N_sup + d_reg_sum/N_reg, or None when the
+    batch supervises nothing and has no regularizer gradient.
+    """
     ce_sum, d_ce_sum = _nll_sum(log_probs, targets, constants.supervised, constants.weights)
+    n_sup = int(constants.supervised.sum())
     reg = constants.regularized
     n_reg = 0 if reg is None else int(reg.sum())
-    h_sum = kl_sum = 0.0
-    d_reg_sum: np.ndarray | None = None
+    ce = ce_sum / n_sup if n_sup else 0.0
+    dlogits = d_ce_sum / n_sup if n_sup else None
+    h = kl = 0.0
     if n_reg:
         h_sum, dh = _entropy_sum(log_probs, reg)
         kl_sum, dkl = _kl_sum(log_probs, ref_log_probs, reg)
+        h, kl = h_sum / n_reg, kl_sum / n_reg
         if lambda_h != 0.0 or lambda_kl != 0.0:
-            d_reg_sum = -lambda_h * dh + lambda_kl * dkl
-    return ObjectiveTerms(
-        ce_sum=ce_sum,
-        n_sup=int(constants.supervised.sum()),
-        d_ce_sum=d_ce_sum,
-        h_sum=h_sum,
-        kl_sum=kl_sum,
-        n_reg=n_reg,
-        d_reg_sum=d_reg_sum,
-        lambda_h=lambda_h,
-        lambda_kl=lambda_kl,
-        mask=constants.mask,
-    )
+            d_reg = (-lambda_h * dh + lambda_kl * dkl) / n_reg
+            dlogits = d_reg if dlogits is None else dlogits + d_reg
+    total = ce - lambda_h * h + lambda_kl * kl
+    return ObjectiveTerms(total, ce, h, kl, n_sup, dlogits, constants.mask)
 
 
 def objective_terms(
@@ -245,7 +242,7 @@ def objective_terms(
     drop_fraction: float = 0.1,
     rng: np.random.Generator | None = None,
 ) -> ObjectiveTerms:
-    """Sum-form loss pieces for one micro-batch of any supported method."""
+    """The normalized objective of one batch for any supported method."""
     if lambda_h < 0 or lambda_kl < 0:
         raise ConfigError(f"regularizer weights must be >= 0, got {lambda_h}, {lambda_kl}")
     _validate_batch(logits, targets, valid_mask)
@@ -259,38 +256,3 @@ def objective_terms(
     terms = objective_sums(log_probs, ref_log_probs, targets, constants, lambda_h, lambda_kl)
     terms.stats = stats
     return terms
-
-
-@dataclass(frozen=True)
-class StepObjective:
-    """One optimizer step's objective, normalized over all its micro-batches."""
-
-    total: float  # ce - l_H * h + l_KL * kl
-    ce: float  # ce_sum / N_sup
-    h: float  # h_sum / N_reg
-    kl: float  # kl_sum / N_reg
-    n_sup: int  # N_sup
-    dlogits: list[np.ndarray | None]  # per micro-batch; None: nothing to back-propagate
-
-
-def normalize_step(terms: list[ObjectiveTerms]) -> StepObjective:
-    """Normalize a step's micro-batch sums once; an empty position set contributes zero.
-
-    A micro-batch's logit gradient is d_ce_sum/N_sup + d_reg_sum/N_reg, or None
-    when it supervises nothing and has no regularizer gradient.
-    """
-    n_sup = sum(t.n_sup for t in terms)
-    n_reg = sum(t.n_reg for t in terms)
-    ce = sum(t.ce_sum for t in terms) / n_sup if n_sup else 0.0
-    h = sum(t.h_sum for t in terms) / n_reg if n_reg else 0.0
-    kl = sum(t.kl_sum for t in terms) / n_reg if n_reg else 0.0
-    dlogits = []
-    for t in terms:
-        d = t.d_ce_sum / n_sup if t.n_sup else None
-        if t.d_reg_sum is not None:
-            d_reg = t.d_reg_sum / n_reg
-            d = d_reg if d is None else d + d_reg
-        dlogits.append(d)
-    total = ce - terms[0].lambda_h * h + terms[0].lambda_kl * kl
-    return StepObjective(total, ce, h, kl, n_sup, dlogits)
-

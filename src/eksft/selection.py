@@ -50,7 +50,7 @@ def _columns(stats: np.recarray) -> tuple[np.ndarray, ...]:
     Read through a plain-ndarray view: recarray attribute access rebuilds
     the nested dtype on every call (about 15 us for `ref` on a 2-vCPU
     machine), as long as the rest of `build_mask` takes at the ~100 tokens
-    of a micro-batch.
+    of a batch.
     """
     cols = stats.view(np.ndarray)
     return cols["ref"]["sequence_index"], cols["ref"]["token_position"], cols["entropy"], cols["kl"]
@@ -124,14 +124,10 @@ def stats_from_log_probs(
     return token_stats(bi, li, nk.entropy(lp), np.where((kl < 0.0) & (kl >= KL_FLOOR), 0.0, kl))
 
 
-def mask_dump_rows(step: int, stats: np.recarray, mask: MaskSet, seq_offset: int = 0) -> list[dict]:
-    """JSONL-ready rows {step, seq, pos, entropy, kl, in_mH, in_mKL} of Python scalars.
-
-    seq_offset shifts sequence indices so micro-batches within one optimizer
-    step get distinct ids.
-    """
-    seq, pos, entropy, kl = _columns(stats)
-    columns = (seq + seq_offset, pos, entropy, kl, mask.m_entropy, mask.m_kl)
+def mask_dump_rows(step: int, stats: np.recarray, mask: MaskSet) -> list[dict]:
+    """JSONL-ready rows {step, seq, pos, entropy, kl, in_mH, in_mKL} of Python scalars;
+    seq is the row within the step's batch."""
+    columns = (*_columns(stats), mask.m_entropy, mask.m_kl)
     return [
         {"step": step, "seq": b, "pos": t, "entropy": h, "kl": d, "in_mH": in_mh, "in_mKL": in_mkl}
         for b, t, h, d, in_mh, in_mkl in zip(*(c.tolist() for c in columns))

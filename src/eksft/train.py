@@ -1,17 +1,13 @@
 """Optimizer and the two training loops (supervised stage, then RL stage).
 
-Supervised stage: per optimizer step, G micro-batch forwards give loss sums
-and their logit-gradient sums; `objective.normalize_step` normalizes them
-once, in logit space, and one backward per micro-batch maps them to
-parameter space. So G accumulated micro-batches equal one step on the
-concatenated batch, with masks still built per micro-batch (the unit whose
-logits coexist). `batchify`, the one code that pads token sequences for
-training, pads the dataset once per run (and each RL step's rollouts). The
-reference is frozen, so its logits are computed once too, before the first
-epoch, and a micro-batch is a gather of rows from these arrays.
-
-Parameters, gradients and AdamW's moments are flat vectors in one layout:
-a step adds up its micro-batches' gradients with one `+=` each.
+Supervised stage: an optimizer step is one batch of `batch_size` samples,
+with one forward, one `objective.objective_terms` call, which builds the
+batch's masks and normalizes its loss, and at most one backward. `batchify`,
+the one code that pads token sequences for training, pads the dataset once
+per run (and each RL step's rollouts). The reference is frozen, so its
+logits are computed once too, before the first epoch, and a batch is a
+gather of rows from these arrays. Parameters, gradients and AdamW's moments
+are flat vectors in one layout.
 
 RL stage: group rollouts per prompt, binary verifier rewards, group-mean
 normalized advantages, and an asymmetrically clipped policy-gradient
@@ -58,8 +54,7 @@ class SftConfig:
     method: str = "sft"
     learning_rate: float = 1e-5
     epochs: int = 8
-    grad_accum: int = 8
-    batch_size: int = 1
+    batch_size: int = 8
     rho: float = 0.2
     lambda_h: float = 0.05
     lambda_kl: float = 0.05
@@ -75,8 +70,8 @@ class SftConfig:
                               f"expected one of {tuple(obj.METHODS)}")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be > 0")
-        if self.epochs < 1 or self.grad_accum < 1 or self.batch_size < 1:
-            raise ConfigError("epochs, grad_accum and batch_size must be >= 1")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ConfigError("epochs and batch_size must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if not (0.0 <= self.rho <= 1.0):
@@ -271,8 +266,8 @@ def train_sft(
     lengths = np.array([len(s.tokens) - 1 for s in dataset])
     packed = batchify([(s.prompt_tokens, s.response_tokens) for s in dataset],
                       config.supervise_prompt)
-    # One reference forward per chunk: a causal row sees neither its batch mates
-    # nor the padding after it, so its bits are those of any micro-batch.
+    # One reference forward per batch-sized chunk: a causal row sees neither its
+    # batch mates nor the padding after it, so its bits are those of any batch.
     ref_table = np.zeros((*packed[0].shape, reference.config.vocab_size))
     for c0 in range(0, len(dataset), config.batch_size):
         rows = slice(c0, c0 + config.batch_size)
@@ -281,69 +276,57 @@ def train_sft(
     ref_table[np.arange(ref_table.shape[1]) >= lengths[:, None]] = 0.0
     opt = adamw_init(params)
     shuffle_rng = np.random.default_rng([config.seed, 1])
-    group_size = config.batch_size * config.grad_accum
     uses_mask = config.method in ("eksft", "random_mask")
     step = 0
 
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(len(dataset))
-        for g0 in range(0, len(order), group_size):
+        for b0 in range(0, len(order), config.batch_size):
             t_start = time.perf_counter()
-            group_idx = order[g0 : g0 + group_size]
-            caches: list[dict] = []
-            step_terms: list[obj.ObjectiveTerms] = []
+            idx = order[b0 : b0 + config.batch_size]
+            width = lengths[idx].max()
+            inputs, targets, valid, ref_logits = (a[idx, :width] for a in (*packed, ref_table))
+            logits, cache = mdl.forward(params, inputs)
+            # The last 0 once indexed a batch within the step; it stays, so the stream does.
+            rng = (
+                np.random.default_rng([config.seed, 2, step, 0])
+                if config.method == "random_mask"
+                else None
+            )
+            terms = obj.objective_terms(
+                config.method,
+                logits,
+                ref_logits,
+                targets,
+                valid,
+                rho=config.rho,
+                lambda_h=config.lambda_h,
+                lambda_kl=config.lambda_kl,
+                drop_fraction=config.drop_fraction,
+                rng=rng,
+            )
             n_masked = n_both = 0
-
-            for micro, m0 in enumerate(range(0, len(group_idx), config.batch_size)):
-                idx = group_idx[m0 : m0 + config.batch_size]
-                width = lengths[idx].max()
-                inputs, targets, valid, ref_logits = (a[idx, :width] for a in (*packed, ref_table))
-                logits, cache = mdl.forward(params, inputs)
-                rng = (
-                    np.random.default_rng([config.seed, 2, step, micro])
-                    if config.method == "random_mask"
-                    else None
-                )
-                terms = obj.objective_terms(
-                    config.method,
-                    logits,
-                    ref_logits,
-                    targets,
-                    valid,
-                    rho=config.rho,
-                    lambda_h=config.lambda_h,
-                    lambda_kl=config.lambda_kl,
-                    drop_fraction=config.drop_fraction,
-                    rng=rng,
-                )
-                caches.append(cache)
-                step_terms.append(terms)
-                if uses_mask:
-                    mask = terms.mask
-                    n_masked += int(mask.m_union.sum())
-                    n_both += int((mask.m_entropy & mask.m_kl).sum())
-                    offset = micro * config.batch_size
-                    dump_rows.extend(sel.mask_dump_rows(step, terms.stats, mask, offset))
-
-            step_obj = obj.normalize_step(step_terms)
-            ent_vals = np.concatenate([t.stats.entropy for t in step_terms])
-            kl_vals = np.concatenate([t.stats.kl for t in step_terms])
+            if uses_mask:
+                mask = terms.mask
+                n_masked = int(mask.m_union.sum())
+                n_both = int((mask.m_entropy & mask.m_kl).sum())
+                dump_rows.extend(sel.mask_dump_rows(step, terms.stats, mask))
             grad = np.zeros_like(params.flat)
-            for cache, dlogits in zip(caches, step_obj.dlogits):
-                if dlogits is not None:
-                    grad += mdl.backward(params, cache, dlogits)
+            if terms.dlogits is not None:
+                grad += mdl.backward(params, cache, terms.dlogits)
             adamw_step(params, grad, opt, config.learning_rate, weight_decay=config.weight_decay)
 
+            ent_vals, kl_vals = terms.stats.entropy, terms.stats.kl
             records.append(
                 SftMetricsRecord(
                     step=step,
                     epoch=epoch,
                     method=config.method,
-                    loss_total=step_obj.total,
-                    ce_masked=step_obj.ce,
-                    entropy_reg=step_obj.h,
-                    kl_reg=step_obj.kl,
-                    n_supervised=step_obj.n_sup,
+                    loss_total=terms.total,
+                    ce_masked=terms.ce,
+                    entropy_reg=terms.h,
+                    kl_reg=terms.kl,
+                    n_supervised=terms.n_sup,
                     n_masked=n_masked,
                     mean_entropy=float(np.mean(ent_vals)) if ent_vals.size else 0.0,
                     mean_kl=float(np.mean(kl_vals)) if kl_vals.size else 0.0,

@@ -38,16 +38,10 @@ def conditioned_point(cfg: mdl.ModelConfig, seed: int) -> mdl.ParameterSet:
     return params
 
 
-def single_step(terms: obj.ObjectiveTerms) -> tuple[float, np.ndarray | None]:
-    """(loss, logit gradient) of a step of one micro-batch, by `objective.normalize_step`."""
-    step = obj.normalize_step([terms])
-    return step.total, step.dlogits[0]
-
-
 def pinned_objective(method, logits0, reference_logits, targets, valid, *,
                      lambda_h=0.05, lambda_kl=0.05, **dispatch):
-    """logits -> (normalized loss, logit gradient) through `objective_sums` and
-    `normalize_step`, the code that training runs, with the method's
+    """logits -> `ObjectiveTerms` (normalized loss and logit gradient) through
+    `objective_sums`, the code that training runs, with the method's
     stop-gradient constants (mask, DFT weights) pinned at logits0, as a
     finite-difference oracle needs."""
     lp0 = nk.log_softmax(logits0)
@@ -55,25 +49,23 @@ def pinned_objective(method, logits0, reference_logits, targets, valid, *,
     stats = sel.stats_from_log_probs(lp0, ref_lp, valid)
     constants = obj.stop_gradient_constants(method, lp0, targets, valid, stats, **dispatch)
 
-    def loss(logits):
-        terms = obj.objective_sums(
+    def objective(logits):
+        return obj.objective_sums(
             nk.log_softmax(logits), ref_lp, targets, constants, lambda_h, lambda_kl
         )
-        return single_step(terms)
 
-    return loss
+    return objective
 
 
 def ce_grad_rows(probs, targets) -> np.ndarray:
     """softmax - onehot(y) for each row of probs (n, V), read off the logit
-    gradient that training uses: the `d_ce_sum` of one `objective_terms("sft", ...)`
-    call on a (1, n, V) batch whose logits are log(probs), -1e3 where a prob is 0.
-    Row i's entry at targets[i] is p_hat_y - 1 of that same softmax."""
+    gradient that training uses before it divides by N_sup: the NLL sum's gradient
+    (`objective._nll_sum`) on a (1, n, V) batch whose logits are log(probs), -1e3
+    where a prob is 0. Row i's entry at targets[i] is p_hat_y - 1 of that same softmax."""
     with np.errstate(divide="ignore"):
         logits = np.maximum(np.log(np.atleast_2d(np.asarray(probs, dtype=np.float64))), -1e3)[None]
     y = np.atleast_1d(np.asarray(targets))[None]
-    terms = obj.objective_terms("sft", logits, logits, y, np.ones(y.shape, bool))
-    return terms.d_ce_sum[0]
+    return obj._nll_sum(nk.log_softmax(logits), y, np.ones(y.shape, bool))[1][0]
 
 
 def ce_grad_sq_norm(probs_row, target: int) -> float:
@@ -129,17 +121,17 @@ def informative_coords(grad: np.ndarray, k: int, rng: np.random.Generator,
     return np.sort(np.fromiter(chosen, dtype=np.int64))
 
 
-def model_fd_worst(params: mdl.ParameterSet, ids: np.ndarray, loss, k: int, coord_seed,
+def model_fd_worst(params: mdl.ParameterSet, ids: np.ndarray, objective, k: int, coord_seed,
                    h: float = 1e-4) -> float:
     """Worst FD error, at k informative coordinates drawn by default_rng(coord_seed),
-    of the parameter gradient that model `backward` makes of loss(forward(params, ids)),
-    where `loss` maps logits to (value, logit gradient)."""
+    of the parameter gradient that model `backward` makes of objective(forward(params, ids)),
+    where `objective` maps logits to an `ObjectiveTerms` (its `total` and `dlogits`)."""
 
     def f(flat):
         p = mdl.ParameterSet(params.config, flat)
         logits, cache = mdl.forward(p, ids)
-        value, dlogits = loss(logits)
-        return value, mdl.backward(p, cache, dlogits)
+        terms = objective(logits)
+        return terms.total, mdl.backward(p, cache, terms.dlogits)
 
     _, g = f(params.flat)
     coords = informative_coords(g, k, np.random.default_rng(coord_seed))

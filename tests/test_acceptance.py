@@ -24,7 +24,7 @@ from eksft import tasks
 from eksft import train as tr
 from eksft.cli import main as cli_main
 
-from conftest import ce_grad_rows, ce_grad_sq_norm, model_fd_worst, pinned_objective, single_step
+from conftest import ce_grad_rows, ce_grad_sq_norm, model_fd_worst, pinned_objective
 
 
 def _report(number: int, name: str, ok: bool, detail: str = ""):
@@ -77,10 +77,11 @@ def test_c01_gradient_fidelity():
 
         for kind in obj.METHODS:
             # the training core, with masks and DFT weights pinned at logits0
-            loss = pinned_objective(kind, logits0, ref_logits, targets, valid, rho=0.2,
-                                    drop_fraction=0.10, rng=np.random.default_rng([seed, 88]))
+            objective = pinned_objective(kind, logits0, ref_logits, targets, valid, rho=0.2,
+                                         drop_fraction=0.10,
+                                         rng=np.random.default_rng([seed, 88]))
             worst[kind] = max(worst[kind],
-                              model_fd_worst(params, ids, loss, 50, [seed, 99], h=1e-4))
+                              model_fd_worst(params, ids, objective, 50, [seed, 99], h=1e-4))
     elapsed = time.time() - t0
     detail = " ".join(f"{m}={worst[m]:.2e}" for m in obj.METHODS) + f" in {elapsed:.0f}s"
     _report(1, "gradient fidelity", max(worst.values()) <= 1e-5 and elapsed < 60, detail)
@@ -96,11 +97,11 @@ def test_c02_reduction_identity():
         targets = rng.integers(0, 9, size=(2, 6))
         valid = rng.random((2, 6)) < 0.8
         valid[:, 0] = True
-        sft_val, sft_d = single_step(obj.objective_terms("sft", logits, ref, targets, valid))
-        total, d = single_step(obj.objective_terms("eksft", logits, ref, targets, valid,
-                                                    rho=0.0, lambda_h=0.0, lambda_kl=0.0))
-        max_dev = max(max_dev, abs(total - sft_val))
-        assert np.array_equal(d, sft_d)
+        sft = obj.objective_terms("sft", logits, ref, targets, valid)
+        eksft = obj.objective_terms("eksft", logits, ref, targets, valid,
+                                    rho=0.0, lambda_h=0.0, lambda_kl=0.0)
+        max_dev = max(max_dev, abs(eksft.total - sft.total))
+        assert np.array_equal(eksft.dlogits, sft.dlogits)
 
     spec = tasks.TaskSpec(n_pretrain=0, n_sft=8, n_rl=0, n_eval=0, seed=3)
     dataset = tasks.generate_splits(spec)["sft"]
@@ -111,8 +112,8 @@ def test_c02_reduction_identity():
                               context_len=48, seed=9)
         params = mdl.init(cfg)
         reference = mdl.snapshot_reference(params)
-        config = tr.SftConfig(method=method, learning_rate=3e-3, epochs=3, grad_accum=2,
-                              batch_size=2, rho=0.0, lambda_h=0.0, lambda_kl=0.0, seed=4)
+        config = tr.SftConfig(method=method, learning_rate=3e-3, epochs=3,
+                              batch_size=4, rho=0.0, lambda_h=0.0, lambda_kl=0.0, seed=4)
         params, records = tr.train_sft(params, reference, dataset, config)
         finals[method] = params
         losses[method] = [r.loss_total for r in records]
@@ -139,14 +140,14 @@ def test_c03_label_free_masked_gradient():
         t1 = obj.objective_terms("eksft", logits, ref_logits, targets, valid, **kw)
         if not t1.mask.m_union.any():
             continue
-        g1 = mdl.backward(params, cache, single_step(t1)[1])
+        g1 = mdl.backward(params, cache, t1.dlogits)
         masked = np.zeros_like(valid)
         masked[valid] = t1.mask.m_union
         permuted = targets.copy()
         permuted[masked] = rng.integers(0, cfg.vocab_size, size=int(masked.sum()))
         t2 = obj.objective_terms("eksft", logits, ref_logits, permuted, valid, **kw)
         assert np.array_equal(t1.mask.m_union, t2.mask.m_union)
-        g2 = mdl.backward(params, cache, single_step(t2)[1])
+        g2 = mdl.backward(params, cache, t2.dlogits)
         assert np.array_equal(g1, g2)
         checked += 1
     _report(3, "label-free masked gradient", checked >= 10, f"{checked} batches checked exactly")
@@ -271,8 +272,8 @@ def _stage1(seed: int) -> SeedRun:
     cfg = mdl.ModelConfig(vocab_size=32, d_model=64, n_layers=2, n_heads=2,
                           context_len=64, seed=seed)
     base = mdl.init(cfg)
-    pre_cfg = tr.SftConfig(method="sft", learning_rate=3e-3, epochs=12, grad_accum=1,
-                           batch_size=16, seed=seed, supervise_prompt=True)
+    pre_cfg = tr.SftConfig(method="sft", learning_rate=3e-3, epochs=12, batch_size=16,
+                           seed=seed, supervise_prompt=True)
     base, _ = tr.train_sft(base, mdl.snapshot_reference(base), splits["pretrain"], pre_cfg)
 
     ckpts, reports, drift = {}, {}, {}
@@ -282,8 +283,8 @@ def _stage1(seed: int) -> SeedRun:
     ):
         params = base.copy()
         reference = mdl.snapshot_reference(base)
-        cfg_t = tr.SftConfig(method=method, learning_rate=5e-4, epochs=96, grad_accum=1,
-                             batch_size=8, seed=seed, **kw)
+        cfg_t = tr.SftConfig(method=method, learning_rate=5e-4, epochs=96, batch_size=8,
+                             seed=seed, **kw)
         params, _ = tr.train_sft(params, reference, splits["sft"], cfg_t)
         ckpts[method] = params
         reports[method] = ev.evaluate(params, splits["eval"], 32, (1, 32), 1.0,
@@ -354,8 +355,8 @@ def test_c09_iou_instrumentation(tmp_path):
     cfg = mdl.ModelConfig(vocab_size=32, d_model=32, n_layers=2, n_heads=2, context_len=48, seed=2)
     params = mdl.init(cfg)
     reference = mdl.snapshot_reference(params)
-    config = tr.SftConfig(method="eksft", learning_rate=1e-3, epochs=3, grad_accum=2,
-                          batch_size=2, rho=0.2, lambda_h=0.05, lambda_kl=0.05, seed=5)
+    config = tr.SftConfig(method="eksft", learning_rate=1e-3, epochs=3,
+                          batch_size=4, rho=0.2, lambda_h=0.05, lambda_kl=0.05, seed=5)
     _, records = tr.train_sft(params, reference, dataset, config, run_dir=tmp_path)
 
     series, summary = ana.iou_series(tmp_path / "mask_dump.jsonl")
@@ -390,7 +391,7 @@ def test_c09_iou_instrumentation(tmp_path):
 
 
 def test_c10_random_mask_baseline(tmp_path):
-    """drop=0.10 masks exactly ceil(0.10|T|) each micro-batch; comparison CSV emitted."""
+    """drop=0.10 masks exactly ceil(0.10|T|) each batch; comparison CSV emitted."""
     spec = tasks.TaskSpec(n_pretrain=0, n_sft=16, n_rl=0, n_eval=8, seed=31)
     splits = tasks.generate_splits(spec)
     cfg = mdl.ModelConfig(vocab_size=32, d_model=32, n_layers=2, n_heads=2, context_len=48, seed=3)
@@ -402,8 +403,8 @@ def test_c10_random_mask_baseline(tmp_path):
     ):
         params = mdl.init(cfg)
         reference = mdl.snapshot_reference(params)
-        config = tr.SftConfig(method=method, learning_rate=1e-3, epochs=3, grad_accum=1,
-                              batch_size=4, seed=6, **kw)
+        config = tr.SftConfig(method=method, learning_rate=1e-3, epochs=3, batch_size=4,
+                              seed=6, **kw)
         params, _ = tr.train_sft(params, reference, splits["sft"], config,
                                  run_dir=tmp_path / method)
         run_reports[method] = ev.evaluate(params, splits["eval"], 8, (1, 4, 8), 1.0,
@@ -413,7 +414,7 @@ def test_c10_random_mask_baseline(tmp_path):
     groups = {}
     for line in (tmp_path / "random_mask" / "mask_dump.jsonl").read_text().splitlines():
         row = json.loads(line)
-        groups.setdefault((row["step"], row["seq"] // 4), []).append(row)
+        groups.setdefault(row["step"], []).append(row)
     for rows in groups.values():
         k = math.ceil(0.10 * len(rows))
         sizes_ok &= sum(r["in_mH"] for r in rows) == k
@@ -427,7 +428,7 @@ def test_c10_random_mask_baseline(tmp_path):
     csv_path.write_text("\n".join(lines) + "\n")
     emitted = csv_path.exists() and len(csv_path.read_text().splitlines()) == 7
     _report(10, "random-mask baseline", sizes_ok and emitted,
-            f"{len(groups)} micro-batches size-checked; comparison CSV at {csv_path.name}")
+            f"{len(groups)} batches size-checked; comparison CSV at {csv_path.name}")
 
 
 def test_c11_pipeline_determinism(tmp_path):
@@ -446,13 +447,13 @@ def test_c11_pipeline_determinism(tmp_path):
         assert cli_main(["gen-data", "--spec", str(spec_path), "--out", str(data)]) == 0
         assert cli_main([
             "pretrain", "--data", str(data / "pretrain.jsonl"), "--out", str(root / "base"),
-            "--epochs", "2", "--batch-size", "4", "--grad-accum", "1", "--lr", "3e-3",
+            "--epochs", "2", "--batch-size", "4", "--lr", "3e-3",
             "--seed", "1", *model_flags,
         ]) == 0
         assert cli_main([
             "train-sft", "--method", "eksft", "--data", str(data / "sft.jsonl"),
             "--init", str(root / "base/checkpoints/final"), "--out", str(root / "sft"),
-            "--epochs", "2", "--batch-size", "4", "--grad-accum", "1", "--lr", "1e-3",
+            "--epochs", "2", "--batch-size", "4", "--lr", "1e-3",
             "--seed", "2",
         ]) == 0
         assert cli_main([

@@ -1,4 +1,5 @@
 import json
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -178,8 +179,8 @@ def test_ratio_sweep(tmp_path):
     base = _model(seed=6)
     spec = tasks.TaskSpec(n_pretrain=0, n_sft=6, n_rl=0, n_eval=4, seed=7)
     splits = tasks.generate_splits(spec)
-    config = tr.SftConfig(method="eksft", learning_rate=1e-3, epochs=1, grad_accum=1,
-                          batch_size=3, lambda_h=0.05, lambda_kl=0.05, seed=1)
+    config = tr.SftConfig(method="eksft", learning_rate=1e-3, epochs=1, batch_size=3,
+                          lambda_h=0.05, lambda_kl=0.05, seed=1)
     rhos = (0.0, 0.2)
     rows = ana.ratio_sweep(base, splits["sft"], splits["eval"], config, rhos,
                            tmp_path, n_per_prompt=4, ks=(1, 4), max_gen_len=10)
@@ -196,8 +197,7 @@ def test_ratio_sweep(tmp_path):
     # rho=0 must reproduce plain sft metrics exactly
     params = base.copy()
     reference = mdl.snapshot_reference(base)
-    sft_cfg = tr.SftConfig(method="sft", learning_rate=1e-3, epochs=1, grad_accum=1,
-                           batch_size=3, seed=1)
+    sft_cfg = tr.SftConfig(method="sft", learning_rate=1e-3, epochs=1, batch_size=3, seed=1)
     _, sft_records = tr.train_sft(params, reference, splits["sft"], sft_cfg)
     rho0_metrics = (tmp_path / "rho_0" / "metrics.csv").read_text().splitlines()
     for rec, line in zip(sft_records, rho0_metrics[1:]):
@@ -229,6 +229,19 @@ def test_line_chart_empty_series_no_crash():
     svg = ana.line_chart([], "t", "x", "y")
     assert svg.startswith("<svg")
     assert "no data" in svg
+
+
+def test_charts_escape_their_text():
+    """Titles and labels holding XML markup read back as written; others keep their bytes."""
+    label = "a&b<c"
+    charts = [ana.line_chart([(label, [(1.0, 0.5), (2.0, 0.7)])], label, label, label),
+              ana.bar_chart([label, "GLOBAL"], [0.2, 0.4], label, label)]
+    for svg in charts:
+        texts = [t.text for t in ElementTree.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
+        assert texts.count(label) == (4 if "<circle" in svg else 3)
+        assert "a&amp;b&lt;c" in svg
+    plain = ana.line_chart([("sft", [(1.0, 0.5)])], "pass@k", "k", "pass@k")
+    assert ">sft</text>" in plain and ">pass@k</text>" in plain
 
 
 def test_plot_series_csv(tmp_path):

@@ -1,6 +1,7 @@
 """The interface deskbench relies on: the eksft names its tracer wraps, the
-positional arguments and token statistics its objective hook reads, and the
-mask dump its sft_eksft file check reads.
+positional arguments and token statistics its objective hook reads, the
+mask dump its sft_eksft file check reads, and the command lines its
+workloads run.
 
 deskbench/tracer.py and deskbench/checks.py are loaded from their paths;
 nothing is installed, so no eksft function is patched outside the one
@@ -9,10 +10,13 @@ monkeypatched call below.
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from eksft import cli
 from eksft import evaluation as ev
 from eksft import model as mdl
 from eksft import objective as obj
@@ -25,6 +29,7 @@ DESKBENCH = Path(__file__).resolve().parent.parent / "deskbench"
 def _load(name):
     spec = importlib.util.spec_from_file_location(f"deskbench_{name}", DESKBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
@@ -64,14 +69,14 @@ def test_objective_hook_arguments_and_token_stats(monkeypatch, tmp_path):
     rng = np.random.default_rng(0)
     for name in params.tensors:
         params.tensors[name] += rng.normal(0, 0.05, params.tensors[name].shape)
-    config = tr.SftConfig(method="eksft", learning_rate=1e-3, epochs=1, grad_accum=2,
-                          batch_size=2, rho=0.2, seed=3)
+    config = tr.SftConfig(method="eksft", learning_rate=1e-3, epochs=1,
+                          batch_size=4, rho=0.2, seed=3)
     tr.train_sft(params, reference, dataset, config, run_dir=tmp_path)
-    assert len(calls) == 2
+    assert len(calls) == 1  # one step, one call
     for a, out in calls:
         assert checks.check_token_stats(a[1], a[2], a[4], out.stats) == []
         assert len(out.stats) == int(a[4].sum()) > 0
-    # one step of two micro-batches, as the sft_eksft workload's file check reads them
+    # one step's batch, as the sft_eksft workload's file check reads it
     dump = tmp_path / "mask_dump.jsonl"
     assert checks.check_mask_dump(dump, str(config.rho), config.batch_size) == []
 
@@ -104,3 +109,28 @@ def test_sample_group_one_forward_per_step(monkeypatch):
     assert shapes == [(1, len(prompt))] + [(rows, 1) for rows in live]
     assert sum(rows * length for rows, length in shapes) == (
         len(prompt) + sum(length - 1 for length in lengths))
+
+
+@pytest.mark.parametrize("size", ["FULL", "SMOKE"])
+def test_workload_argvs_parse_and_resolve_their_config(tmp_path, size):
+    """Every command line of deskbench's set-up and rounds parses and resolves
+    its config as `cli.main` would, without running, so a CLI change cannot
+    break the benchmark unnoticed. The SFT lines pass `--grad-accum 1`."""
+    workloads = _load("workloads")
+    sizes = getattr(workloads, size)
+    argvs = workloads.setup_argvs(tmp_path, 3, sizes) + [
+        workloads.round_argv(w, tmp_path, tmp_path / w, 3, sizes) for w in workloads.WORKLOADS]
+    assert [a[0] for a in argvs] == ["gen-data", "pretrain", "gen-data", "train-sft",
+                                     "train-rl", "eval"]
+    parser = cli.build_parser()
+    for argv in argvs:
+        args = parser.parse_args(argv)
+        if args.cmd == "eval":
+            cli._require_sampling_sizes(args)
+            continue
+        file_cfg = cli._load_config_file(args.spec if args.cmd == "gen-data" else args.config)
+        config = cli._build(*cli.READS[args.cmd], file_cfg, args)
+        if args.cmd in ("pretrain", "train-sft"):
+            assert args.grad_accum == 1
+        if args.cmd == "pretrain":  # a fresh init reads the model sizes too
+            cli._build(mdl.ModelConfig, cli._MODEL_SIZES, {"seed": config.seed}, {}, args)

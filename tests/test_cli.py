@@ -2,12 +2,15 @@ import argparse
 import dataclasses
 import json
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
 from eksft import cli
 from eksft import model as mdl
 from eksft import objective as obj
+from eksft import tasks
+from eksft import train as tr
 from eksft.cli import main
 
 MODEL_FLAGS = ["--vocab-size", "32", "--d-model", "16", "--n-layers", "1",
@@ -34,7 +37,7 @@ def _train(tmp_path, data, method="sft", out="run", extra=()):
     args = [
         "train-sft", "--method", method, "--data", str(data / "sft.jsonl"),
         "--out", str(tmp_path / out), "--epochs", "2", "--batch-size", "3",
-        "--grad-accum", "1", "--lr", "1e-3", "--seed", "5", *MODEL_FLAGS, *extra,
+        "--lr", "1e-3", "--seed", "5", *MODEL_FLAGS, *extra,
     ]
     assert main(args) == 0
     return tmp_path / out
@@ -197,7 +200,7 @@ def test_pretrain_then_rl_reward_curve(tmp_path):
     data = _gen(tmp_path)
     assert main([
         "pretrain", "--data", str(data / "pretrain.jsonl"), "--out", str(tmp_path / "base"),
-        "--epochs", "2", "--batch-size", "4", "--grad-accum", "1", "--lr", "3e-3",
+        "--epochs", "2", "--batch-size", "4", "--lr", "3e-3",
         "--seed", "1", *MODEL_FLAGS,
     ]) == 0
     assert main([
@@ -216,7 +219,7 @@ def test_eval_memorized_checkpoint_near_perfect(tmp_path, capsys):
     run = tmp_path / "overfit"
     assert main([
         "train-sft", "--method", "sft", "--data", str(data / "sft.jsonl"),
-        "--out", str(run), "--epochs", "150", "--batch-size", "2", "--grad-accum", "1",
+        "--out", str(run), "--epochs", "150", "--batch-size", "2",
         "--lr", "1e-2", "--seed", "0", *MODEL_FLAGS,
     ]) == 0
     capsys.readouterr()
@@ -257,7 +260,7 @@ def test_analyze_plots_on_an_rl_run(tmp_path, capsys):
     data = _gen(tmp_path)
     assert main([
         "pretrain", "--data", str(data / "pretrain.jsonl"), "--out", str(tmp_path / "base"),
-        "--epochs", "1", "--batch-size", "4", "--grad-accum", "1", "--seed", "1", *MODEL_FLAGS,
+        "--epochs", "1", "--batch-size", "4", "--seed", "1", *MODEL_FLAGS,
     ]) == 0
     rl = tmp_path / "rl"
     assert main([
@@ -305,6 +308,18 @@ def test_eval_label_with_a_comma_plots_one_point_per_k(tmp_path):
     assert svg.count("<circle") == 3 and ">a,b</text>" in svg
 
 
+def test_eval_label_with_xml_markup_plots_a_parsable_svg(tmp_path):
+    data = _gen(tmp_path)
+    run = _train(tmp_path, data)
+    reports = tmp_path / "reports"
+    assert main(["eval", "--ckpt", str(run / "checkpoints" / "final"),
+                 "--data", str(data / "eval.jsonl"), "--n", "4", "--ks", "1,4",
+                 "--max-gen-len", "6", "--out", str(reports), "--label", "a&b"]) == 0
+    assert main(["analyze", "plots", "--run", str(run), "--eval-csv", str(reports / "a&b.csv")]) == 0
+    svg = ElementTree.fromstring((run / "reports" / "passk.svg").read_text())
+    assert "a&b" in [t.text for t in svg.iter("{http://www.w3.org/2000/svg}text")]
+
+
 def test_plots_on_a_non_numeric_cell_exit_1_naming_file_row_and_column(tmp_path, capsys):
     data = _gen(tmp_path)
     run = _train(tmp_path, data)
@@ -320,8 +335,7 @@ def test_float_field_given_as_an_integer_makes_one_run_id(tmp_path):
     data = _gen(tmp_path)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"learning_rate": 1, "epochs": 1}))
-    argv = ["train-sft", "--data", str(data / "sft.jsonl"), "--batch-size", "3",
-            "--grad-accum", "1", *MODEL_FLAGS]
+    argv = ["train-sft", "--data", str(data / "sft.jsonl"), "--batch-size", "3", *MODEL_FLAGS]
     assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / "file")]) == 0
     assert main([*argv, "--lr", "1", "--epochs", "1", "--out", str(tmp_path / "flag")]) == 0
     for name in ("config.json", "manifest.json", "metrics.csv"):
@@ -334,18 +348,72 @@ def test_analyze_sweep_default_five_rows(tmp_path):
     base = tmp_path / "base"
     assert main([
         "pretrain", "--data", str(data / "pretrain.jsonl"), "--out", str(base),
-        "--epochs", "1", "--batch-size", "4", "--grad-accum", "1", "--lr", "1e-3",
+        "--epochs", "1", "--batch-size", "4", "--lr", "1e-3",
         "--seed", "1", *MODEL_FLAGS,
     ]) == 0
     assert main([
         "analyze", "sweep", "--data", str(data / "sft.jsonl"),
         "--eval-data", str(data / "eval.jsonl"), "--init", str(base / "checkpoints/final"),
         "--out", str(tmp_path / "sweep"), "--epochs", "1", "--batch-size", "4",
-        "--grad-accum", "1", "--lr", "1e-3", "--seed", "2", "--n", "4",
+        "--lr", "1e-3", "--seed", "2", "--n", "4",
         "--max-gen-len", "10",
     ]) == 0
     lines = (tmp_path / "sweep" / "sweep.csv").read_text().strip().splitlines()
     assert len(lines) == 6  # header + default rho set {0.0, 0.1, 0.2, 0.3, 0.4}
+
+
+def test_analyze_sweep_records_its_config_and_manifest(tmp_path):
+    data = _gen(tmp_path, counts=(4, 4, 4, 2))
+    ckpt = tmp_path / "base"
+    mdl.save_checkpoint(mdl.init(mdl.ModelConfig(d_model=16, context_len=48)), ckpt)
+    out = tmp_path / "sweep"
+    assert main([
+        "analyze", "sweep", "--data", str(data / "sft.jsonl"),
+        "--eval-data", str(data / "eval.jsonl"), "--init", str(ckpt), "--out", str(out),
+        "--rhos", "0.1,0.3", "--n", "4", "--eval-seed", "3", "--max-gen-len", "6",
+        "--epochs", "1", "--batch-size", "4", "--lambda-h", "0.1",
+    ]) == 0
+    config = json.loads((out / "config.json").read_text())
+    assert config == {
+        "train": dataclasses.asdict(tr.SftConfig(method="eksft", epochs=1, batch_size=4,
+                                                 lambda_h=0.1)),
+        "rhos": [0.1, 0.3], "n": 4, "ks": [1, 4], "eval_seed": 3, "max_gen_len": 6,
+        "init_checkpoint": str(ckpt),
+    }
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == "analyze sweep"
+    assert manifest["metrics_columns"] == (out / "sweep.csv").read_text().splitlines()[0].split(",")
+    for key, name in (("data", "sft.jsonl"), ("eval_data", "eval.jsonl")):
+        assert manifest["datasets"][key] == {"path": str(data / name),
+                                             "sha256": tasks.dataset_hash(data / name)}
+
+
+@pytest.mark.parametrize("command", ["pretrain", "train-sft", "analyze sweep"])
+def test_grad_accum_other_than_1_exits_2(tmp_path, capsys, command):
+    argv = {
+        "pretrain": ["pretrain", "--data", str(tmp_path / "pretrain.jsonl")],
+        "train-sft": ["train-sft", "--data", str(tmp_path / "sft.jsonl")],
+        "analyze sweep": ["analyze", "sweep", "--data", str(tmp_path / "sft.jsonl"),
+                          "--eval-data", str(tmp_path / "eval.jsonl"),
+                          "--init", str(tmp_path / "ckpt")],
+    }[command]
+    for value in ("2", "0"):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / "out"), "--grad-accum", value])
+        assert exc.value.code == 2
+        assert "--grad-accum: invalid choice" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_grad_accum_1_writes_the_bytes_of_no_flag(tmp_path):
+    data = _gen(tmp_path)
+    runs = [_train(tmp_path, data, "eksft", out, extra)
+            for out, extra in (("plain", ()), ("flag", ("--grad-accum", "1")))]
+    names = sorted(str(p.relative_to(runs[0])) for p in runs[0].rglob("*") if p.is_file())
+    assert "mask_dump.jsonl" in names and "config.json" in names
+    for name in names:
+        if name != "timings.csv":
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("flag", ["--max-gen-len", "--n"])
@@ -402,7 +470,7 @@ def test_config_file_with_flag_override(tmp_path):
     data = _gen(tmp_path)
     cfg = tmp_path / "train.json"
     cfg.write_text(json.dumps({
-        "learning_rate": 1e-3, "epochs": 1, "batch_size": 3, "grad_accum": 1, "seed": 5,
+        "learning_rate": 1e-3, "epochs": 1, "batch_size": 3, "seed": 5,
         "model": {"vocab_size": 32, "d_model": 16, "n_layers": 1, "n_heads": 2, "context_len": 48},
     }))
     out = tmp_path / "cfgrun"
@@ -417,7 +485,7 @@ def test_config_file_with_flag_override(tmp_path):
 
 def test_fresh_init_takes_the_seed_of_the_config_file(tmp_path, capsys):
     data = _gen(tmp_path)
-    cfg = {"epochs": 1, "batch_size": 3, "grad_accum": 1, "seed": 5,
+    cfg = {"epochs": 1, "batch_size": 3, "seed": 5,
            "model": {"vocab_size": 32, "d_model": 16, "n_layers": 1, "n_heads": 2,
                      "context_len": 48}}
     path = tmp_path / "cfg.json"
@@ -448,6 +516,8 @@ def test_fresh_init_takes_the_seed_of_the_config_file(tmp_path, capsys):
     ("sweep", {"drop_fraction": 0.5}, "['drop_fraction']"),
     ("gen-data", {"family": "mod_add_chain"}, "['family']"),
     ("train-rl", {"clip_low": 0.2, "clip_high": 0.28}, "['clip_high', 'clip_low']"),
+    ("train-sft", {"grad_accum": 1}, "['grad_accum']"),
+    ("sweep", {"grad_accum": 1}, "['grad_accum']"),
 ])
 def test_config_file_unknown_key_exits_2(tmp_path, capsys, cmd, cfg, message):
     data = _gen(tmp_path)
@@ -595,13 +665,14 @@ def test_malformed_list_flag_exits_2(tmp_path, capsys, flag):
 
 
 # each command's flags that are not config fields
+# (--grad-accum takes only 1 and sets nothing)
 OWN_FLAGS = {
     "gen-data": {"--spec", "--out", "--force"},
-    "pretrain": {"--data", "--out", "--init", "--config", "--force"},
-    "train-sft": {"--data", "--out", "--init", "--config", "--force"},
+    "pretrain": {"--data", "--out", "--init", "--config", "--force", "--grad-accum"},
+    "train-sft": {"--data", "--out", "--init", "--config", "--force", "--grad-accum"},
     "train-rl": {"--init", "--prompts", "--out", "--config", "--force"},
     "analyze sweep": {"--data", "--eval-data", "--init", "--out", "--rhos", "--n", "--eval-seed",
-                      "--max-gen-len", "--config"},
+                      "--max-gen-len", "--config", "--grad-accum"},
 }
 
 
@@ -614,8 +685,8 @@ def _other_value(cls, name):
 
 
 # settable values: the config fields read plus the model sizes, per method for train-sft
-SETTABLE = {"gen-data": 8, "pretrain": 11, "train-rl": 8, "analyze sweep": 8,
-            "train-sft": {"sft": 12, "dft": 12, "eksft": 15, "random_mask": 15, "global_reg": 14}}
+SETTABLE = {"gen-data": 8, "pretrain": 10, "train-rl": 8, "analyze sweep": 7,
+            "train-sft": {"sft": 11, "dft": 11, "eksft": 14, "random_mask": 14, "global_reg": 13}}
 
 
 @pytest.mark.parametrize("command", sorted(cli.READS))

@@ -17,7 +17,7 @@ from eksft.errors import (
     TruncatedBlobError,
 )
 
-from conftest import conditioned_point, model_fd_worst, random_batch, single_step
+from conftest import conditioned_point, model_fd_worst, random_batch
 
 
 def test_init_deterministic(tiny_config):
@@ -220,10 +220,10 @@ def test_full_nll_gradient_matches_fd(tiny_config):
         rng = np.random.default_rng(seed)
         ids, targets, valid = random_batch(rng, tiny_config)
 
-        def loss(logits):
-            return single_step(obj.objective_terms("sft", logits, logits, targets, valid))
+        def objective(logits):
+            return obj.objective_terms("sft", logits, logits, targets, valid)
 
-        worst = max(worst, model_fd_worst(params, ids, loss, 40, [seed, 1]))
+        worst = max(worst, model_fd_worst(params, ids, objective, 40, [seed, 1]))
     assert worst <= 1e-5
 
 
@@ -281,7 +281,7 @@ def test_reference_immutable_after_update(tiny_config):
     targets = np.array([[4, 5, 6, 7, 2]])
     valid = np.ones((1, 5), dtype=bool)
     logits, cache = mdl.forward(params, ids)
-    _, d = single_step(obj.objective_terms("sft", logits, logits, targets, valid))
+    d = obj.objective_terms("sft", logits, logits, targets, valid).dlogits
     grads = mdl.backward(params, cache, d)
     tr.adamw_step(params, grads, tr.adamw_init(params), lr=1e-2)
 

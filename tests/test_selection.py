@@ -263,15 +263,15 @@ def test_iou_symmetric_bounded():
 def test_mask_dump_rows():
     stats = _stats([((0, 1), 0.5, 0.2), ((1, 0), 0.1 + 0.2, 0.9)])
     mask = MaskSet(np.array([True, False]), np.array([False, True]))
-    rows = sel.mask_dump_rows(7, stats, mask, seq_offset=4)
+    rows = sel.mask_dump_rows(7, stats, mask)
     assert rows[0] == {
-        "step": 7, "seq": 4, "pos": 1, "entropy": 0.5, "kl": 0.2, "in_mH": True, "in_mKL": False,
+        "step": 7, "seq": 0, "pos": 1, "entropy": 0.5, "kl": 0.2, "in_mH": True, "in_mKL": False,
     }
-    assert rows[1]["seq"] == 5 and rows[1]["in_mKL"] is True
+    assert rows[1]["seq"] == 1 and rows[1]["in_mKL"] is True
     assert json.dumps(rows[1]).endswith('"in_mH": false, "in_mKL": true}')
     # golden bytes: a numpy int or bool in a row would make json.dumps raise
     assert json.dumps(rows) == (
-        '[{"step": 7, "seq": 4, "pos": 1, "entropy": 0.5, "kl": 0.2, "in_mH": true, "in_mKL": false}, '
-        '{"step": 7, "seq": 5, "pos": 0, "entropy": 0.30000000000000004, "kl": 0.9, "in_mH": false, '
+        '[{"step": 7, "seq": 0, "pos": 1, "entropy": 0.5, "kl": 0.2, "in_mH": true, "in_mKL": false}, '
+        '{"step": 7, "seq": 1, "pos": 0, "entropy": 0.30000000000000004, "kl": 0.9, "in_mH": false, '
         '"in_mKL": true}]'
     )

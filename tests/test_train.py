@@ -128,8 +128,7 @@ def test_overfit_single_sample():
     params = mdl.init(cfg)
     reference = mdl.snapshot_reference(params)
     dataset = small_dataset(n=1, seed=2)
-    config = tr.SftConfig(method="sft", learning_rate=1e-2, epochs=200, grad_accum=1,
-                          batch_size=1, seed=0)
+    config = tr.SftConfig(method="sft", learning_rate=1e-2, epochs=200, batch_size=1, seed=0)
     params, records = tr.train_sft(params, reference, dataset, config)
     assert len(records) == 200
     assert records[-1].ce_masked < 0.01
@@ -142,8 +141,8 @@ def test_eksft_rho0_lambda0_bit_identical_to_sft(tmp_path):
         cfg = small_model_config(seed=9)
         params = mdl.init(cfg)
         reference = mdl.snapshot_reference(params)
-        config = tr.SftConfig(method=method, learning_rate=3e-3, epochs=2, grad_accum=2,
-                              batch_size=2, rho=0.0, lambda_h=0.0, lambda_kl=0.0, seed=4)
+        config = tr.SftConfig(method=method, learning_rate=3e-3, epochs=2,
+                              batch_size=4, rho=0.0, lambda_h=0.0, lambda_kl=0.0, seed=4)
         params, records = tr.train_sft(params, reference, dataset, config,
                                        run_dir=tmp_path / method)
         runs[method] = (params, records)
@@ -166,8 +165,8 @@ def test_training_run_deterministic(tmp_path):
         cfg = small_model_config(seed=7)
         params = mdl.init(cfg)
         reference = mdl.snapshot_reference(params)
-        config = tr.SftConfig(method="eksft", learning_rate=3e-3, epochs=2, grad_accum=1,
-                              batch_size=4, rho=0.2, lambda_h=0.05, lambda_kl=0.05, seed=7)
+        config = tr.SftConfig(method="eksft", learning_rate=3e-3, epochs=2, batch_size=4,
+                              rho=0.2, lambda_h=0.05, lambda_kl=0.05, seed=7)
         tr.train_sft(params, reference, dataset, config, run_dir=tmp_path / name)
         outs.append(tmp_path / name)
     assert (outs[0] / "metrics.csv").read_bytes() == (outs[1] / "metrics.csv").read_bytes()
@@ -188,62 +187,6 @@ def test_rejects_overlong_sample():
         tr.train_sft(params, reference, dataset, tr.SftConfig())
 
 
-@pytest.mark.parametrize("method", ["sft", "eksft", "dft", "random_mask", "global_reg"])
-def test_grad_accumulation_matches_concatenated_batch(method):
-    """G accumulated micro-batches == one step on the concatenated batch.
-
-    The concatenated side reuses one forward/backward over all sequences but
-    builds masks and sums per micro-chunk, exactly as accumulation does.
-    """
-    cfg = small_model_config(seed=11)
-    dataset = small_dataset(n=4, seed=5)
-    config = tr.SftConfig(method=method, learning_rate=1e-3, epochs=1, grad_accum=2,
-                          batch_size=2, rho=0.3, lambda_h=0.05, lambda_kl=0.05,
-                          drop_fraction=0.25, seed=13)
-
-    params_a = mdl.init(cfg)
-    reference = mdl.snapshot_reference(params_a)
-    params_a, _ = tr.train_sft(params_a, reference, dataset, config)
-
-    # manual concatenated step with per-chunk masks
-    params_b = mdl.init(cfg)
-    opt = tr.adamw_init(params_b)
-    order = np.random.default_rng([config.seed, 1]).permutation(len(dataset))
-    batch = [dataset[i] for i in order]
-    inputs, targets, valid = tr.batchify(_pairs(batch))
-    logits, cache = mdl.forward(params_b, inputs)
-    ref_logits = reference.logits(inputs)
-    d_ce = np.zeros_like(logits)
-    d_reg = np.zeros_like(logits)
-    ce_n = reg_n = 0
-    has_reg = False
-    for micro, lo in enumerate(range(0, 4, 2)):
-        sl = slice(lo, lo + 2)
-        rng = (
-            np.random.default_rng([config.seed, 2, 0, micro])
-            if method == "random_mask"
-            else None
-        )
-        terms = obj.objective_terms(
-            method, logits[sl], ref_logits[sl], targets[sl], valid[sl],
-            rho=config.rho, lambda_h=config.lambda_h, lambda_kl=config.lambda_kl,
-            drop_fraction=config.drop_fraction, rng=rng,
-        )
-        d_ce[sl] = terms.d_ce_sum
-        ce_n += terms.n_sup
-        if terms.d_reg_sum is not None:
-            d_reg[sl] = terms.d_reg_sum
-            has_reg = True
-        reg_n += terms.n_reg
-    grad = mdl.backward(params_b, cache, d_ce) / ce_n
-    if has_reg and reg_n:
-        grad += mdl.backward(params_b, cache, d_reg) / reg_n
-    tr.adamw_step(params_b, grad, opt, config.learning_rate)
-
-    for name in params_a.tensors:
-        assert np.max(np.abs(params_a.tensors[name] - params_b.tensors[name])) <= 1e-9
-
-
 @pytest.mark.parametrize("method", obj.METHODS)
 def test_method_table_names_exactly_the_fields_that_act(method):
     """A method field changes the trained weights iff objective.METHODS lists it."""
@@ -253,8 +196,8 @@ def test_method_table_names_exactly_the_fields_that_act(method):
 
     def trained(**kw):
         params = mdl.init(small_model_config(seed=11))
-        config = tr.SftConfig(method=method, learning_rate=1e-2, epochs=1, grad_accum=1,
-                              batch_size=2, seed=13, **kw)
+        config = tr.SftConfig(method=method, learning_rate=1e-2, epochs=1, batch_size=2,
+                              seed=13, **kw)
         return tr.train_sft(params, mdl.snapshot_reference(params), dataset, config)[0].flat
 
     default = trained()
@@ -265,36 +208,54 @@ def test_method_table_names_exactly_the_fields_that_act(method):
 
 @pytest.mark.parametrize("method,kw", [
     ("sft", {}), ("eksft", {}), ("dft", {}), ("random_mask", {}), ("global_reg", {}),
-    ("eksft", dict(rho=1.0, lambda_h=0.0, lambda_kl=0.0)),  # no micro-batch has a gradient
+    ("eksft", dict(rho=1.0, lambda_h=0.0, lambda_kl=0.0)),  # no batch has a gradient
 ], ids=["sft", "eksft", "dft", "random_mask", "global_reg", "eksft_nothing_to_backprop"])
 def test_backward_runs_once_per_micro_batch(monkeypatch, method, kw):
-    """One step of two micro-batches: one backward for each that has a gradient."""
-    calls = []
-    backward = mdl.backward
-    monkeypatch.setattr(mdl, "backward", lambda *a: calls.append(1) or backward(*a))
+    """A step is one batch: one policy forward, one objective call, one backward
+    unless the batch has no gradient, then one AdamW update."""
+    events = []
+    forward, backward, objective_terms, adamw_step = (
+        mdl.forward, mdl.backward, obj.objective_terms, tr.adamw_step)
+
+    def recorded(name, fn):
+        def call(*args, **kwargs):
+            events.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    def recorded_forward(params, ids, want_cache=True, past=None):
+        if want_cache:  # the reference's forwards want none
+            events.append("forward")
+        return forward(params, ids, want_cache, past)
+
+    monkeypatch.setattr(mdl, "forward", recorded_forward)
+    monkeypatch.setattr(mdl, "backward", recorded("backward", backward))
+    monkeypatch.setattr(obj, "objective_terms", recorded("objective", objective_terms))
+    monkeypatch.setattr(tr, "adamw_step", recorded("adamw", adamw_step))
     params = mdl.init(small_model_config(seed=11))
-    config = tr.SftConfig(method=method, learning_rate=1e-3, epochs=1, grad_accum=2,
-                          batch_size=2, seed=13, **kw)
-    tr.train_sft(params, mdl.snapshot_reference(params), small_dataset(n=4, seed=5), config)
-    assert len(calls) == (0 if kw else 2)
+    config = tr.SftConfig(method=method, learning_rate=1e-3, epochs=2, batch_size=3,
+                          seed=13, **kw)
+    tr.train_sft(params, mdl.snapshot_reference(params), small_dataset(n=7, seed=5), config)
+    step = ["forward", "objective", *([] if kw else ["backward"]), "adamw"]
+    assert events == step * (2 * 3)
 
 
 @pytest.mark.parametrize("method", obj.METHODS)
 def test_reference_forward_once_per_run(monkeypatch, method):
-    """ceil(N / batch_size) reference forwards per run, whatever epochs and grad_accum are."""
+    """ceil(N / batch_size) reference forwards per run, whatever the number of epochs is."""
     calls = []
     logits = mdl.ReferenceModel.logits
     monkeypatch.setattr(mdl.ReferenceModel, "logits",
                         lambda self, ids: calls.append(1) or logits(self, ids))
     dataset = small_dataset(n=7, seed=5)
-    for epochs, grad_accum, batch_size, supervise_prompt in (
-        (1, 1, 2, False), (3, 2, 3, False), (2, 3, 1, True), (2, 1, 7, True),
+    for epochs, batch_size, supervise_prompt in (
+        (1, 2, False), (3, 3, False), (2, 1, True), (2, 7, True),
     ):
         calls.clear()
         params = mdl.init(mdl.ModelConfig(vocab_size=32, d_model=16, n_layers=1, n_heads=2,
                                           context_len=48, seed=2))
         config = tr.SftConfig(method=method, learning_rate=1e-3, epochs=epochs,
-                              grad_accum=grad_accum, batch_size=batch_size, seed=1,
+                              batch_size=batch_size, seed=1,
                               supervise_prompt=supervise_prompt)
         tr.train_sft(params, mdl.snapshot_reference(params), dataset, config)
         assert len(calls) == math.ceil(len(dataset) / batch_size)
@@ -328,15 +289,14 @@ def _cached_reference_rows(reference, dataset, batch_size):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mdl.ReferenceModel, "logits",
                    lambda self, ids: chunks.append(logits(self, ids)) or chunks[-1])
-        config = tr.SftConfig(learning_rate=1e-3, epochs=1, batch_size=batch_size,
-                              grad_accum=len(dataset))
+        config = tr.SftConfig(learning_rate=1e-3, epochs=1, batch_size=batch_size)
         tr.train_sft(mdl.init(reference.config), reference, dataset, config)
     rows = [chunk[r] for chunk in chunks for r in range(len(chunk))]
     return [row[: len(s.tokens) - 1] for row, s in zip(rows, dataset, strict=True)]
 
 
 def test_reference_rows_match_any_batch():
-    """Every sample's cached rows equal, bit for bit, its rows in micro-batches of
+    """Every sample's cached rows equal, bit for bit, its rows in batches of
     shuffled compositions and different padded lengths."""
     reference = _spread_reference()
     dataset = _mixed_lengths_dataset()
@@ -361,7 +321,7 @@ def test_reference_rows_match_any_batch():
 
 
 def test_train_sft_feeds_each_batch_its_reference_rows(monkeypatch):
-    """The objective sees the reference logits of its micro-batch at every real
+    """The objective sees the reference logits of its batch at every real
     position, and zeros at the padding."""
     seen_ids, seen_ref = [], []
     forward, objective_terms = mdl.forward, obj.objective_terms
@@ -380,8 +340,7 @@ def test_train_sft_feeds_each_batch_its_reference_rows(monkeypatch):
     reference = _spread_reference()
     params = mdl.init(small_model_config(seed=4))
     dataset = _mixed_lengths_dataset()
-    config = tr.SftConfig(method="eksft", learning_rate=1e-3, epochs=2, grad_accum=2,
-                          batch_size=3, seed=7)
+    config = tr.SftConfig(method="eksft", learning_rate=1e-3, epochs=2, batch_size=3, seed=7)
     tr.train_sft(params, reference, dataset, config)
     assert len(seen_ids) == len(seen_ref) == 2 * math.ceil(len(dataset) / 3)
     monkeypatch.setattr(mdl, "forward", forward)
