@@ -113,6 +113,12 @@ def method_reads(reads: tuple[str, ...], method: str) -> tuple[str, ...]:
     return tuple(n for n in reads if n not in _METHOD_FIELDS or n in obj.METHODS[method])
 
 
+def _recorded(config: tr.SftConfig, command: str) -> dict:
+    """The fields of `config` that a run of `command` reads or fixes: what acted."""
+    _, reads, fixed = READS[command]
+    return {n: getattr(config, n) for n in (*method_reads(reads, config.method), *fixed)}
+
+
 def _build(cls, reads: tuple[str, ...], fixed: dict, file_cfg: dict, args: argparse.Namespace):
     """`cls` from defaults < config file < flags < `fixed`. A file key that sets
     a fixed field to another value, or that is neither read nor fixed, is a
@@ -229,7 +235,7 @@ def _run_supervised(args, command: str) -> int:
         run_dir,
         command,
         {
-            "train": dataclasses.asdict(config),
+            "train": _recorded(config, command),
             "model": dataclasses.asdict(params.config),
             "init_checkpoint": args.init,
         },
@@ -349,7 +355,7 @@ def cmd_sweep(args) -> int:
         out,
         "analyze sweep",
         {
-            "train": dataclasses.asdict(base_config),
+            "train": _recorded(base_config, "analyze sweep"),
             "rhos": args.rhos,
             "n": args.n,
             "ks": ks,

@@ -56,7 +56,7 @@ class CheckpointError(EksftError):
 
 
 class ManifestError(CheckpointError):
-    """Checkpoint manifest is missing, malformed, or fails its hash check."""
+    """Manifest missing, malformed or unlike its config's, or the blob's digest is not its sha256."""
 
 
 class ShapeMismatchError(CheckpointError):
@@ -64,7 +64,7 @@ class ShapeMismatchError(CheckpointError):
 
 
 class TruncatedBlobError(CheckpointError):
-    """Weight blob missing, or its length differs from what the manifest promises."""
+    """Weight blob missing, or its length differs from the manifest's total_nbytes (8 per float64)."""
 
 
 class GenerationError(EksftError):

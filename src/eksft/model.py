@@ -11,9 +11,9 @@ keeps its bits (see `_att_softmax`). For
 incremental decoding, `forward` also takes `past`, a list of per-layer (K, V)
 arrays that the call extends in place: the new ids then sit at the positions
 after the cached ones and attend to all of them. Checkpoints are a JSON
-manifest plus the flat vector as one little-endian float32 blob, both
-written by `files`; `_manifest` is the one definition of the manifest, which
-a load must match whole.
+manifest plus the flat vector's own bytes, one little-endian float64 blob,
+both written by `files`; `_manifest` is the one definition of the manifest,
+which a load must match whole, and it holds the blob's sha256.
 """
 
 from __future__ import annotations
@@ -30,18 +30,11 @@ import numpy as np
 
 from . import files
 from . import numerics as nk
-from .errors import (
-    ConfigError,
-    InputError,
-    LengthError,
-    ManifestError,
-    ShapeMismatchError,
-    TruncatedBlobError,
-    check_field_types,
-)
+from .errors import (ConfigError, InputError, LengthError, ManifestError, ShapeMismatchError,
+                     TruncatedBlobError, check_field_types)
 
 INIT_STD = 0.02
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -66,9 +59,6 @@ class ModelConfig:
     @property
     def head_dim(self) -> int:
         return self.d_model // self.n_heads
-
-    def hash(self) -> str:
-        return hashlib.sha256(json.dumps(asdict(self), sort_keys=True).encode()).hexdigest()
 
 
 def parameter_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
@@ -349,7 +339,7 @@ def backward(params: ParameterSet, cache: dict, dlogits: np.ndarray) -> np.ndarr
 
 
 # -----------------------------------------------------------------------------
-# checkpoints: <prefix>.manifest.json + <prefix>.weights.bin (little-endian f32)
+# checkpoints: <prefix>.manifest.json + <prefix>.weights.bin (flat's bytes, <f8)
 # -----------------------------------------------------------------------------
 
 
@@ -358,22 +348,19 @@ def checkpoint_paths(prefix: str | Path) -> tuple[Path, Path]:
     return Path(prefix).with_suffix(".manifest.json"), Path(prefix).with_suffix(".weights.bin")
 
 
-def _manifest(config: ModelConfig) -> dict:
-    """The manifest of every checkpoint of `config`: `save_checkpoint` writes it,
-    and `load_checkpoint` accepts only a manifest equal to it."""
+def _manifest(config: ModelConfig, sha256: str) -> dict:
+    """The manifest of a checkpoint of `config` whose blob has digest `sha256`:
+    `save_checkpoint` writes it, and `load_checkpoint` accepts only its equal."""
     slices = tensor_slices(config)
     return {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "config": asdict(config),
-        "config_hash": config.hash(),
-        "seed": config.seed,
-        "run_id": "",
-        "version": "1",
-        "dtype": "<f4",
-        "total_nbytes": 4 * _flat_size(config),
+        "dtype": "<f8",
+        "total_nbytes": 8 * _flat_size(config),
+        "sha256": sha256,
         "tensors": [
-            {"name": name, "shape": list(shape), "offset": 4 * slices[name].start,
-             "nbytes": 4 * (slices[name].stop - slices[name].start)}
+            {"name": name, "shape": list(shape), "offset": 8 * slices[name].start,
+             "nbytes": 8 * (slices[name].stop - slices[name].start)}
             for name, shape, _ in parameter_layout(config)
         ],
     }
@@ -384,14 +371,16 @@ def save_checkpoint(params: ParameterSet, prefix: str | Path) -> tuple[Path, Pat
     params.validate()
     manifest_path, weights_path = checkpoint_paths(prefix)
     manifest_path.parent.mkdir(parents=True, exist_ok=True)
-    files.write_json(manifest_path, _manifest(params.config))
-    files.write_bytes(weights_path, params.flat.astype("<f4").tobytes())
+    blob = params.flat.tobytes()
+    files.write_json(manifest_path, _manifest(params.config, hashlib.sha256(blob).hexdigest()))
+    files.write_bytes(weights_path, blob)
     return manifest_path, weights_path
 
 
 def load_checkpoint(prefix: str | Path) -> ParameterSet:
-    """Load a checkpoint pair back into float64 parameters. The manifest must
-    equal `_manifest` of the config it names, and the blob must have its length."""
+    """Load a checkpoint pair back into the float64 parameters it was saved from.
+    The manifest must equal `_manifest` of the config and digest it names, and
+    the blob must have its length and then its digest."""
     manifest_path, weights_path = checkpoint_paths(prefix)
     if not manifest_path.exists():
         raise ManifestError(f"missing manifest {manifest_path}")
@@ -401,9 +390,9 @@ def load_checkpoint(prefix: str | Path) -> ParameterSet:
     except (ValueError, TypeError, KeyError, ConfigError) as e:
         raise ManifestError(f"manifest {manifest_path} holds no valid config: "
                             f"{type(e).__name__}: {e}") from e
-    expected = _manifest(config)
-    if manifest != expected:
-        key = next(k for k in sorted(manifest.keys() | expected.keys())
+    expected = _manifest(config, manifest.get("sha256", ""))
+    if manifest != expected:  # in `_manifest`'s order, so format_version is named first
+        key = next(k for k in [*expected, *sorted(manifest.keys() - expected.keys())]
                    if manifest.get(k) != expected.get(k))
         if key == "tensors" and isinstance(manifest[key], list):
             i, got, want = next((i, a, b) for i, (a, b) in
@@ -414,10 +403,14 @@ def load_checkpoint(prefix: str | Path) -> ParameterSet:
 
     if not weights_path.exists():
         raise TruncatedBlobError(f"missing weights blob {weights_path}")
-    blob = weights_path.read_bytes()
+    blob = bytearray(weights_path.read_bytes())  # writable, so the loaded vector trains in place
     if len(blob) != expected["total_nbytes"]:
         raise TruncatedBlobError(
             f"weights blob has {len(blob)} bytes, manifest promises {expected['total_nbytes']}")
-    params = ParameterSet(config, np.frombuffer(blob, dtype="<f4").astype(nk.F64))
+    digest = hashlib.sha256(blob).hexdigest()
+    if digest != expected["sha256"]:
+        raise ManifestError(f"weights blob {weights_path} has sha256 {digest}; "
+                            f"manifest {manifest_path} has 'sha256' = {expected['sha256']!r}")
+    params = ParameterSet(config, np.frombuffer(blob, dtype="<f8"))
     params.validate()
     return params

@@ -4,9 +4,11 @@ import json
 from pathlib import Path
 from xml.etree import ElementTree
 
+import numpy as np
 import pytest
 
 from eksft import cli
+from eksft import evaluation as ev
 from eksft import model as mdl
 from eksft import objective as obj
 from eksft import tasks
@@ -74,6 +76,47 @@ def test_train_sft_run_directory_contents(tmp_path):
     manifest = json.loads((run / "manifest.json").read_text())
     assert manifest["command"] == "train-sft"
     assert "sha256" in manifest["datasets"]["data"]
+
+
+@pytest.mark.parametrize("method", list(obj.METHODS))
+def test_train_sft_config_records_only_what_acted(tmp_path, method):
+    data = _gen(tmp_path)
+    train = json.loads((_train(tmp_path, data, method=method) / "config.json").read_text())["train"]
+    _, reads, fixed = cli.READS["train-sft"]
+    assert train.keys() == {*cli.method_reads(reads, method), *fixed}
+    if method == "eksft":
+        assert sorted(train) == ["batch_size", "epochs", "lambda_h", "lambda_kl", "learning_rate",
+                                 "method", "rho", "seed", "supervise_prompt", "weight_decay"]
+
+
+def test_cli_pipeline_trains_the_in_process_model(tmp_path):
+    """pretrain, train-sft --init and eval as commands give the vector and the eval.json
+    of the same stages run in-process: no checkpoint hand-over rounds the model."""
+    data, base, sft, reports = _gen(tmp_path), tmp_path / "base", tmp_path / "sft", tmp_path / "r"
+    assert main(["pretrain", "--data", str(data / "pretrain.jsonl"), "--out", str(base),
+                 "--epochs", "2", "--batch-size", "4", "--lr", "3e-3", "--seed", "4",
+                 *MODEL_FLAGS]) == 0
+    assert main(["train-sft", "--init", str(base / "checkpoints/final"), "--method", "eksft",
+                 "--data", str(data / "sft.jsonl"), "--out", str(sft), "--epochs", "2",
+                 "--batch-size", "3", "--lr", "2e-3", "--seed", "5"]) == 0
+    assert main(["eval", "--ckpt", str(sft / "checkpoints/final"), "--data",
+                 str(data / "eval.jsonl"), "--out", str(reports), "--n", "4", "--ks", "1,4",
+                 "--max-gen-len", "6", "--seed", "2"]) == 0
+
+    params = mdl.init(mdl.ModelConfig(d_model=16, n_layers=1, context_len=48, seed=4))
+    for name, config in (
+        ("pretrain", tr.SftConfig(learning_rate=3e-3, epochs=2, batch_size=4, seed=4,
+                                  supervise_prompt=True)),
+        ("sft", tr.SftConfig(method="eksft", learning_rate=2e-3, epochs=2, batch_size=3, seed=5)),
+    ):
+        dataset = tasks.load_samples(data / f"{name}.jsonl", context_len=48)
+        tr.train_sft(params, mdl.snapshot_reference(params), dataset, config)
+    assert np.array_equal(mdl.load_checkpoint(sft / "checkpoints/final").flat, params.flat)
+    report = ev.evaluate(params, tasks.load_samples(data / "eval.jsonl", context_len=48), 4,
+                         [1, 4], temperature=1.0, seed=2, max_len=6)
+    report.config = json.loads((reports / "eval.json").read_text())["config"]  # paths only
+    json_path, _ = ev.write_eval_report(report, tmp_path / "in_process")
+    assert json_path.read_bytes() == (reports / "eval.json").read_bytes()
 
 
 def test_forced_rerun_without_mask_dump_removes_the_stale_one(tmp_path):
@@ -374,9 +417,10 @@ def test_analyze_sweep_records_its_config_and_manifest(tmp_path):
         "--epochs", "1", "--batch-size", "4", "--lambda-h", "0.1",
     ]) == 0
     config = json.loads((out / "config.json").read_text())
+    train = dataclasses.asdict(tr.SftConfig(method="eksft", epochs=1, batch_size=4, lambda_h=0.1))
     assert config == {
-        "train": dataclasses.asdict(tr.SftConfig(method="eksft", epochs=1, batch_size=4,
-                                                 lambda_h=0.1)),
+        # each run takes its rho from --rhos, and eksft reads no drop_fraction
+        "train": {n: v for n, v in train.items() if n not in ("rho", "drop_fraction")},
         "rhos": [0.1, 0.3], "n": 4, "ks": [1, 4], "eval_seed": 3, "max_gen_len": 6,
         "init_checkpoint": str(ckpt),
     }

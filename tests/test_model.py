@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import math
 
@@ -294,10 +296,7 @@ def test_checkpoint_round_trip(tmp_path, tiny_config):
     params = mdl.init(tiny_config)
     mdl.save_checkpoint(params, tmp_path / "ckpt")
     loaded = mdl.load_checkpoint(tmp_path / "ckpt")
-    for name in params.tensors:
-        assert np.array_equal(
-            loaded.tensors[name], params.tensors[name].astype(np.float32).astype(np.float64)
-        )
+    assert np.array_equal(loaded.flat, params.flat)
 
 
 def test_checkpoint_round_trip_is_idempotent(tmp_path, tiny_config):
@@ -314,15 +313,55 @@ def test_checkpoint_hash_mismatch(tmp_path, tiny_config):
     params = mdl.init(tiny_config)
     manifest_path, _ = mdl.save_checkpoint(params, tmp_path / "ckpt")
     manifest = json.loads(manifest_path.read_text())
-    manifest["config_hash"] = "0" * 64
+    manifest["sha256"] = "0" * 64
     manifest_path.write_text(json.dumps(manifest))
-    with pytest.raises(ManifestError):
+    with pytest.raises(ManifestError, match="'sha256' = '0000"):
         mdl.load_checkpoint(tmp_path / "ckpt")
 
 
+def test_checkpoint_rejects_a_flipped_blob_byte(tmp_path, tiny_config):
+    _, weights_path = mdl.save_checkpoint(mdl.init(tiny_config), tmp_path / "ckpt")
+    blob = bytearray(weights_path.read_bytes())
+    blob[len(blob) // 3] ^= 1
+    weights_path.write_bytes(bytes(blob))
+    with pytest.raises(ManifestError, match="sha256"):
+        mdl.load_checkpoint(tmp_path / "ckpt")
+
+
+def test_checkpoint_refuses_a_float32_version_1_checkpoint(tmp_path, tiny_config):
+    """The float32 format's manifest, written by hand: it differs from version 2 in
+    several keys, and the error names the version first."""
+    params = mdl.init(tiny_config)
+    manifest_path, weights_path = mdl.checkpoint_paths(tmp_path / "ckpt")
+    slices = mdl.tensor_slices(tiny_config)
+    manifest = {
+        "format_version": 1, "config": dataclasses.asdict(tiny_config),
+        "config_hash": "0" * 64, "seed": tiny_config.seed, "run_id": "", "version": "1",
+        "dtype": "<f4", "total_nbytes": 4 * params.flat.size,
+        "tensors": [{"name": name, "shape": list(shape), "offset": 4 * slices[name].start,
+                     "nbytes": 4 * (slices[name].stop - slices[name].start)}
+                    for name, shape, _ in mdl.parameter_layout(tiny_config)],
+    }
+    manifest_path.write_text(json.dumps(manifest))
+    weights_path.write_bytes(params.flat.astype("<f4").tobytes())
+    with pytest.raises(ManifestError, match="'format_version' = 1"):
+        mdl.load_checkpoint(tmp_path / "ckpt")
+
+
+def test_loaded_checkpoint_trains_in_place(tmp_path, tiny_config):
+    mdl.save_checkpoint(mdl.init(tiny_config), tmp_path / "ckpt")
+    params = mdl.load_checkpoint(tmp_path / "ckpt")
+    before = params.flat.copy()
+    assert params.flat.flags.writeable
+    ids = np.arange(8) % tiny_config.vocab_size
+    logits, cache = mdl.forward(params, ids)
+    grads = mdl.backward(params, cache, np.ones_like(logits))
+    tr.adamw_step(params, grads, tr.adamw_init(params), lr=1e-2)
+    assert not np.array_equal(params.flat, before)
+
+
 @pytest.mark.parametrize("key, value", [
-    ("dtype", "<f8"), ("format_version", 99), ("seed", 4), ("run_id", "x"), ("version", "2"),
-    ("extra", 1),
+    ("dtype", "<f4"), ("format_version", 99), ("extra", 1),
 ])
 def test_checkpoint_rejects_any_manifest_edit(tmp_path, tiny_config, key, value):
     params = mdl.init(tiny_config)
@@ -338,7 +377,9 @@ def test_checkpoint_manifest_is_the_one_definition(tmp_path, tiny_config):
     manifest_path, weights_path = mdl.save_checkpoint(mdl.init(tiny_config), tmp_path / "ckpt")
     assert (manifest_path, weights_path) == mdl.checkpoint_paths(tmp_path / "ckpt")
     manifest = json.loads(manifest_path.read_text())
-    assert manifest == mdl._manifest(tiny_config)
+    digest = hashlib.sha256(weights_path.read_bytes()).hexdigest()
+    assert manifest == mdl._manifest(tiny_config, digest)
+    assert not {"version", "run_id", "seed", "config_hash"} & manifest.keys()
     assert manifest["total_nbytes"] == weights_path.stat().st_size
 
 
@@ -365,6 +406,13 @@ def test_checkpoint_truncated_blob(tmp_path, tiny_config):
     data = weights_path.read_bytes()
     weights_path.write_bytes(data[: len(data) // 2])
     with pytest.raises(TruncatedBlobError):
+        mdl.load_checkpoint(tmp_path / "ckpt")
+
+
+def test_checkpoint_missing_blob(tmp_path, tiny_config):
+    _, weights_path = mdl.save_checkpoint(mdl.init(tiny_config), tmp_path / "ckpt")
+    weights_path.unlink()
+    with pytest.raises(TruncatedBlobError, match="missing weights blob"):
         mdl.load_checkpoint(tmp_path / "ckpt")
 
 
@@ -400,13 +448,17 @@ def test_checkpoint_rejects_swapped_offsets(tmp_path, tiny_config):
 
 
 def test_checkpoint_round_trip_drift_below_threshold(tmp_path, tiny_config):
-    from eksft.analyze import parameter_drift
+    """A round trip gives back the vector, so drift is exactly 0 at every threshold."""
+    from eksft.analyze import DEFAULT_DRIFT_THRESHOLDS, parameter_drift
 
     params = mdl.init(tiny_config)
     mdl.save_checkpoint(params, tmp_path / "ckpt")
-    loaded = mdl.load_checkpoint(tmp_path / "ckpt")
-    report = parameter_drift(params, loaded, thresholds=(1e-3,))
-    assert report.global_frac_exceeding[1e-3] == 0.0
+    report = parameter_drift(params, mdl.load_checkpoint(tmp_path / "ckpt"),
+                             thresholds=(0.0, *DEFAULT_DRIFT_THRESHOLDS))
+    assert report.global_mean_rel_change == 0.0
+    assert set(report.global_frac_exceeding.values()) == {0.0}
+    for t in report.per_tensor:
+        assert t.mean_rel_change == 0.0 and set(t.frac_exceeding.values()) == {0.0}
 
 
 def test_reference_survives_round_trip_bit_exact(tmp_path, tiny_config):
@@ -414,7 +466,4 @@ def test_reference_survives_round_trip_bit_exact(tmp_path, tiny_config):
     ref = mdl.snapshot_reference(params)
     mdl.save_checkpoint(ref, tmp_path / "ref")
     loaded = mdl.load_checkpoint(tmp_path / "ref")
-    for name in ref.tensors:
-        assert np.array_equal(
-            loaded.tensors[name].astype(np.float32), ref.tensors[name].astype(np.float32)
-        )
+    assert np.array_equal(loaded.flat, ref.flat)
