@@ -1,5 +1,10 @@
 """Temperature sampling and pass@k evaluation.
 
+`sample_group` draws n continuations of one prompt with a K/V cache that
+holds one row per distinct history, so rows that have sampled the same
+tokens so far share one forward row; every row keeps the bits it gets with
+a cache row of its own.
+
 pass@k follows the unbiased estimator convention: with n samples of which
 c are correct, pass@k = 1 - C(n-c, k) / C(n, k), computed in product form
 so large n never overflows. avg@n equals pass@1 = c/n by the same formula.
@@ -37,11 +42,17 @@ def sample_group(
 ) -> list[SampledSequence]:
     """Sample n continuations of one prompt, each until EOS, max_len or the context.
 
-    One (1, P) forward prefills the prompt, and its last log-probs and its K/V
-    cache are repeated to the n rows. Each later step feeds one position for
-    each row still sampling: a row that emits EOS leaves the batch and the
-    cache. Every step still draws rng.random(n), indexed by the live
-    rows, so the stream and each row's draws do not depend on which rows stop.
+    The K/V cache holds one row per distinct history (the prompt plus the
+    tokens sampled so far), not one per sampling row. One (1, P) forward
+    prefills the prompt, the only history at step 0. After each step the live
+    rows' (history, token) pairs are deduplicated with np.unique: the cache is
+    gathered by each new history's parent, and the next forward feeds one
+    (histories, 1) column. Each row reads its history's log-probs, CDF and
+    entropy by index. Rows never mix in the forward (`model.forward`), so a
+    row gets the bits that a cache row of its own gives. A row that emits EOS
+    leaves.
+    Every step still draws rng.random(n), indexed by the live rows, so the
+    stream and each row's draws do not depend on which rows stop or share.
     Tokens, log-probs and entropies go into (n, steps) arrays that become the
     returned lists once, at the end.
     """
@@ -58,29 +69,32 @@ def sample_group(
     logprobs = np.zeros((n, steps))
     entropies = np.zeros((n, steps))
     lengths = np.zeros(n, dtype=np.int64)
+    vocab = cfg.vocab_size
     rows = np.arange(n)  # the rows still sampling
+    hist = np.zeros(n, dtype=np.int64)  # each live row's history: its cache row
     past: list = []
     for step in range(steps):
         if step == 0:
             logits, _ = mdl.forward(params, prompt[None, :], want_cache=False, past=past)
-            lp = np.repeat(nk.log_softmax(logits[:, -1, :] / temperature), n, axis=0)
-            past[:] = [(np.repeat(k, n, axis=0), np.repeat(v, n, axis=0)) for k, v in past]
         else:
-            logits, _ = mdl.forward(params, nxt[:, None], want_cache=False, past=past)
-            lp = nk.log_softmax(logits[:, -1, :] / temperature)
+            # one cache row per distinct (history, token): parents gather, tokens feed
+            keys, hist = np.unique(hist * vocab + nxt, return_inverse=True)
+            parents, column = np.divmod(keys, vocab)
+            past[:] = [(k[parents], v[parents]) for k, v in past]
+            logits, _ = mdl.forward(params, column[:, None], want_cache=False, past=past)
+        lp = nk.log_softmax(logits[:, -1, :] / temperature)
         cdf = np.cumsum(np.exp(lp), axis=-1)
         u = rng.random(n)[rows]
-        nxt = np.minimum((cdf < u[:, None]).sum(axis=-1), cfg.vocab_size - 1)
+        nxt = np.minimum((cdf[hist] < u[:, None]).sum(axis=-1), vocab - 1)
         tokens[rows, step] = nxt
-        logprobs[rows, step] = lp[np.arange(rows.size), nxt]
-        entropies[rows, step] = nk.entropy(lp)
+        logprobs[rows, step] = lp[hist, nxt]
+        entropies[rows, step] = nk.entropy(lp)[hist]
         lengths[rows] = step + 1
         live = nxt != EOS
         if not live.all():
-            rows, nxt = rows[live], nxt[live]
+            rows, hist, nxt = rows[live], hist[live], nxt[live]
             if rows.size == 0:
                 break
-            past[:] = [(k[live], v[live]) for k, v in past]
     return [
         SampledSequence(tok[:m], lp[:m], ent[:m])
         for tok, lp, ent, m in zip(tokens.tolist(), logprobs.tolist(), entropies.tolist(),

@@ -245,8 +245,8 @@ def forward(
     inv_sqrt_dh = 1.0 / math.sqrt(dh)
 
     x = nk.embedding_lookup(t["tok_emb"], ids) + t["pos_emb"][P : P + L]
-    # keys-by-queries: key m is masked for query l when m > P + l
-    causal_bias_t = np.tril(np.full((P + L, L), -1e30), k=-(P + 1))
+    # keys-by-queries: key m is masked for query l when m > P + l; one query masks no key
+    causal_bias_t = np.tril(np.full((P + L, L), -1e30), k=-(P + 1)) if L > 1 else None
 
     cache: dict | None = {"ids": ids, "layers": []} if want_cache else None
     for i in range(cfg.n_layers):
@@ -267,7 +267,10 @@ def forward(
                 past.append((kh, vh))
         # (B, H, ·, dh) views for stacked BLAS products, one gemm per (row, head)
         qt, kt, vt = (z.transpose(0, 2, 1, 3) for z in (qh, kh, vh))
-        att = _att_softmax((kt @ qt.swapaxes(-1, -2)) * inv_sqrt_dh + causal_bias_t)
+        scores_t = (kt @ qt.swapaxes(-1, -2)) * inv_sqrt_dh
+        if causal_bias_t is not None:
+            scores_t += causal_bias_t
+        att = _att_softmax(scores_t)
         ctx = (att @ vt).transpose(0, 2, 1, 3).reshape(B, L, cfg.d_model)
         x = x + nk.matmul(ctx, t[p + "wo"])
 

@@ -200,16 +200,19 @@ def kl(log_probs: np.ndarray, ref_log_probs: np.ndarray) -> np.ndarray:
 def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, tuple]:
     """Normalize the last axis to zero mean / unit variance, then affine.
 
-    Returns (out, cache) where cache feeds layer_norm_backward.
+    Returns (out, cache) where cache feeds layer_norm_backward. Means here and
+    in the backward are np.add.reduce / d, the sum and division that
+    ndarray.mean makes, without its Python overhead.
     """
     x = as_f64(x)
     if gain.shape != x.shape[-1:] or bias.shape != x.shape[-1:]:
         raise DimensionError(
             f"layer_norm gain/bias shapes {gain.shape}/{bias.shape} do not match feature dim {x.shape[-1:]}"
         )
-    mu = x.mean(axis=-1, keepdims=True)
+    d = x.shape[-1]
+    mu = np.add.reduce(x, axis=-1, keepdims=True) / d
     xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * inv
     return gain * xhat + bias, (xhat, inv, gain)
@@ -222,8 +225,9 @@ def layer_norm_backward(grad_out: np.ndarray, cache: tuple) -> tuple[np.ndarray,
     dbias = grad_out.sum(axis=reduce_axes)
     dgain = (grad_out * xhat).sum(axis=reduce_axes)
     dxhat = grad_out * gain
-    mean_dxhat = dxhat.mean(axis=-1, keepdims=True)
-    mean_dxhat_xhat = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    d = grad_out.shape[-1]
+    mean_dxhat = np.add.reduce(dxhat, axis=-1, keepdims=True) / d
+    mean_dxhat_xhat = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d
     dx = inv * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
     return dx, dgain, dbias
 

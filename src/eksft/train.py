@@ -452,13 +452,17 @@ def train_rl(
 def _rl_update(params, opt, episodes, config: RlConfig) -> float:
     """One clipped-PG update over all episodes of a step; returns the loss.
 
-    `sample_group` stops at the context, so every episode fits one row.
+    `sample_group` stops at the context, so every episode fits one row. When
+    every advantage is zero the gradient is zero, so no forward, backward or
+    AdamW step runs; the loss is the surrogate's at ratio 1, -0.0.
     """
     inputs, targets, valid = batchify([(s.prompt_tokens, toks) for s, toks, _, _ in episodes])
     rows, pos = np.nonzero(valid)
     tok = targets[rows, pos]
     old_lp = np.concatenate([lps for _, _, lps, _ in episodes])
     adv = np.repeat([a for _, _, _, a in episodes], valid.sum(axis=1))
+    if not adv.any():
+        return clipped_pg_loss(old_lp, old_lp, adv, CLIP_LOW, CLIP_HIGH)[0]
 
     logits, cache = mdl.forward(params, inputs)
     log_probs = nk.log_softmax(logits / config.temperature)

@@ -84,7 +84,9 @@ def test_objective_hook_arguments_and_token_stats(monkeypatch, tmp_path):
 def test_sample_group_one_forward_per_step(monkeypatch):
     """deskbench counts row_steps as n x model.forward calls under sample_group and
     positions as the ids those calls get: a (1, prompt_len) prefill, then one
-    (live rows, 1) column per step, a row leaving once it has emitted EOS."""
+    (distinct live histories, 1) column per step. A history is the prompt plus
+    the tokens so far; rows that share one share its cache row, and a row leaves
+    once it has emitted EOS."""
     shapes = []
     forward = mdl.forward
 
@@ -95,20 +97,24 @@ def test_sample_group_one_forward_per_step(monkeypatch):
     monkeypatch.setattr(mdl, "forward", recorded)
     params = mdl.init(mdl.ModelConfig(vocab_size=32, d_model=16, n_layers=1, n_heads=2,
                                       context_len=32, seed=1))
-    # a constant EOS logit, so that rows stop at step 0, later, and not at all
+    # a peaked head, so that rows share histories, and a constant EOS logit, so
+    # that rows stop at step 0, later, and not at all
+    params.tensors["head.w"] *= 20.0
     params.tensors["lnf.g"][0] = 0.0
     params.tensors["lnf.b"][0] = 1.0
     params.tensors["head.w"][0, tasks.EOS] = 2.5
     prompt = [tasks.BOS] + tasks.VOCAB.tokenize("12+3=")
-    n, max_len = 5, 9
+    n, max_len = 8, 9
     groups = ev.sample_group(params, prompt, n, 1.0, max_len, np.random.default_rng(0))
     lengths = [len(g.tokens) for g in groups]
     steps = max(lengths)
     assert steps == max_len and min(lengths) == 1
     live = [sum(length > step for length in lengths) for step in range(1, steps)]
-    assert shapes == [(1, len(prompt))] + [(rows, 1) for rows in live]
-    assert sum(rows * length for rows, length in shapes) == (
-        len(prompt) + sum(length - 1 for length in lengths))
+    histories = [len({tuple(g.tokens[:step]) for g in groups if len(g.tokens) > step})
+                 for step in range(1, steps)]
+    assert any(h < rows for h, rows in zip(histories, live))  # feeding per row would fail
+    assert shapes == [(1, len(prompt))] + [(h, 1) for h in histories]
+    assert sum(rows * length for rows, length in shapes) == len(prompt) + sum(histories)
 
 
 @pytest.mark.parametrize("size", ["FULL", "SMOKE"])

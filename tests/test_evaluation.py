@@ -170,6 +170,56 @@ def test_sample_group_matches_lockstep(shape, case):
         assert np.array_equal(g.entropies, w.entropies)
 
 
+def _peaked_model():
+    """deskbench's model shape with a sharpened head and a constant EOS offset:
+    many rows repeat another row's history, and rows stop at different steps."""
+    params = mdl.init(mdl.ModelConfig(vocab_size=32, d_model=64, n_layers=2, n_heads=2,
+                                      context_len=64, seed=4))
+    rng = np.random.default_rng(9)
+    for name in params.tensors:
+        params.tensors[name] += rng.normal(0.0, 0.1, params.tensors[name].shape)
+    params.tensors["head.w"] *= 3.0
+    params.tensors["lnf.g"][0] = 0.0
+    params.tensors["lnf.b"][0] = 1.0
+    params.tensors["head.w"][0, tasks.EOS] = 8.0
+    return params
+
+
+@pytest.mark.parametrize("n", [32, 128])
+def test_sample_group_matches_lockstep_on_shared_prefixes(monkeypatch, n):
+    """Rows that share a history share its cache row and its log-probs, and
+    still get the tokens, log-probs, entropies and RNG stream of the lockstep
+    sampler, which feeds every row at every step."""
+    params = _peaked_model()
+    prompt = [tasks.BOS] + tasks.VOCAB.tokenize("1+2=")
+    args = (params, prompt, n, 0.9, 20)
+    got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+    rows_fed = []
+    forward = mdl.forward
+
+    def recorded(params, token_ids, *a, **k):
+        rows_fed.append(np.shape(token_ids)[0])
+        return forward(params, token_ids, *a, **k)
+
+    monkeypatch.setattr(mdl, "forward", recorded)
+    got = ev.sample_group(*args, got_rng)
+    monkeypatch.setattr(mdl, "forward", forward)
+    want = _lockstep_sampler(*args, want_rng)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    for g, w in zip(got, want, strict=True):
+        assert g.tokens == w.tokens
+        assert np.array_equal(g.logprobs, w.logprobs)
+        assert np.array_equal(g.entropies, w.entropies)
+    lengths = [len(g.tokens) for g in got]
+    live = [sum(m > step for m in lengths) for step in range(1, max(lengths))]
+    # the distinct histories that the rows still sampling at each step continue
+    shared = [len({tuple(g.tokens[:step]) for g in got if len(g.tokens) > step})
+              for step in range(1, max(lengths))]
+    assert rows_fed == [1] + shared
+    assert any(h < rows for h, rows in zip(shared, live))  # some rows really shared
+    assert min(lengths) == 1 and max(lengths) == 20  # rows stop at step 0, later, and not at all
+
+
 def test_sample_rejects_bad_temperature(small_model):
     with pytest.raises(ConfigError):
         ev.sample_group(small_model, [1], 1, 0.0, 4, np.random.default_rng(0))

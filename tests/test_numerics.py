@@ -162,6 +162,32 @@ def test_layer_norm_grad_check():
     assert worst <= 1e-5
 
 
+# decode steps of 1, 5 and 32 histories, and training batches
+@pytest.mark.parametrize("shape", [(1, 1, 64), (5, 1, 64), (32, 1, 64), (8, 20, 64), (64, 24, 64)])
+def test_layer_norm_equals_the_mean_formulation_bitwise(shape):
+    """The forward and backward take their means as np.add.reduce / d; they equal
+    the same formulas written with ndarray.mean, bit for bit."""
+    rng = np.random.default_rng(len(shape) + sum(shape))
+    x = rng.normal(0.3, 2.0, size=shape)
+    gain, bias = rng.normal(1.0, 0.2, size=shape[-1]), rng.normal(0.0, 0.2, size=shape[-1])
+    grad_out = rng.normal(size=shape)
+
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + nk.LAYER_NORM_EPS)
+    xhat = xc * inv
+    dxhat = grad_out * gain
+    want_dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                     - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+
+    out, cache = nk.layer_norm(x, gain, bias)
+    dx, dgain, dbias = nk.layer_norm_backward(grad_out, cache)
+    assert np.array_equal(out, gain * xhat + bias)
+    assert np.array_equal(cache[0], xhat) and np.array_equal(cache[1], inv)
+    assert np.array_equal(dx, want_dx)
+    assert np.array_equal(dgain, (grad_out * xhat).sum(axis=(0, 1)))
+    assert np.array_equal(dbias, grad_out.sum(axis=(0, 1)))
+
+
 def test_gelu_zero():
     out, cdf = nk.gelu(np.array([0.0]))
     assert out[0] == 0.0 and cdf[0] == 0.5

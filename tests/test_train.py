@@ -496,6 +496,28 @@ def test_rl_update_gradient_matches_fd_of_the_clipped_surrogate(monkeypatch):
     assert grad_check(lambda flat: (surrogate(flat), grads[0]), params.flat, coords=coords) <= 1e-5
 
 
+def test_rl_update_with_all_advantages_zero_runs_no_model(monkeypatch):
+    """A step whose groups are all uniform has a zero gradient: `_rl_update` makes
+    no forward, backward or AdamW step and returns the surrogate at ratio 1, -0.0."""
+    cfg = small_model_config(seed=2)
+    params = mdl.init(cfg)
+    spec = tasks.TaskSpec(n_pretrain=0, n_sft=0, n_rl=2, n_eval=0, seed=8)
+    samples = tasks.generate_splits(spec)["rl_prompts"]
+    rng = np.random.default_rng(2)
+    episodes = [(s, rng.integers(3, cfg.vocab_size, size=m).tolist(),
+                 rng.normal(-1.0, 0.3, size=m).tolist(), 0.0)
+                for s, m in zip(samples, (3, 5))]
+    calls = []
+    for module, name in ((mdl, "forward"), (mdl, "backward"), (tr, "adamw_step")):
+        monkeypatch.setattr(module, name, lambda *a, name=name, **k: calls.append(name))
+    opt = tr.adamw_init(params)
+    before = params.flat.copy()
+    loss = tr._rl_update(params, opt, episodes, tr.RlConfig())
+    assert calls == []
+    assert np.array_equal(params.flat, before) and opt.t == 0
+    assert loss == 0.0 and math.copysign(1.0, loss) == -1.0
+
+
 # -----------------------------------------------------------------------------
 # RL loop
 # -----------------------------------------------------------------------------
