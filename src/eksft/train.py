@@ -12,12 +12,15 @@ are flat vectors in one layout.
 RL stage: group rollouts per prompt, binary verifier rewards, group-mean
 normalized advantages, and an asymmetrically clipped policy-gradient
 surrogate with the fixed band [1 - CLIP_LOW, 1 + CLIP_HIGH]. No
-reference/KL term. A step whose gradient is exactly zero (all groups
-reward-uniform) is skipped so parameters stay bit-identical. Each rollout
-batch serves one update, made with the parameters that sampled it, so the
-importance ratio is 1 up to roundoff and the band never binds. It binds
-only once a rollout batch serves more than one update; until then the band
-is a constant, not a setting.
+reference/KL term. A rollout whose advantage is zero (its group is
+reward-uniform) has an exactly zero gradient, so the update's forward and
+backward run over the other rollouts only; a step with no other rollout
+runs no forward, backward or AdamW step, so parameters stay bit-identical.
+`metrics.csv`'s `update_tokens` counts the tokens trained, 0 on a skipped
+step. Each rollout batch serves one update, made with the parameters that
+sampled it, so the importance ratio is 1 up to roundoff and the band never
+binds. It binds only once a rollout batch serves more than one update;
+until then the band is a constant, not a setting.
 
 Wall-clock timings go to a separate timings.csv: metrics.csv must stay
 byte-identical across reruns of the same config. `files` writes every run file.
@@ -137,6 +140,7 @@ class RlMetricsRecord:
     zero_variance_frac: float
     mean_entropy: float
     mean_gen_len: float
+    update_tokens: int
 
 
 SFT_METRICS_COLUMNS = [f.name for f in fields(SftMetricsRecord)]
@@ -432,6 +436,8 @@ def train_rl(
         pg_loss = 0.0
         if episodes:
             pg_loss = _rl_update(params, opt, episodes, config)
+        # the tokens `_rl_update` trains: those of the nonzero-advantage episodes
+        update_tokens = sum(len(toks) for _, toks, _, a in episodes if a != 0.0)
         records.append(
             RlMetricsRecord(
                 step=step,
@@ -440,6 +446,7 @@ def train_rl(
                 zero_variance_frac=zero_var / max(len(chosen), 1),
                 mean_entropy=float(np.mean(ent_vals)) if ent_vals else 0.0,
                 mean_gen_len=float(np.mean(gen_lens)) if gen_lens else 0.0,
+                update_tokens=update_tokens,
             )
         )
         timings.append((step, time.perf_counter() - t_start))
@@ -450,28 +457,36 @@ def train_rl(
 
 
 def _rl_update(params, opt, episodes, config: RlConfig) -> float:
-    """One clipped-PG update over all episodes of a step; returns the loss.
+    """One clipped-PG update over the episodes of a step; returns the loss.
 
-    `sample_group` stops at the context, so every episode fits one row. When
-    every advantage is zero the gradient is zero, so no forward, backward or
-    AdamW step runs; the loss is the surrogate's at ratio 1, -0.0.
+    Only the episodes with a nonzero advantage are trained: they alone are
+    batchified, padded to the longest of them, and run through the forward
+    and backward. `sample_group` stops at the context, so every episode fits
+    one row. The surrogate still takes every generated token, so its token
+    mean and the loss keep their values: a dropped token's new log-prob is
+    its old one, so its ratio is exactly 1 and its term exactly 0. With no
+    such episode no forward, backward or AdamW step runs; the loss is -0.0.
+    `train_rl` records the trained token count as `update_tokens`.
     """
-    inputs, targets, valid = batchify([(s.prompt_tokens, toks) for s, toks, _, _ in episodes])
+    old_lp = np.concatenate([lps for _, _, lps, _ in episodes])
+    adv = np.repeat([a for _, _, _, a in episodes], [len(toks) for _, toks, _, _ in episodes])
+    new_lp = old_lp.copy()
+    kept = [(s.prompt_tokens, toks) for s, toks, _, a in episodes if a != 0.0]
+    if not kept:
+        return clipped_pg_loss(new_lp, old_lp, adv, CLIP_LOW, CLIP_HIGH)[0]
+
+    inputs, targets, valid = batchify(kept)
     rows, pos = np.nonzero(valid)
     tok = targets[rows, pos]
-    old_lp = np.concatenate([lps for _, _, lps, _ in episodes])
-    adv = np.repeat([a for _, _, _, a in episodes], valid.sum(axis=1))
-    if not adv.any():
-        return clipped_pg_loss(old_lp, old_lp, adv, CLIP_LOW, CLIP_HIGH)[0]
-
     logits, cache = mdl.forward(params, inputs)
     log_probs = nk.log_softmax(logits / config.temperature)
-    new_lp = log_probs[rows, pos, tok]
+    trained = adv != 0.0
+    new_lp[trained] = log_probs[rows, pos, tok]
 
     loss, d_lp = clipped_pg_loss(new_lp, old_lp, adv, CLIP_LOW, CLIP_HIGH)
 
     d_lp_rows = np.zeros((tok.size, logits.shape[-1]))
-    d_lp_rows[np.arange(tok.size), tok] = d_lp
+    d_lp_rows[np.arange(tok.size), tok] = d_lp[trained]
     d_rows = nk.log_softmax_backward(d_lp_rows, log_probs[rows, pos])
     # log_probs = log_softmax(logits / T), hence the 1/T; adding onto zeros normalizes -0.0
     dlogits = np.zeros_like(logits)

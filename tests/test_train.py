@@ -447,16 +447,21 @@ def test_rl_update_gradient_matches_fd_of_the_clipped_surrogate(monkeypatch):
     differences of the token-mean clipped surrogate, computed here one episode at a
     time through `model.forward`, with the old log-probs and advantages held fixed.
     Some tokens sit outside the clip band on the side where the min takes the
-    clipped term, so both branches of the min are checked."""
+    clipped term, so both branches of the min are checked. Two episodes have zero
+    advantage, and one of them is the longest, so the update trains a narrower
+    batch than all episodes; the surrogate still averages over every token."""
     temperature = 0.7
     cfg = mdl.ModelConfig(vocab_size=32, d_model=16, n_layers=2, n_heads=2, context_len=24, seed=6)
     params = conditioned_point(cfg, 6)
     rng = np.random.default_rng(6)
-    spec = tasks.TaskSpec(n_pretrain=0, n_sft=0, n_rl=3, n_eval=0, seed=8)
+    spec = tasks.TaskSpec(n_pretrain=0, n_sft=0, n_rl=5, n_eval=0, seed=8)
     samples = tasks.generate_splits(spec)["rl_prompts"]
     prompts = [s.prompt_tokens for s in samples]
-    responses = [rng.integers(3, cfg.vocab_size, size=m).tolist() for m in (3, 5, 4)]
+    responses = [rng.integers(3, cfg.vocab_size, size=m).tolist() for m in (3, 9, 5, 2, 4)]
     adv = rng.normal(0.0, 1.0, size=len(prompts))
+    adv[[1, 3]] = 0.0
+    row_lengths = [len(p) + len(t) - 1 for p, t in zip(prompts, responses)]
+    assert max(row_lengths) > max(n for n, a in zip(row_lengths, adv) if a != 0.0)
 
     def new_logprobs(flat):
         p, out = mdl.ParameterSet(cfg, flat), []
@@ -541,6 +546,7 @@ def test_rl_all_rewards_one_leaves_params_unchanged():
         assert np.array_equal(params.tensors[k], before[k])
     assert all(r.zero_variance_frac == 1.0 for r in records)
     assert all(r.mean_reward == 1.0 for r in records)
+    assert all(r.update_tokens == 0 for r in records)  # every step skipped
 
 
 def test_rl_deterministic_runs():
@@ -580,9 +586,11 @@ def test_one_update_per_rollout_batch_keeps_every_ratio_inside_the_clip_band(mon
     before = params.flat.copy()
     config = tr.RlConfig(learning_rate=1e-2, total_steps=4, rollout_group_size=4,
                          prompts_per_step=2, max_gen_len=8, seed=5)
-    tr.train_rl(params, prompts, lambda s, toks: len(toks) % 2 == 0, config)
+    _, records = tr.train_rl(params, prompts, lambda s, toks: len(toks) % 2 == 0, config)
     assert len(calls) == 4 and not np.array_equal(params.flat, before)
     assert sum(np.count_nonzero(adv) for _, _, adv, _, _ in calls) > 0  # groups not uniform
+    # update_tokens counts the tokens the update trains: those whose advantage is nonzero
+    assert [r.update_tokens for r in records] == [np.count_nonzero(a) for _, _, a, _, _ in calls]
     for new, old, _, c_l, c_h in calls:
         assert (c_l, c_h) == (tr.CLIP_LOW, tr.CLIP_HIGH)
         ratio = np.exp(new - old)
@@ -596,6 +604,8 @@ def test_rl_writes_metrics(tmp_path):
                          prompts_per_step=2, max_gen_len=6, seed=2)
     tr.train_rl(params, prompts, tasks.verify, config, run_dir=tmp_path)
     lines = (tmp_path / "metrics.csv").read_text().strip().splitlines()
+    assert tr.RL_METRICS_COLUMNS == ["step", "pg_loss", "mean_reward", "zero_variance_frac",
+                                     "mean_entropy", "mean_gen_len", "update_tokens"]
     assert lines[0] == ",".join(tr.RL_METRICS_COLUMNS)
     assert len(lines) == 3
     assert (tmp_path / "checkpoints" / "final.manifest.json").exists()
