@@ -3,7 +3,10 @@
 `sample_group` draws n continuations of one prompt with a K/V cache that
 holds one row per distinct history, so rows that have sampled the same
 tokens so far share one forward row; every row keeps the bits it gets with
-a cache row of its own.
+a cache row of its own. Given a record, it also keeps what each of its
+forwards computed, so that the RL update can back-propagate through the
+very activations that sampled a rollout (`model.stitch_cache`) instead of
+running a forward of its own; `evaluate` passes none and keeps nothing.
 
 pass@k follows the unbiased estimator convention: with n samples of which
 c are correct, pass@k = 1 - C(n-c, k) / C(n, k), computed in product form
@@ -39,6 +42,7 @@ def sample_group(
     temperature: float,
     max_len: int,
     rng: np.random.Generator,
+    record: list | None = None,
 ) -> list[SampledSequence]:
     """Sample n continuations of one prompt, each until EOS, max_len or the context.
 
@@ -55,6 +59,15 @@ def sample_group(
     stream and each row's draws do not depend on which rows stop or share.
     Tokens, log-probs and entropies go into (n, steps) arrays that become the
     returned lists once, at the end.
+
+    With `record` (a list, filled in place like `model.forward`'s `past`),
+    each forward also returns its cache, and the call appends one (packed,
+    at) pair: `packed` is `model.pack_positions` of the call's new
+    positions, with the temperature log-probs sampled from as the tail
+    (zeros at the prompt positions before the last), and at[i] is row i's
+    history, its row of `packed`, or -1 once row i has stopped. This is the
+    `calls` list that `model.stitch_cache` reads. Sampling is the same with
+    or without it.
     """
     if temperature <= 0:
         raise ConfigError(f"temperature must be > 0, got {temperature}")
@@ -75,14 +88,21 @@ def sample_group(
     past: list = []
     for step in range(steps):
         if step == 0:
-            logits, _ = mdl.forward(params, prompt[None, :], want_cache=False, past=past)
+            ids = prompt[None, :]
         else:
             # one cache row per distinct (history, token): parents gather, tokens feed
             keys, hist = np.unique(hist * vocab + nxt, return_inverse=True)
             parents, column = np.divmod(keys, vocab)
             past[:] = [(k[parents], v[parents]) for k, v in past]
-            logits, _ = mdl.forward(params, column[:, None], want_cache=False, past=past)
+            ids = column[:, None]
+        logits, cache = mdl.forward(params, ids, want_cache=record is not None, past=past)
         lp = nk.log_softmax(logits[:, -1, :] / temperature)
+        if record is not None:
+            tail = np.zeros((*ids.shape, vocab))
+            tail[:, -1] = lp
+            at = np.full(n, -1, dtype=np.int64)
+            at[rows] = hist
+            record.append((mdl.pack_positions(cfg, cache, tail), at))
         cdf = np.cumsum(np.exp(lp), axis=-1)
         u = rng.random(n)[rows]
         nxt = np.minimum((cdf[hist] < u[:, None]).sum(axis=-1), vocab - 1)

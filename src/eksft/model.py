@@ -10,7 +10,10 @@ strided key axis, which sums keys in order: a row padded with masked keys
 keeps its bits (see `_att_softmax`). For
 incremental decoding, `forward` also takes `past`, a list of per-layer (K, V)
 arrays that the call extends in place: the new ids then sit at the positions
-after the cached ones and attend to all of them. Checkpoints are a JSON
+after the cached ones and attend to all of them. `pack_positions` packs such a
+call's cache, its new positions only, into one array, and `stitch_cache`
+gathers the positions of whole rows from these arrays into the cache that
+`backward` reads, with no forward. Checkpoints are a JSON
 manifest plus the flat vector's own bytes, one little-endian float64 blob,
 both written by `files`; `_manifest` is the one definition of the manifest,
 which a load must match whole, and it holds the blob's sha256.
@@ -231,11 +234,10 @@ def forward(
     are `numerics.matmul`, one dgemm whatever the row count, and attention
     and the reductions work row by row. So between calls a caller may repeat
     or re-index the rows of every (K, V) in `past`, as long as the next ids
-    have one row per cached row. `backward` has no such path, so `past` needs
-    want_cache=False.
+    have one row per cached row. The cache of a call with `past` holds its L
+    new positions, with their attention over all P + L keys; `backward` does
+    not read it as it is, but `pack_positions` packs it for `stitch_cache`.
     """
-    if past is not None and want_cache:
-        raise InputError("a forward with past cannot return a backward cache")
     cfg = params.config
     P = past[0][0].shape[1] if past else 0
     ids = _check_ids(cfg, token_ids, P)
@@ -281,7 +283,7 @@ def forward(
 
         if cache is not None:
             cache["layers"].append(
-                {"ln1": ln1_cache, "h": h, "qt": qt, "kt": kt, "vt": vt, "att": att,
+                {"ln1": ln1_cache, "h": h, "q": q, "k": k, "v": v, "att": att,
                  "ctx": ctx, "ln2": ln2_cache, "h2": h2, "u": u, "cdf": cdf}
             )
 
@@ -321,12 +323,13 @@ def backward(params: ParameterSet, cache: dict, dlogits: np.ndarray) -> np.ndarr
 
         dctx, g[p + "wo"][...] = nk.matmul_backward(dx, c["ctx"], t[p + "wo"])
         dctx_t = dctx.reshape(B, L, H, dh).transpose(0, 2, 1, 3)
+        qt, kt, vt = (c[z].reshape(B, L, H, dh).transpose(0, 2, 1, 3) for z in "qkv")
         att = c["att"]
-        datt = dctx_t @ c["vt"].swapaxes(-1, -2)
+        datt = dctx_t @ vt.swapaxes(-1, -2)
         dvt = att.swapaxes(-1, -2) @ dctx_t
         dscores = att * (datt - (att * datt).sum(axis=-1, keepdims=True))
-        dqt = (dscores @ c["kt"]) * inv_sqrt_dh
-        dkt = (dscores.swapaxes(-1, -2) @ c["qt"]) * inv_sqrt_dh
+        dqt = (dscores @ kt) * inv_sqrt_dh
+        dkt = (dscores.swapaxes(-1, -2) @ qt) * inv_sqrt_dh
         dq, dk, dv = (z.transpose(0, 2, 1, 3).reshape(B, L, cfg.d_model) for z in (dqt, dkt, dvt))
 
         dh_sum = np.zeros_like(c["h"])
@@ -339,6 +342,86 @@ def backward(params: ParameterSet, cache: dict, dlogits: np.ndarray) -> np.ndarr
     g["pos_emb"][:L] = dx.sum(axis=0)
     g["tok_emb"][...] = nk.embedding_lookup_backward(dx, ids, cfg.vocab_size)
     return grad
+
+
+# -----------------------------------------------------------------------------
+# a backward cache from the forwards with past that computed its rows
+# -----------------------------------------------------------------------------
+
+
+def _packed_widths(config: ModelConfig) -> list[int]:
+    """Widths of the activations `backward` reads at one position, in packed order:
+    per layer ln1's (xhat, inv), h, q, k, v, the attention (H rows of C keys,
+    zero past the position's keys), ctx, ln2's (xhat, inv), h2, u and cdf; then
+    xf and lnf's (xhat, inv)."""
+    d, H, C = config.d_model, config.n_heads, config.context_len
+    return [d, 1, d, d, d, d, H * C, d, d, 1, d, 4 * d, 4 * d] * config.n_layers + [d, d, 1]
+
+
+def pack_positions(config: ModelConfig, cache: dict, tail: np.ndarray) -> np.ndarray:
+    """A forward's cache, with or without `past`, as one (B, L, W + k) array: at
+    each of its positions the activations `backward` reads, in the order of
+    `_packed_widths`, then that position's k columns of `tail` (B, L, k)."""
+    B, L = cache["ids"].shape
+    H, C = config.n_heads, config.context_len
+    parts = []
+    for c in cache["layers"]:
+        att = np.zeros((B, L, H, C))
+        att[..., : c["att"].shape[-1]] = c["att"].transpose(0, 2, 1, 3)
+        parts += [*c["ln1"][:2], c["h"], c["q"], c["k"], c["v"], att.reshape(B, L, H * C),
+                  c["ctx"], *c["ln2"][:2], c["h2"], c["u"], c["cdf"]]
+    parts += [cache["xf"], *cache["lnf"][:2], tail]
+    return np.concatenate(parts, axis=-1)
+
+
+def stitch_cache(params: ParameterSet, ids: np.ndarray, rows: list) -> tuple[dict, np.ndarray]:
+    """The backward cache of `ids` (B, L), built from packed forwards, not by one.
+
+    rows[b] = (calls, r) says where row b was computed: `calls` lists, in
+    order, one (packed, at) pair per forward that extended a set of
+    sequences, `packed` the call's `pack_positions` (R, L_c, ·) and at[r] the
+    row of it that continued sequence r, -1 once r had ended. Row b is
+    sequence r: its positions are the L_c positions of row at[r] of each call
+    in turn. Every call of the distinct `calls` lists is laid end to end, and
+    one gather takes each (b, l) its position, or zeros past the row's end:
+    there, as in a padded forward, the upstream gradient is exactly zero, so
+    those positions add nothing. Every field of the cache is a view of that
+    one (B, L, ·) array. Returns (cache, tail), tail the columns after
+    `_packed_widths`.
+    """
+    cfg, t = params.config, params.tensors
+    B, L = ids.shape
+    H, C = cfg.n_heads, cfg.context_len
+    blocks, paths, start = [], {}, 0
+    index = np.full((B, L), -1, dtype=np.int64)  # -1 is the zero row below
+    for b, (calls, r) in enumerate(rows):
+        if id(calls) not in paths:
+            cols = []
+            for packed, at in calls:
+                n_rows, n_pos = packed.shape[:2]
+                cols.append(np.where(at[:, None] < 0, -1,
+                                     start + at[:, None] * n_pos + np.arange(n_pos)))
+                blocks.append(packed.reshape(n_rows * n_pos, -1))
+                start += n_rows * n_pos
+            paths[id(calls)] = np.concatenate(cols, axis=1)
+        path = paths[id(calls)][r, :L]
+        index[b, : path.size] = path
+    blocks.append(np.zeros((1, blocks[0].shape[1])))
+    fields = iter(np.split(np.concatenate(blocks)[index], np.cumsum(_packed_widths(cfg)), axis=-1))
+
+    cache: dict = {"ids": ids, "layers": []}
+    for i in range(cfg.n_layers):
+        p = f"layer{i}."
+        xhat1, inv1, h, q, k, v, att, ctx, xhat2, inv2, h2, u, cdf = (next(fields) for _ in range(13))
+        cache["layers"].append(
+            {"ln1": (xhat1, inv1, t[p + "ln1.g"]), "h": h, "q": q, "k": k, "v": v,
+             "att": att.reshape(B, L, H, C)[..., :L].transpose(0, 2, 1, 3), "ctx": ctx,
+             "ln2": (xhat2, inv2, t[p + "ln2.g"]), "h2": h2, "u": u, "cdf": cdf}
+        )
+    xf, xhat, inv, tail = fields
+    cache["xf"] = xf
+    cache["lnf"] = (xhat, inv, t["lnf.g"])
+    return cache, tail
 
 
 # -----------------------------------------------------------------------------

@@ -12,18 +12,23 @@ are flat vectors in one layout.
 RL stage: group rollouts per prompt, binary verifier rewards, group-mean
 normalized advantages, and an asymmetrically clipped policy-gradient
 surrogate with the fixed band [1 - CLIP_LOW, 1 + CLIP_HIGH]. No
-reference/KL term. A rollout whose advantage is zero (its group is
-reward-uniform) has an exactly zero gradient, so the update's forward and
-backward run over the other rollouts only; a step with no other rollout
-runs no forward, backward or AdamW step, so parameters stay bit-identical.
-`metrics.csv`'s `update_tokens` counts the tokens trained, 0 on a skipped
-step. Each rollout batch serves one update, made with the parameters that
-sampled it, so the importance ratio is 1 up to roundoff and the band never
-binds. It binds only once a rollout batch serves more than one update;
-until then the band is a constant, not a setting.
+reference/KL term. Each rollout batch serves one update, made with the
+parameters that sampled it, so the update runs no forward: its new
+log-probs are the sampled ones, the importance ratio is exactly 1 and the
+band never binds, and its backward reads the activations the sampler
+recorded (`model.stitch_cache`). A rollout whose advantage is zero (its
+group is reward-uniform) has an exactly zero gradient, so the backward runs
+over the other rollouts only; a step with no other rollout runs no
+backward or AdamW step, so parameters stay bit-identical. `metrics.csv`'s
+`update_tokens` counts the tokens trained, 0 on a skipped step. The band
+binds only once a rollout batch serves more than one update; until then it
+is a constant, not a setting, and the later epochs over a batch will need a
+forward of their own, since their parameters are no longer the sampler's.
 
 Wall-clock timings go to a separate timings.csv: metrics.csv must stay
-byte-identical across reruns of the same config. `files` writes every run file.
+byte-identical across reruns of the same config. An RL step's row there also
+splits off the seconds spent sampling (`sample_s`) and in the update
+(`update_s`). `files` writes every run file.
 """
 
 from __future__ import annotations
@@ -152,7 +157,8 @@ def _write_run_outputs(
     params: mdl.ParameterSet,
     columns: list[str],
     records: Sequence,
-    timings: list[tuple[int, float]],
+    timing_columns: list[str],
+    timings: list[tuple],
     dump_rows: Sequence[dict] = (),
 ) -> None:
     """metrics.csv, mask_dump.jsonl (removed if there are no rows), timings.csv and
@@ -165,7 +171,7 @@ def _write_run_outputs(
         files.write_jsonl(dump, dump_rows)
     else:
         dump.unlink(missing_ok=True)  # a forced re-run must not leave an earlier run's dump
-    files.write_csv(out_dir / "timings.csv", ["step", "seconds"], timings)
+    files.write_csv(out_dir / "timings.csv", timing_columns, timings)
     mdl.save_checkpoint(params, out_dir / "checkpoints" / "final")
 
 
@@ -341,7 +347,8 @@ def train_sft(
             step += 1
 
     if run_dir is not None:
-        _write_run_outputs(Path(run_dir), params, SFT_METRICS_COLUMNS, records, timings, dump_rows)
+        _write_run_outputs(Path(run_dir), params, SFT_METRICS_COLUMNS, records,
+                           ["step", "seconds"], timings, dump_rows)
     return params, records
 
 
@@ -396,7 +403,7 @@ def train_rl(
         raise InputError("empty prompt set")
     opt = adamw_init(params)
     records: list[RlMetricsRecord] = []
-    timings: list[tuple[int, float]] = []
+    timings: list[tuple[int, float, float, float]] = []
     G = config.rollout_group_size
 
     for step in range(config.total_steps):
@@ -405,17 +412,22 @@ def train_rl(
         n_take = min(config.prompts_per_step, len(prompts))
         chosen = step_rng.choice(len(prompts), size=n_take, replace=False)
 
-        episodes = []  # (sample, generated tokens, old logprobs, advantage)
+        # (sample, generated tokens, old logprobs, advantage, sampler record, row)
+        episodes = []
         rewards_all: list[float] = []
         ent_vals: list[float] = []
         gen_lens: list[int] = []
         zero_var = 0
+        sample_s = 0.0
         for pi in chosen:
             s = prompts[int(pi)]
             rng = np.random.default_rng([config.seed, 4, step, int(pi)])
+            record: list = []
+            t_sample = time.perf_counter()
             group = sample_group(
-                params, s.prompt_tokens, G, config.temperature, config.max_gen_len, rng
+                params, s.prompt_tokens, G, config.temperature, config.max_gen_len, rng, record
             )
+            sample_s += time.perf_counter() - t_sample
             rewards = []
             for g in group:
                 try:
@@ -427,17 +439,20 @@ def train_rl(
             adv = group_advantages(rewards)
             if np.all(adv == 0.0):
                 zero_var += 1
-            for g, a in zip(group, adv):
+                record.clear()  # the update trains none of these rows
+            for row, (g, a) in enumerate(zip(group, adv)):
                 if g.tokens:
-                    episodes.append((s, g.tokens, g.logprobs, float(a)))
+                    episodes.append((s, g.tokens, g.logprobs, float(a), record, row))
                 ent_vals.extend(g.entropies)
                 gen_lens.append(len(g.tokens))
 
         pg_loss = 0.0
+        t_update = time.perf_counter()
         if episodes:
             pg_loss = _rl_update(params, opt, episodes, config)
+        update_s = time.perf_counter() - t_update
         # the tokens `_rl_update` trains: those of the nonzero-advantage episodes
-        update_tokens = sum(len(toks) for _, toks, _, a in episodes if a != 0.0)
+        update_tokens = sum(len(toks) for _, toks, _, a, *_ in episodes if a != 0.0)
         records.append(
             RlMetricsRecord(
                 step=step,
@@ -449,47 +464,45 @@ def train_rl(
                 update_tokens=update_tokens,
             )
         )
-        timings.append((step, time.perf_counter() - t_start))
+        timings.append((step, time.perf_counter() - t_start, sample_s, update_s))
 
     if run_dir is not None:
-        _write_run_outputs(Path(run_dir), params, RL_METRICS_COLUMNS, records, timings)
+        _write_run_outputs(Path(run_dir), params, RL_METRICS_COLUMNS, records,
+                           ["step", "seconds", "sample_s", "update_s"], timings)
     return params, records
 
 
 def _rl_update(params, opt, episodes, config: RlConfig) -> float:
     """One clipped-PG update over the episodes of a step; returns the loss.
 
-    Only the episodes with a nonzero advantage are trained: they alone are
-    batchified, padded to the longest of them, and run through the forward
-    and backward. `sample_group` stops at the context, so every episode fits
-    one row. The surrogate still takes every generated token, so its token
-    mean and the loss keep their values: a dropped token's new log-prob is
-    its old one, so its ratio is exactly 1 and its term exactly 0. With no
-    such episode no forward, backward or AdamW step runs; the loss is -0.0.
-    `train_rl` records the trained token count as `update_tokens`.
+    An episode is (sample, generated tokens, old log-probs, advantage, record,
+    row): row `row` of the `sample_group` call that filled `record`. The
+    update is made with the parameters that sampled every episode, so it
+    runs no forward: the new log-probs are the old ones, every ratio is
+    exactly 1, and the surrogate takes every generated token, so its token
+    mean is the loss. Only the episodes with a nonzero advantage have a
+    gradient: they alone are batchified, padded to the longest of them, and
+    `model.stitch_cache` gathers their backward cache, and the temperature
+    log-probs each token was drawn from, out of the records. With no such
+    episode no backward or AdamW step runs; the loss is -0.0. `train_rl`
+    records the trained token count as `update_tokens`.
     """
-    old_lp = np.concatenate([lps for _, _, lps, _ in episodes])
-    adv = np.repeat([a for _, _, _, a in episodes], [len(toks) for _, toks, _, _ in episodes])
-    new_lp = old_lp.copy()
-    kept = [(s.prompt_tokens, toks) for s, toks, _, a in episodes if a != 0.0]
+    old_lp = np.concatenate([lps for _, _, lps, *_ in episodes])
+    adv = np.repeat([a for _, _, _, a, *_ in episodes], [len(toks) for _, toks, *_ in episodes])
+    loss, d_lp = clipped_pg_loss(old_lp, old_lp, adv, CLIP_LOW, CLIP_HIGH)
+    kept = [e for e in episodes if e[3] != 0.0]
     if not kept:
-        return clipped_pg_loss(new_lp, old_lp, adv, CLIP_LOW, CLIP_HIGH)[0]
+        return loss
 
-    inputs, targets, valid = batchify(kept)
+    inputs, targets, valid = batchify([(s.prompt_tokens, toks) for s, toks, *_ in kept])
+    cache, log_probs = mdl.stitch_cache(params, inputs, [(rec, row) for *_, rec, row in kept])
     rows, pos = np.nonzero(valid)
     tok = targets[rows, pos]
-    logits, cache = mdl.forward(params, inputs)
-    log_probs = nk.log_softmax(logits / config.temperature)
-    trained = adv != 0.0
-    new_lp[trained] = log_probs[rows, pos, tok]
-
-    loss, d_lp = clipped_pg_loss(new_lp, old_lp, adv, CLIP_LOW, CLIP_HIGH)
-
-    d_lp_rows = np.zeros((tok.size, logits.shape[-1]))
-    d_lp_rows[np.arange(tok.size), tok] = d_lp[trained]
+    d_lp_rows = np.zeros((tok.size, log_probs.shape[-1]))
+    d_lp_rows[np.arange(tok.size), tok] = d_lp[adv != 0.0]
     d_rows = nk.log_softmax_backward(d_lp_rows, log_probs[rows, pos])
     # log_probs = log_softmax(logits / T), hence the 1/T; adding onto zeros normalizes -0.0
-    dlogits = np.zeros_like(logits)
+    dlogits = np.zeros(log_probs.shape)
     np.add.at(dlogits, (rows, pos), d_rows / config.temperature)
 
     grad = mdl.backward(params, cache, dlogits)

@@ -20,7 +20,6 @@ import pytest
 from eksft import cli
 from eksft import evaluation as ev
 from eksft import model as mdl
-from eksft import numerics as nk
 from eksft import objective as obj
 from eksft import tasks
 from eksft import train as tr
@@ -120,54 +119,49 @@ def test_sample_group_one_forward_per_step(monkeypatch):
 
 
 def test_rl_update_trains_only_the_nonzero_advantage_rows(monkeypatch):
-    """deskbench counts model.backward.positions from the backward cache's ids and
+    """deskbench counts model.forward.positions from the forwards' ids,
+    model.backward.positions from the backward cache's ids, and
     train.clipped_pg_loss.tokens and .nonzero_adv_tokens from the surrogate's
-    arguments. `_rl_update` runs one forward and one backward over the rows of
-    the nonzero-advantage episodes, in order, padded to the longest of them. The
-    surrogate gets every generated token, with new == old on the dropped ones,
-    so its loss equals the one from a forward over every episode."""
+    arguments. `_rl_update` runs no forward: its one backward reads a cache
+    stitched from `sample_group`'s records, whose ids are the rows of the
+    nonzero-advantage episodes, in order, padded to the longest of them. The
+    surrogate gets every generated token, with new == old on every one."""
     temperature = 0.7
     params = mdl.init(mdl.ModelConfig(vocab_size=32, d_model=16, n_layers=1, n_heads=2,
                                       context_len=32, seed=1))
     samples = tasks.generate_splits(
-        tasks.TaskSpec(n_pretrain=0, n_sft=0, n_rl=5, n_eval=0, seed=8))["rl_prompts"]
-    rng = np.random.default_rng(0)
-    episodes = [(s, rng.integers(3, 32, size=m).tolist(), rng.normal(-1.0, 0.3, size=m), a)
-                for s, m, a in zip(samples, (3, 9, 5, 4, 6), (0.7, 0.0, -1.2, 0.0, 0.4))]
-    every = tr.batchify([(s.prompt_tokens, toks) for s, toks, _, _ in episodes])
-    kept = tr.batchify([(s.prompt_tokens, toks) for s, toks, _, a in episodes if a != 0.0])
-    assert kept[0].shape[1] < every[0].shape[1]  # the longest episode is dropped
-    old = np.concatenate([lps for _, _, lps, _ in episodes])
-    adv = np.repeat([a for *_, a in episodes], [len(toks) for _, toks, _, _ in episodes])
-    rows, pos = np.nonzero(every[2])
-    log_probs = nk.log_softmax(mdl.forward(params, every[0])[0] / temperature)
-    full_new = log_probs[rows, pos, every[1][rows, pos]]
-    full_loss = tr.clipped_pg_loss(full_new, old, adv, tr.CLIP_LOW, tr.CLIP_HIGH)[0]
+        tasks.TaskSpec(n_pretrain=0, n_sft=0, n_rl=2, n_eval=0, seed=8))["rl_prompts"]
+    episodes = []
+    for j, (s, adv) in enumerate(zip(samples, ([0.7, 0.0, -1.2], [0.0, 0.0, 0.4]))):
+        record: list = []
+        group = ev.sample_group(params, s.prompt_tokens, 3, temperature, 9,
+                                np.random.default_rng(j), record)
+        episodes += [(s, g.tokens, g.logprobs, a, record, row)
+                     for row, (g, a) in enumerate(zip(group, adv))]
+    kept = tr.batchify([(s.prompt_tokens, toks) for s, toks, _, a, *_ in episodes if a != 0.0])
+    every = tr.batchify([(s.prompt_tokens, toks) for s, toks, *_ in episodes])
+    old = np.concatenate([lps for _, _, lps, *_ in episodes])
+    adv = np.repeat([a for _, _, _, a, *_ in episodes], [len(toks) for _, toks, *_ in episodes])
 
     forward_ids, backward_ids, pg_args = [], [], []
-    forward, backward, pg_loss = mdl.forward, mdl.backward, tr.clipped_pg_loss
-
-    def recorded_forward(p, ids, *args, **kwargs):
-        forward_ids.append(np.array(ids))
-        return forward(p, ids, *args, **kwargs)
+    backward, pg_loss = mdl.backward, tr.clipped_pg_loss
 
     def recorded_backward(p, cache, dlogits):
         backward_ids.append(cache["ids"])
         return backward(p, cache, dlogits)
 
-    monkeypatch.setattr(mdl, "forward", recorded_forward)
+    monkeypatch.setattr(mdl, "forward", lambda p, ids, *a, **k: forward_ids.append(ids))
     monkeypatch.setattr(mdl, "backward", recorded_backward)
     monkeypatch.setattr(tr, "clipped_pg_loss", lambda *a: pg_args.append(a) or pg_loss(*a))
     loss = tr._rl_update(params, tr.adamw_init(params), episodes,
                          tr.RlConfig(temperature=temperature))
-    assert len(forward_ids) == 1 and np.array_equal(forward_ids[0], kept[0])
-    assert len(backward_ids) == 1 and backward_ids[0].shape == kept[0].shape
+    assert forward_ids == []
+    assert len(backward_ids) == 1 and np.array_equal(backward_ids[0], kept[0])
     ((new, old_arg, adv_arg, _, _),) = pg_args
     assert new.size == old.size == int(every[2].sum())
     assert np.array_equal(old_arg, old) and np.array_equal(adv_arg, adv)
-    assert np.array_equal(new[adv == 0.0], old[adv == 0.0])
-    assert np.array_equal(new[adv != 0.0], full_new[adv != 0.0])
-    assert loss == full_loss
+    assert np.array_equal(new, old)
+    assert loss == -adv.sum() / adv.size
 
 
 @pytest.mark.parametrize("size", ["FULL", "SMOKE"])

@@ -220,6 +220,51 @@ def test_sample_group_matches_lockstep_on_shared_prefixes(monkeypatch, n):
     assert min(lengths) == 1 and max(lengths) == 20  # rows stop at step 0, later, and not at all
 
 
+def test_a_record_does_not_change_sampling():
+    """With a record, each forward also returns its cache and the sampler packs
+    it; the tokens, log-probs, entropies and RNG stream are those of a run
+    without one. The record holds one (packed, at) pair per forward: the new
+    positions, and each row's history or -1 once it has stopped."""
+    params = _peaked_model()
+    prompt = [tasks.BOS] + tasks.VOCAB.tokenize("1+2=")
+    args = (params, prompt, 32, 0.9, 20)
+    got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+    record: list = []
+    got = ev.sample_group(*args, got_rng, record)
+    want = ev.sample_group(*args, want_rng)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    for g, w in zip(got, want, strict=True):
+        assert g.tokens == w.tokens
+        assert np.array_equal(g.logprobs, w.logprobs)
+        assert np.array_equal(g.entropies, w.entropies)
+    lengths = np.array([len(g.tokens) for g in got])
+    assert len(record) == lengths.max()
+    assert record[0][0].shape[:2] == (1, len(prompt)) and not record[0][1].any()
+    shared = False
+    for step, (packed, at) in enumerate(record[1:], start=1):
+        assert packed.shape[1] == 1
+        assert np.array_equal(at >= 0, lengths > step)  # a row is recorded while it samples
+        assert sorted(set(at[at >= 0])) == list(range(packed.shape[0]))
+        shared |= packed.shape[0] < np.count_nonzero(at >= 0)
+    assert shared
+
+
+def test_evaluate_makes_every_forward_without_a_cache(small_model, monkeypatch):
+    """evaluate passes no record, so no forward keeps its activations."""
+    flags = []
+    forward = mdl.forward
+
+    def recorded(params, token_ids, want_cache=True, past=None):
+        flags.append(want_cache)
+        return forward(params, token_ids, want_cache, past)
+
+    monkeypatch.setattr(mdl, "forward", recorded)
+    samples = tasks.generate_splits(
+        tasks.TaskSpec(n_pretrain=0, n_sft=0, n_rl=0, n_eval=2, seed=3))["eval"]
+    ev.evaluate(small_model, samples, 4, [1, 4], 1.0, seed=0, max_len=6)
+    assert flags and not any(flags)
+
+
 def test_sample_rejects_bad_temperature(small_model):
     with pytest.raises(ConfigError):
         ev.sample_group(small_model, [1], 1, 0.0, 4, np.random.default_rng(0))

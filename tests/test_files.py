@@ -5,6 +5,7 @@ import csv
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import eksft
 from eksft import files
@@ -77,3 +78,31 @@ def test_json_and_jsonl_text(tmp_path):
     assert (tmp_path / "r.jsonl").read_text() == '{"z": 0, "a": true}\n{"z": 1, "a": true}\n'
     files.write_jsonl(tmp_path / "empty.jsonl", [])
     assert (tmp_path / "empty.jsonl").read_bytes() == b""
+
+
+def _interrupted(rows):
+    yield from rows
+    raise KeyboardInterrupt  # an interruption, not an error of the data
+
+
+@pytest.mark.parametrize("write, args", [
+    (files.write_csv, (["a"], _interrupted([[2]]))),
+    (files.write_jsonl, (_interrupted([{"a": 2}]),)),
+    (files.write_text, ("x\ud800",)),  # a lone surrogate fails to encode mid-file
+    (files.write_json, ({"a": object()},)),
+], ids=["csv", "jsonl", "text", "json"])
+def test_a_write_that_raises_leaves_the_old_file_and_no_temporary(tmp_path, write, args):
+    path = tmp_path / "out.txt"
+    files.write_csv(path, ["a"], [[1]])
+    with pytest.raises((KeyboardInterrupt, UnicodeEncodeError, TypeError)):
+        write(path, *args)
+    assert path.read_bytes() == b"a\n1\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_a_write_replaces_the_file_whole_and_leaves_no_temporary(tmp_path):
+    path = tmp_path / "w.bin"
+    files.write_bytes(path, b"0123456789")
+    files.write_bytes(path, b"ab")
+    assert path.read_bytes() == b"ab"
+    assert [p.name for p in tmp_path.iterdir()] == ["w.bin"]

@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from eksft import evaluation as ev
 from eksft import model as mdl
 from eksft import numerics as nk
 from eksft import objective as obj
+from eksft import tasks
 from eksft import train as tr
 from eksft.errors import (
     ConfigError,
@@ -90,12 +92,6 @@ def test_forward_past_rejects_overlong_continuation(tiny_config):
         mdl.forward(params, np.ones((2, 1), dtype=int), want_cache=False, past=past)
 
 
-def test_forward_past_rejects_backward_cache(tiny_config):
-    params = mdl.init(tiny_config)
-    with pytest.raises(InputError):
-        mdl.forward(params, np.ones((1, 3), dtype=int), past=[])
-
-
 @pytest.mark.parametrize("prefill", [1, 3, 9])
 def test_incremental_forward_matches_full_prefix(prefill):
     cfg = mdl.ModelConfig(vocab_size=11, d_model=16, n_layers=2, n_heads=2, context_len=16, seed=5)
@@ -115,6 +111,55 @@ def test_incremental_forward_matches_full_prefix(prefill):
         assert step.shape == (3, 1, cfg.vocab_size)
         assert np.abs(step[:, 0] - full[:, -1]).max() <= 1e-12
     assert past[0][0].shape == (3, cfg.context_len, cfg.n_heads, cfg.head_dim)
+
+
+def test_stitched_cache_gives_the_backward_of_a_full_forward():
+    """`stitch_cache` over `sample_group` records gives `backward` the gradient that
+    a forward over the padded batch gives, within 1e-12 relative on the flat
+    vector, and the tail holds the temperature log-probs of that forward. The
+    rows come from three prompts of different lengths: some stop at EOS, one
+    fills the context, and some share histories. The gradient reaches every
+    real position, prompt ones included; padding gets none."""
+    cfg = mdl.ModelConfig(vocab_size=32, d_model=32, n_layers=2, n_heads=2, context_len=32, seed=7)
+    params = mdl.init(cfg)
+    rng = np.random.default_rng(7)
+    for name in params.tensors:
+        params.tensors[name] += rng.normal(0.0, 0.1, params.tensors[name].shape)
+    params.tensors["head.w"] *= 3.0
+    params.tensors["lnf.g"][0] = 0.0
+    params.tensors["lnf.b"][0] = 1.0
+    params.tensors["head.w"][0, tasks.EOS] = 3.0
+    temperature = 0.8
+    rows, pairs = [], []
+    for j, text in enumerate(("1+2=", "12+34=", "9" * 20)):
+        prompt = [tasks.BOS] + tasks.VOCAB.tokenize(text)
+        record: list = []
+        group = ev.sample_group(params, prompt, 8, temperature, 20, np.random.default_rng(j), record)
+        for i, g in enumerate(group):
+            if g.tokens and i != 3:  # a row the update would not train
+                rows.append((record, i))
+                pairs.append((prompt, g.tokens))
+    lengths = [len(p) + len(t) for p, t in pairs]
+    assert cfg.context_len in lengths
+    # kept rows that share the node after their first token: one history, one cache row
+    continued = [(tuple(p), t[0]) for p, t in pairs if len(t) > 1]
+    assert len(set(continued)) < len(continued)
+    assert any(t[-1] == tasks.EOS for _, t in pairs) and len({len(p) for p, _ in pairs}) == 3
+    ids, _, _ = tr.batchify(pairs)
+    real = np.arange(ids.shape[1]) < np.array(lengths)[:, None] - 1
+
+    cache, tail = mdl.stitch_cache(params, ids, rows)
+    logits, full = mdl.forward(params, ids)
+    assert cache["ids"] is ids
+    log_probs = nk.log_softmax(logits / temperature)
+    last_prompt = np.array([len(p) - 1 for p, _ in pairs])[:, None]
+    sampled = real & (np.arange(ids.shape[1]) >= last_prompt)
+    assert np.abs(tail[sampled] - log_probs[sampled]).max() <= 1e-12
+    assert not tail[~sampled].any()
+    dlogits = np.where(real[..., None], rng.normal(size=logits.shape), 0.0)
+    want = mdl.backward(params, full, dlogits)
+    got = mdl.backward(params, cache, dlogits)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def einsum_forward_backward(params: mdl.ParameterSet, ids: np.ndarray, dlogits=None):

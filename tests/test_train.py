@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from eksft import evaluation as ev
 from eksft import model as mdl
 from eksft import objective as obj
 from eksft import tasks
@@ -431,10 +433,19 @@ def test_clipped_pg_nonfinite_ratio():
 
 
 def test_clipped_pg_gradient_fd():
+    """Central differences of the surrogate against its gradient, with ratios off
+    the clip edges: most inside the band, and every third at e^±0.6, outside
+    it, where for some tokens the min takes the clipped term (zero gradient)
+    and for others the unclipped one, so both branches of the min are checked."""
     rng = np.random.default_rng(3)
     old = rng.normal(-1, 0.3, size=12)
     adv = rng.normal(0, 1, size=12)
-    new0 = old + rng.normal(0, 0.05, size=12)  # keep ratios off the clip edges
+    delta = rng.normal(0, 0.05, size=12)
+    delta[::3] = 0.6 * np.array([1.0, -1.0, 1.0, -1.0])
+    new0 = old + delta
+    ratio = np.exp(delta)
+    unclipped, clipped = ratio * adv, np.clip(ratio, 0.8, 1.28) * adv
+    assert np.any(clipped < unclipped) and np.any(unclipped < clipped)
 
     def f(flat):
         return tr.clipped_pg_loss(flat, old, adv, 0.2, 0.28)
@@ -442,55 +453,62 @@ def test_clipped_pg_gradient_fd():
     assert grad_check(f, new0) <= 1e-5
 
 
+def _sampled_episodes(params, samples, advantages, n, temperature, max_len):
+    """`train_rl`'s episodes for these prompts: n rows of each drawn by `sample_group`
+    with a record, advantages[i] for the i-th row drawn."""
+    episodes, adv = [], iter(advantages)
+    for j, s in enumerate(samples):
+        record: list = []
+        group = ev.sample_group(params, s.prompt_tokens, n, temperature, max_len,
+                                np.random.default_rng([j, 1]), record)
+        episodes += [(s, g.tokens, g.logprobs, float(next(adv)), record, row)
+                     for row, g in enumerate(group)]
+    return episodes
+
+
 def test_rl_update_gradient_matches_fd_of_the_clipped_surrogate(monkeypatch):
-    """The gradient `_rl_update` hands to AdamW, at temperature 0.7, against central
-    differences of the token-mean clipped surrogate, computed here one episode at a
-    time through `model.forward`, with the old log-probs and advantages held fixed.
-    Some tokens sit outside the clip band on the side where the min takes the
-    clipped term, so both branches of the min are checked. Two episodes have zero
-    advantage, and one of them is the longest, so the update trains a narrower
-    batch than all episodes; the surrogate still averages over every token."""
+    """The gradient `_rl_update` hands to AdamW, at temperature 0.7, for episodes
+    that `sample_group` drew, against central differences of the token-mean
+    clipped surrogate, computed here one episode at a time through
+    `model.forward`, with the sampled log-probs and the advantages held fixed.
+    The prompts differ in length and some rows stop at EOS. One group's
+    advantages are all zero, as a reward-uniform group's are, and so are those
+    of the other longest episodes, so the update trains a narrower batch than
+    all episodes; the surrogate still averages over every token. At the sampling
+    parameters every ratio is 1, inside the band; `clipped_pg_loss`'s own tests
+    check both branches of the min."""
     temperature = 0.7
     cfg = mdl.ModelConfig(vocab_size=32, d_model=16, n_layers=2, n_heads=2, context_len=24, seed=6)
     params = conditioned_point(cfg, 6)
-    rng = np.random.default_rng(6)
-    spec = tasks.TaskSpec(n_pretrain=0, n_sft=0, n_rl=5, n_eval=0, seed=8)
+    spec = tasks.TaskSpec(n_pretrain=0, n_sft=0, n_rl=3, n_eval=0, seed=8)
     samples = tasks.generate_splits(spec)["rl_prompts"]
-    prompts = [s.prompt_tokens for s in samples]
-    responses = [rng.integers(3, cfg.vocab_size, size=m).tolist() for m in (3, 9, 5, 2, 4)]
-    adv = rng.normal(0.0, 1.0, size=len(prompts))
-    adv[[1, 3]] = 0.0
-    row_lengths = [len(p) + len(t) - 1 for p, t in zip(prompts, responses)]
+    adv = np.random.default_rng(6).normal(0.0, 1.0, size=9)
+    adv[[0, 1, 2, 7, 8]] = 0.0
+    episodes = _sampled_episodes(params, samples, adv, 3, temperature, 10)
+    row_lengths = [len(s.prompt_tokens) + len(toks) - 1 for s, toks, *_ in episodes]
     assert max(row_lengths) > max(n for n, a in zip(row_lengths, adv) if a != 0.0)
+    assert len({len(s.prompt_tokens) for s in samples}) > 1
+    assert any(toks[-1] == tasks.EOS for _, toks, *_ in episodes)
 
     def new_logprobs(flat):
         p, out = mdl.ParameterSet(cfg, flat), []
-        for prompt, toks in zip(prompts, responses):
-            ids = np.array([*prompt, *toks])
+        for s, toks, *_ in episodes:
+            ids = np.array([*s.prompt_tokens, *toks])
             logits = mdl.forward(p, ids[None, :-1])[0][0] / temperature
             lp = logits - special.logsumexp(logits, axis=-1, keepdims=True)
-            out.append(lp[np.arange(len(prompt) - 1, len(ids) - 1), toks])
-        return out
+            out.append(lp[np.arange(len(s.prompt_tokens) - 1, len(ids) - 1), toks])
+        return np.concatenate(out)
 
-    delta = [np.clip(rng.normal(0.0, 0.05, size=len(t)), -0.15, 0.15) for t in responses]
-    for d in delta:
-        d[::3] = 0.6 * np.sign(rng.normal(size=d[::3].size))  # ratios e^±0.6, outside the band
-    old = [lp - d for lp, d in zip(new_logprobs(params.flat), delta)]
-    adv_tok = np.repeat(adv, [len(t) for t in responses])
-
-    def terms(ratio):
-        return ratio * adv_tok, np.clip(ratio, 1.0 - tr.CLIP_LOW, 1.0 + tr.CLIP_HIGH) * adv_tok
+    old = np.concatenate([lps for _, _, lps, *_ in episodes])
+    adv_tok = np.repeat(adv, [len(toks) for _, toks, *_ in episodes])
 
     def surrogate(flat):
-        return float(-np.minimum(*terms(np.exp(np.concatenate(new_logprobs(flat)) -
-                                               np.concatenate(old)))).mean())
-
-    unclipped, clipped = terms(np.exp(np.concatenate(delta)))
-    assert np.any(clipped < unclipped) and np.any(unclipped < clipped)
+        ratio = np.exp(new_logprobs(flat) - old)
+        clipped = np.clip(ratio, 1.0 - tr.CLIP_LOW, 1.0 + tr.CLIP_HIGH)
+        return float(-np.minimum(ratio * adv_tok, clipped * adv_tok).mean())
 
     grads = []
     monkeypatch.setattr(tr, "adamw_step", lambda p, grad, *a, **k: grads.append(grad.copy()))
-    episodes = list(zip(samples, responses, old, adv))
     before = params.flat.copy()
     loss = tr._rl_update(params, tr.adamw_init(params), episodes,
                          tr.RlConfig(temperature=temperature))
@@ -503,17 +521,16 @@ def test_rl_update_gradient_matches_fd_of_the_clipped_surrogate(monkeypatch):
 
 def test_rl_update_with_all_advantages_zero_runs_no_model(monkeypatch):
     """A step whose groups are all uniform has a zero gradient: `_rl_update` makes
-    no forward, backward or AdamW step and returns the surrogate at ratio 1, -0.0."""
+    no forward, stitch, backward or AdamW step and returns the surrogate at
+    ratio 1, -0.0."""
     cfg = small_model_config(seed=2)
     params = mdl.init(cfg)
     spec = tasks.TaskSpec(n_pretrain=0, n_sft=0, n_rl=2, n_eval=0, seed=8)
     samples = tasks.generate_splits(spec)["rl_prompts"]
-    rng = np.random.default_rng(2)
-    episodes = [(s, rng.integers(3, cfg.vocab_size, size=m).tolist(),
-                 rng.normal(-1.0, 0.3, size=m).tolist(), 0.0)
-                for s, m in zip(samples, (3, 5))]
+    episodes = _sampled_episodes(params, samples, [0.0] * 6, 3, 1.0, 5)
     calls = []
-    for module, name in ((mdl, "forward"), (mdl, "backward"), (tr, "adamw_step")):
+    for module, name in ((mdl, "forward"), (mdl, "stitch_cache"), (mdl, "backward"),
+                         (tr, "adamw_step")):
         monkeypatch.setattr(module, name, lambda *a, name=name, **k: calls.append(name))
     opt = tr.adamw_init(params)
     before = params.flat.copy()
@@ -576,9 +593,10 @@ def test_rl_verifier_exception_scores_zero(caplog):
 
 def test_one_update_per_rollout_batch_keeps_every_ratio_inside_the_clip_band(monkeypatch):
     """Why the clip band is a constant, not a setting: a rollout batch serves one
-    update, made with the parameters that sampled it, so every importance ratio
-    is 1 up to roundoff, even in groups whose rewards differ. A second update
-    per rollout batch would be the change that lets the band bind."""
+    update, made with the parameters that sampled it, so its new log-probs are
+    the sampled ones and every importance ratio is exactly 1, even in groups
+    whose rewards differ. A second update per rollout batch would be the change
+    that lets the band bind."""
     calls = []
     pg_loss = tr.clipped_pg_loss
     monkeypatch.setattr(tr, "clipped_pg_loss", lambda *a: calls.append(a) or pg_loss(*a))
@@ -593,9 +611,7 @@ def test_one_update_per_rollout_batch_keeps_every_ratio_inside_the_clip_band(mon
     assert [r.update_tokens for r in records] == [np.count_nonzero(a) for _, _, a, _, _ in calls]
     for new, old, _, c_l, c_h in calls:
         assert (c_l, c_h) == (tr.CLIP_LOW, tr.CLIP_HIGH)
-        ratio = np.exp(new - old)
-        assert np.all((ratio >= 1.0 - c_l) & (ratio <= 1.0 + c_h))
-        assert np.max(np.abs(ratio - 1.0)) < 1e-12
+        assert np.array_equal(new, old)
 
 
 def test_rl_writes_metrics(tmp_path):
@@ -609,3 +625,22 @@ def test_rl_writes_metrics(tmp_path):
     assert lines[0] == ",".join(tr.RL_METRICS_COLUMNS)
     assert len(lines) == 3
     assert (tmp_path / "checkpoints" / "final.manifest.json").exists()
+
+
+def test_rl_timings_split_sampling_and_update(tmp_path):
+    """timings.csv of an RL run gives each step's seconds spent sampling and in the
+    update; both lie within the step's seconds, and metrics.csv has none of them."""
+    params, prompts = _rl_setup(seed=4)
+    config = tr.RlConfig(learning_rate=1e-4, total_steps=3, rollout_group_size=4,
+                         prompts_per_step=2, max_gen_len=6, seed=2)
+    tr.train_rl(params, prompts, tasks.verify, config, run_dir=tmp_path)
+    with open(tmp_path / "timings.csv", newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        assert reader.fieldnames == ["step", "seconds", "sample_s", "update_s"]
+        rows = [{k: float(v) for k, v in row.items()} for row in reader]
+    assert [r["step"] for r in rows] == [0, 1, 2]
+    for r in rows:
+        assert r["sample_s"] > 0.0 and r["update_s"] >= 0.0
+        assert r["sample_s"] + r["update_s"] <= r["seconds"]
+    header = (tmp_path / "metrics.csv").read_text().splitlines()[0]
+    assert header == ",".join(tr.RL_METRICS_COLUMNS)
