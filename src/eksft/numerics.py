@@ -3,8 +3,9 @@
 Every kernel here is a pure function of numpy arrays: float64 in, float64
 out, no hidden state. Backward functions take the upstream gradient plus
 whatever the forward cached and return gradients for each differentiable
-input. `entropy` and `kl` are the one implementation of the per-token
-entropy and KL that selection, the objective and the sampler all use.
+input; `log_softmax` has none (`objective.nll_sum` is its one gradient).
+`entropy` and `kl` are the one implementation of the per-token entropy and
+KL that selection, the objective and the sampler all use.
 
 Reductions rely on numpy's fixed evaluation order, so identical inputs give
 bit-identical outputs run to run. `matmul` and the weight gradient of
@@ -157,12 +158,6 @@ def log_softmax(z: np.ndarray) -> np.ndarray:
     require_finite("log_softmax input", z)
     shifted = z - z.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
-def log_softmax_backward(grad_out: np.ndarray, log_probs: np.ndarray) -> np.ndarray:
-    """dz for y = log_softmax(z): grad_out - softmax(z) * sum(grad_out)."""
-    probs = np.exp(log_probs)
-    return grad_out - probs * grad_out.sum(axis=-1, keepdims=True)
 
 
 # -----------------------------------------------------------------------------

@@ -31,6 +31,9 @@ Per-token logit gradients used here:
   entropy:  dH/dz_j  = -p_j (log p_j + H)
   kl:       dKL/dz_j =  p_j (log p_j - log q_j - KL)     (q = reference, fixed)
 
+`nll_sum` is the one log-likelihood gradient: DFT weights it by p(y) and the
+RL update (`train._rl_update`) by -dL/dlog p(y), of either sign (REINFORCE).
+
 The selection mask, the DFT weight, and the reference distribution are all
 treated as constants during differentiation, so gradients at masked
 positions contain no one-hot target term.
@@ -76,13 +79,16 @@ def _validate_batch(logits: np.ndarray, targets: np.ndarray, valid_mask: np.ndar
             raise InputError(f"targets out of range [0, {v})")
 
 
-def _nll_sum(
+def nll_sum(
     log_probs: np.ndarray,
     targets: np.ndarray,
     where: np.ndarray,
     weights: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Sum of (optionally weighted) -log p(y) over `where`; gradient w.r.t. logits."""
+    """Sum of (optionally weighted) -log p(y) over `where`; gradient w.r.t. logits.
+
+    weights, one per position of `where` in row-major order, may be negative.
+    """
     bi, li = np.nonzero(where)
     d = np.zeros_like(log_probs)
     y = targets[bi, li]
@@ -96,27 +102,16 @@ def _nll_sum(
     return float(nll.sum()), d
 
 
-def _entropy_sum(log_probs: np.ndarray, where: np.ndarray) -> tuple[float, np.ndarray]:
-    """Sum of per-row entropies over `where`; gradient w.r.t. logits."""
+def _regularizer_sums(log_probs, ref_log_probs, where, lambda_h, lambda_kl):
+    """Sums over `where` of the per-row entropy and KL(policy || reference), and
+    the gradient of -lambda_h * H + lambda_kl * KL w.r.t. the policy logits."""
     bi, li = np.nonzero(where)
+    lp, rlp = log_probs[bi, li], ref_log_probs[bi, li]
+    h, kl, p = nk.entropy(lp), nk.kl(lp, rlp), np.exp(lp)
     d = np.zeros_like(log_probs)
-    lp = log_probs[bi, li]
-    h = nk.entropy(lp)
-    d[bi, li] = -nk.prob_weighted(np.exp(lp), lp + h[:, None])
-    return float(h.sum()), d
-
-
-def _kl_sum(
-    log_probs: np.ndarray, ref_log_probs: np.ndarray, where: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Sum of per-row KL(policy || reference) over `where`; gradient w.r.t. policy logits."""
-    bi, li = np.nonzero(where)
-    d = np.zeros_like(log_probs)
-    lp = log_probs[bi, li]
-    rlp = ref_log_probs[bi, li]
-    kl = nk.kl(lp, rlp)
-    d[bi, li] = nk.prob_weighted(np.exp(lp), lp - rlp - kl[:, None])
-    return float(kl.sum()), d
+    d[bi, li] = (lambda_h * nk.prob_weighted(p, lp + h[:, None])
+                 + lambda_kl * nk.prob_weighted(p, lp - rlp - kl[:, None]))
+    return float(h.sum()), float(kl.sum()), d
 
 
 # -----------------------------------------------------------------------------
@@ -211,7 +206,7 @@ def objective_sums(
     The logit gradient is d_ce_sum/N_sup + d_reg_sum/N_reg, or None when the
     batch supervises nothing and has no regularizer gradient.
     """
-    ce_sum, d_ce_sum = _nll_sum(log_probs, targets, constants.supervised, constants.weights)
+    ce_sum, d_ce_sum = nll_sum(log_probs, targets, constants.supervised, constants.weights)
     n_sup = int(constants.supervised.sum())
     reg = constants.regularized
     n_reg = 0 if reg is None else int(reg.sum())
@@ -219,11 +214,11 @@ def objective_sums(
     dlogits = d_ce_sum / n_sup if n_sup else None
     h = kl = 0.0
     if n_reg:
-        h_sum, dh = _entropy_sum(log_probs, reg)
-        kl_sum, dkl = _kl_sum(log_probs, ref_log_probs, reg)
+        h_sum, kl_sum, d_reg_sum = _regularizer_sums(log_probs, ref_log_probs, reg,
+                                                     lambda_h, lambda_kl)
         h, kl = h_sum / n_reg, kl_sum / n_reg
         if lambda_h != 0.0 or lambda_kl != 0.0:
-            d_reg = (-lambda_h * dh + lambda_kl * dkl) / n_reg
+            d_reg = d_reg_sum / n_reg
             dlogits = d_reg if dlogits is None else dlogits + d_reg
     total = ce - lambda_h * h + lambda_kl * kl
     return ObjectiveTerms(total, ce, h, kl, n_sup, dlogits, constants.mask)

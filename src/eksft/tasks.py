@@ -59,15 +59,6 @@ class Vocabulary:
             ids.append(self.char_to_id[ch])
         return ids
 
-    def detokenize(self, ids) -> str:
-        chars = []
-        for i, token in enumerate(ids):
-            token = int(token)
-            if token not in self.id_to_char:
-                raise InputError(f"id {token} at index {i} has no text form")
-            chars.append(self.id_to_char[token])
-        return "".join(chars)
-
 
 _CHAR_TO_ID = {ch: 3 + i for i, ch in enumerate(_TEXT_CHARS)}
 VOCAB = Vocabulary(_CHAR_TO_ID, {v: k for k, v in _CHAR_TO_ID.items()})

@@ -16,14 +16,16 @@ reference/KL term. Each rollout batch serves one update, made with the
 parameters that sampled it, so the update runs no forward: its new
 log-probs are the sampled ones, the importance ratio is exactly 1 and the
 band never binds, and its backward reads the activations the sampler
-recorded (`model.stitch_cache`). A rollout whose advantage is zero (its
+recorded (`model.stitch_cache`); its logit gradient is `objective.nll_sum`
+weighted by -dL/dlog p. A rollout whose advantage is zero (its
 group is reward-uniform) has an exactly zero gradient, so the backward runs
 over the other rollouts only; a step with no other rollout runs no
 backward or AdamW step, so parameters stay bit-identical. `metrics.csv`'s
 `update_tokens` counts the tokens trained, 0 on a skipped step. The band
 binds only once a rollout batch serves more than one update; until then it
 is a constant, not a setting, and the later epochs over a batch will need a
-forward of their own, since their parameters are no longer the sampler's.
+forward of their own, since their parameters are no longer the sampler's,
+but no new gradient code.
 
 Wall-clock timings go to a separate timings.csv: metrics.csv must stay
 byte-identical across reruns of the same config. An RL step's row there also
@@ -43,7 +45,6 @@ import numpy as np
 
 from . import files
 from . import model as mdl
-from . import numerics as nk
 from . import objective as obj
 from . import selection as sel
 from .errors import ConfigError, InputError, LengthError, NumericError, check_field_types
@@ -286,7 +287,6 @@ def train_sft(
     ref_table[np.arange(ref_table.shape[1]) >= lengths[:, None]] = 0.0
     opt = adamw_init(params)
     shuffle_rng = np.random.default_rng([config.seed, 1])
-    uses_mask = config.method in ("eksft", "random_mask")
     step = 0
 
     for epoch in range(config.epochs):
@@ -316,8 +316,8 @@ def train_sft(
                 rng=rng,
             )
             n_masked = n_both = 0
-            if uses_mask:
-                mask = terms.mask
+            mask = terms.mask
+            if mask is not None:
                 n_masked = int(mask.m_union.sum())
                 n_both = int((mask.m_entropy & mask.m_kl).sum())
                 dump_rows.extend(sel.mask_dump_rows(step, terms.stats, mask))
@@ -340,7 +340,7 @@ def train_sft(
                     n_masked=n_masked,
                     mean_entropy=float(np.mean(ent_vals)) if ent_vals.size else 0.0,
                     mean_kl=float(np.mean(kl_vals)) if kl_vals.size else 0.0,
-                    mask_iou=sel.iou(n_both, n_masked) if uses_mask else None,
+                    mask_iou=None if mask is None else sel.iou(n_both, n_masked),
                 )
             )
             timings.append((step, time.perf_counter() - t_start))
@@ -412,8 +412,7 @@ def train_rl(
         n_take = min(config.prompts_per_step, len(prompts))
         chosen = step_rng.choice(len(prompts), size=n_take, replace=False)
 
-        # (sample, generated tokens, old logprobs, advantage, sampler record, row)
-        episodes = []
+        groups = []  # (sample, sampled group, advantages, sampler record) per prompt
         rewards_all: list[float] = []
         ent_vals: list[float] = []
         gen_lens: list[int] = []
@@ -440,27 +439,22 @@ def train_rl(
             if np.all(adv == 0.0):
                 zero_var += 1
                 record.clear()  # the update trains none of these rows
-            for row, (g, a) in enumerate(zip(group, adv)):
-                if g.tokens:
-                    episodes.append((s, g.tokens, g.logprobs, float(a), record, row))
+            groups.append((s, group, adv, record))
+            for g in group:
                 ent_vals.extend(g.entropies)
                 gen_lens.append(len(g.tokens))
 
-        pg_loss = 0.0
         t_update = time.perf_counter()
-        if episodes:
-            pg_loss = _rl_update(params, opt, episodes, config)
+        pg_loss, update_tokens = _rl_update(params, opt, groups, config)
         update_s = time.perf_counter() - t_update
-        # the tokens `_rl_update` trains: those of the nonzero-advantage episodes
-        update_tokens = sum(len(toks) for _, toks, _, a, *_ in episodes if a != 0.0)
         records.append(
             RlMetricsRecord(
                 step=step,
                 pg_loss=pg_loss,
-                mean_reward=float(np.mean(rewards_all)) if rewards_all else 0.0,
-                zero_variance_frac=zero_var / max(len(chosen), 1),
+                mean_reward=float(np.mean(rewards_all)),
+                zero_variance_frac=zero_var / len(chosen),
                 mean_entropy=float(np.mean(ent_vals)) if ent_vals else 0.0,
-                mean_gen_len=float(np.mean(gen_lens)) if gen_lens else 0.0,
+                mean_gen_len=float(np.mean(gen_lens)),
                 update_tokens=update_tokens,
             )
         )
@@ -472,40 +466,38 @@ def train_rl(
     return params, records
 
 
-def _rl_update(params, opt, episodes, config: RlConfig) -> float:
-    """One clipped-PG update over the episodes of a step; returns the loss.
+def _rl_update(params, opt, groups, config: RlConfig) -> tuple[float, int]:
+    """One clipped-PG update over a step's groups; returns (loss, tokens trained).
 
-    An episode is (sample, generated tokens, old log-probs, advantage, record,
-    row): row `row` of the `sample_group` call that filled `record`. The
-    update is made with the parameters that sampled every episode, so it
-    runs no forward: the new log-probs are the old ones, every ratio is
-    exactly 1, and the surrogate takes every generated token, so its token
-    mean is the loss. Only the episodes with a nonzero advantage have a
-    gradient: they alone are batchified, padded to the longest of them, and
-    `model.stitch_cache` gathers their backward cache, and the temperature
-    log-probs each token was drawn from, out of the records. With no such
-    episode no backward or AdamW step runs; the loss is -0.0. `train_rl`
-    records the trained token count as `update_tokens`.
+    A group is (sample, its `sample_group` rows, their advantages, the record
+    of that call). The update is made with the parameters that sampled every
+    row, so it runs no forward: the new log-probs are the old ones, every
+    ratio is exactly 1, and the surrogate takes every generated token, so its
+    token mean is the loss. A row trains iff it generated tokens and has a
+    nonzero advantage: those rows alone are batchified, padded to the longest
+    of them, and `model.stitch_cache` gathers their backward cache, and the
+    temperature log-probs each token was drawn from, out of the records.
+    The logit gradient is `objective.nll_sum`'s weighted by -dL/dlog p, which
+    carries the ratio and the clip. With no such row no backward or AdamW
+    step runs; the loss is -0.0, or 0.0 when no row generated a token.
     """
-    old_lp = np.concatenate([lps for _, _, lps, *_ in episodes])
-    adv = np.repeat([a for _, _, _, a, *_ in episodes], [len(toks) for _, toks, *_ in episodes])
+    old_lp = np.array([lp for _, group, *_ in groups for g in group for lp in g.logprobs])
+    if not old_lp.size:
+        return 0.0, 0
+    adv = np.concatenate([np.repeat(a, [len(g.tokens) for g in group])
+                          for _, group, a, _ in groups])
     loss, d_lp = clipped_pg_loss(old_lp, old_lp, adv, CLIP_LOW, CLIP_HIGH)
-    kept = [e for e in episodes if e[3] != 0.0]
+    kept = [(s, g.tokens, (record, row)) for s, group, a, record in groups
+            for row, g in enumerate(group) if g.tokens and a[row] != 0.0]
     if not kept:
-        return loss
+        return loss, 0
 
-    inputs, targets, valid = batchify([(s.prompt_tokens, toks) for s, toks, *_ in kept])
-    cache, log_probs = mdl.stitch_cache(params, inputs, [(rec, row) for *_, rec, row in kept])
-    rows, pos = np.nonzero(valid)
-    tok = targets[rows, pos]
-    d_lp_rows = np.zeros((tok.size, log_probs.shape[-1]))
-    d_lp_rows[np.arange(tok.size), tok] = d_lp[adv != 0.0]
-    d_rows = nk.log_softmax_backward(d_lp_rows, log_probs[rows, pos])
-    # log_probs = log_softmax(logits / T), hence the 1/T; adding onto zeros normalizes -0.0
-    dlogits = np.zeros(log_probs.shape)
-    np.add.at(dlogits, (rows, pos), d_rows / config.temperature)
+    inputs, targets, valid = batchify([(s.prompt_tokens, toks) for s, toks, _ in kept])
+    cache, log_probs = mdl.stitch_cache(params, inputs, [where for *_, where in kept])
+    # log_probs = log_softmax(logits / T), hence the 1/T
+    dlogits = obj.nll_sum(log_probs, targets, valid, -d_lp[adv != 0.0])[1] / config.temperature
 
     grad = mdl.backward(params, cache, dlogits)
     if grad.any():
         adamw_step(params, grad, opt, config.learning_rate, weight_decay=config.weight_decay)
-    return loss
+    return loss, int(valid.sum())

@@ -60,12 +60,12 @@ def pinned_objective(method, logits0, reference_logits, targets, valid, *,
 def ce_grad_rows(probs, targets) -> np.ndarray:
     """softmax - onehot(y) for each row of probs (n, V), read off the logit
     gradient that training uses before it divides by N_sup: the NLL sum's gradient
-    (`objective._nll_sum`) on a (1, n, V) batch whose logits are log(probs), -1e3
+    (`objective.nll_sum`) on a (1, n, V) batch whose logits are log(probs), -1e3
     where a prob is 0. Row i's entry at targets[i] is p_hat_y - 1 of that same softmax."""
     with np.errstate(divide="ignore"):
         logits = np.maximum(np.log(np.atleast_2d(np.asarray(probs, dtype=np.float64))), -1e3)[None]
     y = np.atleast_1d(np.asarray(targets))[None]
-    return obj._nll_sum(nk.log_softmax(logits), y, np.ones(y.shape, bool))[1][0]
+    return obj.nll_sum(nk.log_softmax(logits), y, np.ones(y.shape, bool))[1][0]
 
 
 def ce_grad_sq_norm(probs_row, target: int) -> float:

@@ -123,25 +123,26 @@ def test_rl_update_trains_only_the_nonzero_advantage_rows(monkeypatch):
     model.backward.positions from the backward cache's ids, and
     train.clipped_pg_loss.tokens and .nonzero_adv_tokens from the surrogate's
     arguments. `_rl_update` runs no forward: its one backward reads a cache
-    stitched from `sample_group`'s records, whose ids are the rows of the
-    nonzero-advantage episodes, in order, padded to the longest of them. The
+    stitched from `sample_group`'s records, whose ids are the rows of
+    nonzero advantage, in order, padded to the longest of them. The
     surrogate gets every generated token, with new == old on every one."""
     temperature = 0.7
     params = mdl.init(mdl.ModelConfig(vocab_size=32, d_model=16, n_layers=1, n_heads=2,
                                       context_len=32, seed=1))
     samples = tasks.generate_splits(
         tasks.TaskSpec(n_pretrain=0, n_sft=0, n_rl=2, n_eval=0, seed=8))["rl_prompts"]
-    episodes = []
+    groups = []
     for j, (s, adv) in enumerate(zip(samples, ([0.7, 0.0, -1.2], [0.0, 0.0, 0.4]))):
         record: list = []
         group = ev.sample_group(params, s.prompt_tokens, 3, temperature, 9,
                                 np.random.default_rng(j), record)
-        episodes += [(s, g.tokens, g.logprobs, a, record, row)
-                     for row, (g, a) in enumerate(zip(group, adv))]
-    kept = tr.batchify([(s.prompt_tokens, toks) for s, toks, _, a, *_ in episodes if a != 0.0])
-    every = tr.batchify([(s.prompt_tokens, toks) for s, toks, *_ in episodes])
-    old = np.concatenate([lps for _, _, lps, *_ in episodes])
-    adv = np.repeat([a for _, _, _, a, *_ in episodes], [len(toks) for _, toks, *_ in episodes])
+        groups.append((s, group, np.array(adv), record))
+    rows = [(s, g.tokens, g.logprobs, a) for s, group, adv, _ in groups
+            for g, a in zip(group, adv)]
+    kept = tr.batchify([(s.prompt_tokens, toks) for s, toks, _, a in rows if a != 0.0])
+    every = tr.batchify([(s.prompt_tokens, toks) for s, toks, *_ in rows])
+    old = np.concatenate([lps for _, _, lps, _ in rows])
+    adv = np.repeat([a for *_, a in rows], [len(toks) for _, toks, *_ in rows])
 
     forward_ids, backward_ids, pg_args = [], [], []
     backward, pg_loss = mdl.backward, tr.clipped_pg_loss
@@ -153,8 +154,8 @@ def test_rl_update_trains_only_the_nonzero_advantage_rows(monkeypatch):
     monkeypatch.setattr(mdl, "forward", lambda p, ids, *a, **k: forward_ids.append(ids))
     monkeypatch.setattr(mdl, "backward", recorded_backward)
     monkeypatch.setattr(tr, "clipped_pg_loss", lambda *a: pg_args.append(a) or pg_loss(*a))
-    loss = tr._rl_update(params, tr.adamw_init(params), episodes,
-                         tr.RlConfig(temperature=temperature))
+    loss, update_tokens = tr._rl_update(params, tr.adamw_init(params), groups,
+                                        tr.RlConfig(temperature=temperature))
     assert forward_ids == []
     assert len(backward_ids) == 1 and np.array_equal(backward_ids[0], kept[0])
     ((new, old_arg, adv_arg, _, _),) = pg_args
@@ -162,6 +163,7 @@ def test_rl_update_trains_only_the_nonzero_advantage_rows(monkeypatch):
     assert np.array_equal(old_arg, old) and np.array_equal(adv_arg, adv)
     assert np.array_equal(new, old)
     assert loss == -adv.sum() / adv.size
+    assert update_tokens == int(kept[2].sum()) == int(np.count_nonzero(adv))
 
 
 @pytest.mark.parametrize("size", ["FULL", "SMOKE"])

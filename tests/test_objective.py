@@ -85,6 +85,32 @@ def test_sft_logit_gradient_is_softmax_minus_onehot():
     assert _fd_logits(lambda z: _terms("sft", z, targets, valid), logits) <= 1e-5
 
 
+def test_nll_sum_fd_with_signed_weights():
+    """`nll_sum` is the one gradient of a weighted log-likelihood: DFT weights it
+    with target probabilities, the RL update with -dL/dlog p, which a negative
+    advantage makes negative. Central differences of sum(w * -log p(y)) over a
+    scattered position set, with weights of both signs, against its logit
+    gradient, which is zero outside the set."""
+    worst = 0.0
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        logits = rng.normal(0, 2, size=(2, 5, 7))
+        targets = rng.integers(0, 7, size=(2, 5))
+        where = rng.random((2, 5)) < 0.6
+        where[0, :2] = True
+        weights = rng.normal(0, 1, size=int(where.sum()))
+        weights[:2] = (-0.8, 1.3)
+
+        def f(flat):
+            total, d = obj.nll_sum(nk.log_softmax(flat.reshape(logits.shape)), targets, where,
+                                   weights)
+            return total, d.reshape(-1)
+
+        assert np.all(f(logits.reshape(-1))[1].reshape(logits.shape)[~where] == 0.0)
+        worst = max(worst, grad_check(f, logits.reshape(-1)))
+    assert worst <= 1e-5
+
+
 def test_masked_ce_hand_case():
     # two valid tokens with log-probs -1 and -2; masking the second leaves 1.0
     rows = np.zeros((1, 2, 4))

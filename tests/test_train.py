@@ -453,54 +453,68 @@ def test_clipped_pg_gradient_fd():
     assert grad_check(f, new0) <= 1e-5
 
 
-def _sampled_episodes(params, samples, advantages, n, temperature, max_len):
-    """`train_rl`'s episodes for these prompts: n rows of each drawn by `sample_group`
+def _sampled_groups(params, samples, advantages, n, temperature, max_len):
+    """`train_rl`'s groups for these prompts: n rows of each drawn by `sample_group`
     with a record, advantages[i] for the i-th row drawn."""
-    episodes, adv = [], iter(advantages)
+    groups, adv = [], np.asarray(advantages, dtype=np.float64)
     for j, s in enumerate(samples):
         record: list = []
         group = ev.sample_group(params, s.prompt_tokens, n, temperature, max_len,
                                 np.random.default_rng([j, 1]), record)
-        episodes += [(s, g.tokens, g.logprobs, float(next(adv)), record, row)
-                     for row, g in enumerate(group)]
-    return episodes
+        groups.append((s, group, adv[j * n : (j + 1) * n], record))
+    return groups
 
 
-def test_rl_update_gradient_matches_fd_of_the_clipped_surrogate(monkeypatch):
-    """The gradient `_rl_update` hands to AdamW, at temperature 0.7, for episodes
-    that `sample_group` drew, against central differences of the token-mean
-    clipped surrogate, computed here one episode at a time through
-    `model.forward`, with the sampled log-probs and the advantages held fixed.
-    The prompts differ in length and some rows stop at EOS. One group's
-    advantages are all zero, as a reward-uniform group's are, and so are those
-    of the other longest episodes, so the update trains a narrower batch than
-    all episodes; the surrogate still averages over every token. At the sampling
-    parameters every ratio is 1, inside the band; `clipped_pg_loss`'s own tests
-    check both branches of the min."""
-    temperature = 0.7
+def _rows(groups):
+    """(sample, generated tokens, old log-probs, advantage) of every row, in order."""
+    return [(s, g.tokens, g.logprobs, a) for s, group, adv, _ in groups
+            for g, a in zip(group, adv)]
+
+
+def _fd_groups(temperature):
+    """Three prompts of two lengths at a conditioned point, rows that stop at
+    EOS, one reward-uniform group, and the other longest rows at zero advantage."""
     cfg = mdl.ModelConfig(vocab_size=32, d_model=16, n_layers=2, n_heads=2, context_len=24, seed=6)
     params = conditioned_point(cfg, 6)
     spec = tasks.TaskSpec(n_pretrain=0, n_sft=0, n_rl=3, n_eval=0, seed=8)
     samples = tasks.generate_splits(spec)["rl_prompts"]
     adv = np.random.default_rng(6).normal(0.0, 1.0, size=9)
     adv[[0, 1, 2, 7, 8]] = 0.0
-    episodes = _sampled_episodes(params, samples, adv, 3, temperature, 10)
-    row_lengths = [len(s.prompt_tokens) + len(toks) - 1 for s, toks, *_ in episodes]
+    groups = _sampled_groups(params, samples, adv, 3, temperature, 10)
+    rows = _rows(groups)
+    row_lengths = [len(s.prompt_tokens) + len(toks) - 1 for s, toks, *_ in rows]
     assert max(row_lengths) > max(n for n, a in zip(row_lengths, adv) if a != 0.0)
     assert len({len(s.prompt_tokens) for s in samples}) > 1
-    assert any(toks[-1] == tasks.EOS for _, toks, *_ in episodes)
+    assert any(toks[-1] == tasks.EOS for _, toks, *_ in rows)
+    return params, groups
+
+
+def test_rl_update_gradient_matches_fd_of_the_clipped_surrogate(monkeypatch):
+    """The gradient `_rl_update` hands to AdamW, at temperature 0.7, for groups
+    that `sample_group` drew, against central differences of the token-mean
+    clipped surrogate, computed here one row at a time through
+    `model.forward`, with the sampled log-probs and the advantages held fixed.
+    The prompts differ in length and some rows stop at EOS. One group's
+    advantages are all zero, as a reward-uniform group's are, and so are those
+    of the other longest rows, so the update trains a narrower batch than
+    all rows; the surrogate still averages over every token. At the sampling
+    parameters every ratio is 1, inside the band; `clipped_pg_loss`'s own tests
+    check both branches of the min."""
+    temperature = 0.7
+    params, groups = _fd_groups(temperature)
+    rows = _rows(groups)
 
     def new_logprobs(flat):
-        p, out = mdl.ParameterSet(cfg, flat), []
-        for s, toks, *_ in episodes:
+        p, out = mdl.ParameterSet(params.config, flat), []
+        for s, toks, *_ in rows:
             ids = np.array([*s.prompt_tokens, *toks])
             logits = mdl.forward(p, ids[None, :-1])[0][0] / temperature
             lp = logits - special.logsumexp(logits, axis=-1, keepdims=True)
             out.append(lp[np.arange(len(s.prompt_tokens) - 1, len(ids) - 1), toks])
         return np.concatenate(out)
 
-    old = np.concatenate([lps for _, _, lps, *_ in episodes])
-    adv_tok = np.repeat(adv, [len(toks) for _, toks, *_ in episodes])
+    old = np.concatenate([lps for _, _, lps, _ in rows])
+    adv_tok = np.repeat([a for *_, a in rows], [len(toks) for _, toks, *_ in rows])
 
     def surrogate(flat):
         ratio = np.exp(new_logprobs(flat) - old)
@@ -510,34 +524,100 @@ def test_rl_update_gradient_matches_fd_of_the_clipped_surrogate(monkeypatch):
     grads = []
     monkeypatch.setattr(tr, "adamw_step", lambda p, grad, *a, **k: grads.append(grad.copy()))
     before = params.flat.copy()
-    loss = tr._rl_update(params, tr.adamw_init(params), episodes,
-                         tr.RlConfig(temperature=temperature))
+    loss, update_tokens = tr._rl_update(params, tr.adamw_init(params), groups,
+                                        tr.RlConfig(temperature=temperature))
     assert len(grads) == 1 and np.array_equal(params.flat, before)
     assert abs(loss - surrogate(params.flat)) <= 1e-12
+    assert update_tokens == int(np.count_nonzero(adv_tok))
 
     coords = informative_coords(grads[0], 40, np.random.default_rng([6, 1]))
     assert grad_check(lambda flat: (surrogate(flat), grads[0]), params.flat, coords=coords) <= 1e-5
 
 
+def test_rl_update_gradient_is_the_one_hot_chain_rule_through_log_softmax(monkeypatch):
+    """`_rl_update` takes its logit gradient from `objective.nll_sum` weighted by
+    -dL/dlog p. The oracle here is the formulation it replaced: scatter dL/dlog p
+    into a one-hot row per token, apply log_softmax's backward
+    g - softmax * sum(g), divide by T and add it at each trained position. The
+    two round only the target logit's entry differently, so the logit and the
+    parameter gradients agree within 1e-14 relative."""
+    temperature = 0.7
+    params, groups = _fd_groups(temperature)
+    backward = mdl.backward
+    seen = []
+
+    def recorded_backward(p, cache, dlogits):
+        seen.append((cache, dlogits))
+        return backward(p, cache, dlogits)
+
+    grads = []
+    monkeypatch.setattr(mdl, "backward", recorded_backward)
+    monkeypatch.setattr(tr, "adamw_step", lambda p, grad, *a, **k: grads.append(grad.copy()))
+    tr._rl_update(params, tr.adamw_init(params), groups, tr.RlConfig(temperature=temperature))
+    ((cache, dlogits),) = seen
+
+    rows = _rows(groups)
+    inputs, targets, valid = tr.batchify([(s.prompt_tokens, toks) for s, toks, _, a in rows
+                                          if a != 0.0])
+    kept = [(record, row) for _, _, adv, record in groups
+            for row, a in enumerate(adv) if a != 0.0]
+    _, log_probs = mdl.stitch_cache(params, inputs, kept)
+    old = np.concatenate([lps for _, _, lps, _ in rows])
+    adv_tok = np.repeat([a for *_, a in rows], [len(toks) for _, toks, *_ in rows])
+    _, d_lp = tr.clipped_pg_loss(old, old, adv_tok, tr.CLIP_LOW, tr.CLIP_HIGH)
+    b, l = np.nonzero(valid)
+    one_hot = np.zeros((b.size, log_probs.shape[-1]))
+    one_hot[np.arange(b.size), targets[b, l]] = d_lp[adv_tok != 0.0]
+    d_rows = one_hot - np.exp(log_probs[b, l]) * one_hot.sum(axis=-1, keepdims=True)
+    oracle = np.zeros(log_probs.shape)
+    np.add.at(oracle, (b, l), d_rows / temperature)
+
+    assert np.array_equal(dlogits != 0.0, oracle != 0.0)
+    assert np.abs(dlogits - oracle).max() <= 1e-14 * np.abs(oracle).max()
+    expected = backward(params, cache, oracle)
+    assert np.abs(grads[0] - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
 def test_rl_update_with_all_advantages_zero_runs_no_model(monkeypatch):
     """A step whose groups are all uniform has a zero gradient: `_rl_update` makes
-    no forward, stitch, backward or AdamW step and returns the surrogate at
-    ratio 1, -0.0."""
+    no forward, stitch, backward or AdamW step, trains no token and returns the
+    surrogate at ratio 1, -0.0."""
     cfg = small_model_config(seed=2)
     params = mdl.init(cfg)
     spec = tasks.TaskSpec(n_pretrain=0, n_sft=0, n_rl=2, n_eval=0, seed=8)
     samples = tasks.generate_splits(spec)["rl_prompts"]
-    episodes = _sampled_episodes(params, samples, [0.0] * 6, 3, 1.0, 5)
+    groups = _sampled_groups(params, samples, [0.0] * 6, 3, 1.0, 5)
     calls = []
     for module, name in ((mdl, "forward"), (mdl, "stitch_cache"), (mdl, "backward"),
                          (tr, "adamw_step")):
         monkeypatch.setattr(module, name, lambda *a, name=name, **k: calls.append(name))
     opt = tr.adamw_init(params)
     before = params.flat.copy()
-    loss = tr._rl_update(params, opt, episodes, tr.RlConfig())
+    loss, update_tokens = tr._rl_update(params, opt, groups, tr.RlConfig())
     assert calls == []
     assert np.array_equal(params.flat, before) and opt.t == 0
     assert loss == 0.0 and math.copysign(1.0, loss) == -1.0
+    assert update_tokens == 0
+
+
+def test_rl_update_with_no_generated_token_is_zero(monkeypatch):
+    """Prompts that fill the context generate nothing: `_rl_update` then has no
+    token to average over, runs no surrogate and no model, and returns 0.0
+    and no trained token, as `train_rl` records for such a step."""
+    spec = tasks.TaskSpec(n_pretrain=0, n_sft=0, n_rl=3, n_eval=0, seed=8)
+    samples = tasks.generate_splits(spec)["rl_prompts"]
+    width = max(len(s.prompt_tokens) for s in samples)
+    cfg = mdl.ModelConfig(vocab_size=32, d_model=16, n_layers=1, n_heads=2, context_len=width)
+    params = mdl.init(cfg)
+    full = [s for s in samples if len(s.prompt_tokens) == width]
+    groups = _sampled_groups(params, full, np.arange(2.0 * len(full)), 2, 1.0, 4)
+    assert all(not g.tokens for _, group, *_ in groups for g in group)
+    calls = []
+    for module, name in ((tr, "clipped_pg_loss"), (mdl, "stitch_cache"), (mdl, "backward")):
+        monkeypatch.setattr(module, name, lambda *a, name=name, **k: calls.append(name))
+    loss, update_tokens = tr._rl_update(params, tr.adamw_init(params), groups, tr.RlConfig())
+    assert calls == [] and update_tokens == 0
+    assert loss == 0.0 and math.copysign(1.0, loss) == 1.0
 
 
 # -----------------------------------------------------------------------------
