@@ -3,10 +3,9 @@
 `sample_group` draws n continuations of one prompt with a K/V cache that
 holds one row per distinct history, so rows that have sampled the same
 tokens so far share one forward row; every row keeps the bits it gets with
-a cache row of its own. Given a record, it also keeps what each of its
-forwards computed, so that the RL update can back-propagate through the
-very activations that sampled a rollout (`model.stitch_cache`) instead of
-running a forward of its own; `evaluate` passes none and keeps nothing.
+a cache row of its own. Given a record, it also keeps each forward's
+activations, so the RL update back-propagates through those that sampled a
+rollout (`model.stitch_cache`) and runs no forward; `evaluate` keeps none.
 
 pass@k follows the unbiased estimator convention: with n samples of which
 c are correct, pass@k = 1 - C(n-c, k) / C(n, k), computed in product form
@@ -63,11 +62,10 @@ def sample_group(
     With `record` (a list, filled in place like `model.forward`'s `past`),
     each forward also returns its cache, and the call appends one (packed,
     at) pair: `packed` is `model.pack_positions` of the call's new
-    positions, with the temperature log-probs sampled from as the tail
-    (zeros at the prompt positions before the last), and at[i] is row i's
-    history, its row of `packed`, or -1 once row i has stopped. This is the
-    `calls` list that `model.stitch_cache` reads. Sampling is the same with
-    or without it.
+    positions, activations only (the head rebuilds the log-probs from `xf`),
+    and at[i] is row i's history, its row of `packed`, or -1 once row i has
+    stopped: the `calls` list that `model.stitch_cache` reads. Sampling is
+    the same with or without it.
     """
     if temperature <= 0:
         raise ConfigError(f"temperature must be > 0, got {temperature}")
@@ -98,11 +96,9 @@ def sample_group(
         logits, cache = mdl.forward(params, ids, want_cache=record is not None, past=past)
         lp = nk.log_softmax(logits[:, -1, :] / temperature)
         if record is not None:
-            tail = np.zeros((*ids.shape, vocab))
-            tail[:, -1] = lp
             at = np.full(n, -1, dtype=np.int64)
             at[rows] = hist
-            record.append((mdl.pack_positions(cfg, cache, tail), at))
+            record.append((mdl.pack_positions(cfg, cache), at))
         cdf = np.cumsum(np.exp(lp), axis=-1)
         u = rng.random(n)[rows]
         nxt = np.minimum((cdf[hist] < u[:, None]).sum(axis=-1), vocab - 1)

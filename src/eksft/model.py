@@ -10,10 +10,11 @@ strided key axis, which sums keys in order: a row padded with masked keys
 keeps its bits (see `_att_softmax`). For
 incremental decoding, `forward` also takes `past`, a list of per-layer (K, V)
 arrays that the call extends in place: the new ids then sit at the positions
-after the cached ones and attend to all of them. `pack_positions` packs such a
-call's cache, its new positions only, into one array, and `stitch_cache`
-gathers the positions of whole rows from these arrays into the cache that
-`backward` reads, with no forward. Checkpoints are a JSON
+after the cached ones and attend to all of them. `CACHE_FIELDS` is the one
+layout of the backward cache: by it `pack_positions` packs such a call's
+new positions into one array, and `stitch_cache` gathers the positions of
+whole rows from these into the cache `backward` reads, with no forward.
+Checkpoints are a JSON
 manifest plus the flat vector's own bytes, one little-endian float64 blob,
 both written by `files`; `_manifest` is the one definition of the manifest,
 which a load must match whole, and it holds the blob's sha256.
@@ -219,6 +220,15 @@ def _att_softmax(scores_t: np.ndarray) -> np.ndarray:
     return (e / e.sum(axis=-2, keepdims=True)).swapaxes(-1, -2)
 
 
+# The arrays `backward` reads, in packed order, per layer and after the last one, with
+# widths (`_fields`): d_model, one column, 4 * d_model, or n_heads rows of context_len keys.
+CACHE_FIELDS = {
+    "layer": {"xhat1": "d", "inv1": "1", "h": "d", "q": "d", "k": "d", "v": "d", "att": "HC",
+              "ctx": "d", "xhat2": "d", "inv2": "1", "h2": "d", "u": "4d", "cdf": "4d"},
+    "final": {"xf": "d", "xhatf": "d", "invf": "1"},
+}
+
+
 def forward(
     params: ParameterSet,
     token_ids: np.ndarray,
@@ -253,7 +263,7 @@ def forward(
     cache: dict | None = {"ids": ids, "layers": []} if want_cache else None
     for i in range(cfg.n_layers):
         p = f"layer{i}."
-        h, ln1_cache = nk.layer_norm(x, t[p + "ln1.g"], t[p + "ln1.b"])
+        h, (xhat1, inv1, _) = nk.layer_norm(x, t[p + "ln1.g"], t[p + "ln1.b"])
         q = nk.matmul(h, t[p + "wq"])
         k = nk.matmul(h, t[p + "wk"])
         v = nk.matmul(h, t[p + "wv"])
@@ -276,28 +286,26 @@ def forward(
         ctx = (att @ vt).transpose(0, 2, 1, 3).reshape(B, L, cfg.d_model)
         x = x + nk.matmul(ctx, t[p + "wo"])
 
-        h2, ln2_cache = nk.layer_norm(x, t[p + "ln2.g"], t[p + "ln2.b"])
+        h2, (xhat2, inv2, _) = nk.layer_norm(x, t[p + "ln2.g"], t[p + "ln2.b"])
         u = nk.matmul(h2, t[p + "w1"])
         a, cdf = nk.gelu(u)
         x = x + nk.matmul(a, t[p + "w2"])
 
         if cache is not None:
-            cache["layers"].append(
-                {"ln1": ln1_cache, "h": h, "q": q, "k": k, "v": v, "att": att,
-                 "ctx": ctx, "ln2": ln2_cache, "h2": h2, "u": u, "cdf": cdf}
-            )
+            cache["layers"].append({"xhat1": xhat1, "inv1": inv1, "h": h, "q": q, "k": k, "v": v,
+                                    "att": att, "ctx": ctx, "xhat2": xhat2, "inv2": inv2,
+                                    "h2": h2, "u": u, "cdf": cdf})
 
-    xf, lnf_cache = nk.layer_norm(x, t["lnf.g"], t["lnf.b"])
+    xf, (xhatf, invf, _) = nk.layer_norm(x, t["lnf.g"], t["lnf.b"])
     logits = nk.matmul(xf, t["head.w"])
     if cache is not None:
-        cache["xf"] = xf
-        cache["lnf"] = lnf_cache
+        cache.update(xf=xf, xhatf=xhatf, invf=invf)
     return logits, cache
 
 
 def backward(params: ParameterSet, cache: dict, dlogits: np.ndarray) -> np.ndarray:
     """Map a logits gradient back to the parameter gradient, a flat vector in
-    `parameter_layout` order, using the forward cache."""
+    `parameter_layout` order, from the forward cache and the norm gains of `params`."""
     cfg = params.config
     t = params.tensors
     ids = cache["ids"]
@@ -307,8 +315,13 @@ def backward(params: ParameterSet, cache: dict, dlogits: np.ndarray) -> np.ndarr
     grad = np.zeros_like(params.flat)
     g = ParameterSet(cfg, grad).tensors
 
+    def norm_backward(grad_out, xhat, inv, name):  # also fills name's gain and bias gradients
+        dx, g[name + ".g"][...], g[name + ".b"][...] = nk.layer_norm_backward(
+            grad_out, (xhat, inv, t[name + ".g"]))
+        return dx
+
     dxf, g["head.w"][...] = nk.matmul_backward(dlogits, cache["xf"], t["head.w"])
-    dx, g["lnf.g"][...], g["lnf.b"][...] = nk.layer_norm_backward(dxf, cache["lnf"])
+    dx = norm_backward(dxf, cache["xhatf"], cache["invf"], "lnf")
 
     for i in range(cfg.n_layers - 1, -1, -1):
         p = f"layer{i}."
@@ -318,8 +331,7 @@ def backward(params: ParameterSet, cache: dict, dlogits: np.ndarray) -> np.ndarr
         da, g[p + "w2"][...] = nk.matmul_backward(dx, c["u"] * c["cdf"], t[p + "w2"])
         du = nk.gelu_backward(da, c["u"], c["cdf"])
         dh2, g[p + "w1"][...] = nk.matmul_backward(du, c["h2"], t[p + "w1"])
-        dx_mid, g[p + "ln2.g"][...], g[p + "ln2.b"][...] = nk.layer_norm_backward(dh2, c["ln2"])
-        dx = dx + dx_mid
+        dx = dx + norm_backward(dh2, c["xhat2"], c["inv2"], p + "ln2")
 
         dctx, g[p + "wo"][...] = nk.matmul_backward(dx, c["ctx"], t[p + "wo"])
         dctx_t = dctx.reshape(B, L, H, dh).transpose(0, 2, 1, 3)
@@ -336,8 +348,7 @@ def backward(params: ParameterSet, cache: dict, dlogits: np.ndarray) -> np.ndarr
         for w_name, dmat in ((p + "wq", dq), (p + "wk", dk), (p + "wv", dv)):
             dh_part, g[w_name][...] = nk.matmul_backward(dmat, c["h"], t[w_name])
             dh_sum += dh_part
-        dx_in, g[p + "ln1.g"][...], g[p + "ln1.b"][...] = nk.layer_norm_backward(dh_sum, c["ln1"])
-        dx = dx + dx_in
+        dx = dx + norm_backward(dh_sum, c["xhat1"], c["inv1"], p + "ln1")
 
     g["pos_emb"][:L] = dx.sum(axis=0)
     g["tok_emb"][...] = nk.embedding_lookup_backward(dx, ids, cfg.vocab_size)
@@ -349,49 +360,45 @@ def backward(params: ParameterSet, cache: dict, dlogits: np.ndarray) -> np.ndarr
 # -----------------------------------------------------------------------------
 
 
-def _packed_widths(config: ModelConfig) -> list[int]:
-    """Widths of the activations `backward` reads at one position, in packed order:
-    per layer ln1's (xhat, inv), h, q, k, v, the attention (H rows of C keys,
-    zero past the position's keys), ctx, ln2's (xhat, inv), h2, u and cdf; then
-    xf and lnf's (xhat, inv)."""
-    d, H, C = config.d_model, config.n_heads, config.context_len
-    return [d, 1, d, d, d, d, H * C, d, d, 1, d, 4 * d, 4 * d] * config.n_layers + [d, d, 1]
+def _fields(config: ModelConfig, cache: dict) -> list[tuple[dict, str, int]]:
+    """(dict that holds it, name, width at one position) of each field of `cache`, in order."""
+    width = {"d": config.d_model, "1": 1, "4d": 4 * config.d_model,
+             "HC": config.n_heads * config.context_len}
+    groups = [(c, CACHE_FIELDS["layer"]) for c in cache["layers"]] + [(cache, CACHE_FIELDS["final"])]
+    return [(c, name, width[unit]) for c, fields in groups for name, unit in fields.items()]
 
 
-def pack_positions(config: ModelConfig, cache: dict, tail: np.ndarray) -> np.ndarray:
-    """A forward's cache, with or without `past`, as one (B, L, W + k) array: at
-    each of its positions the activations `backward` reads, in the order of
-    `_packed_widths`, then that position's k columns of `tail` (B, L, k)."""
+def pack_positions(config: ModelConfig, cache: dict) -> np.ndarray:
+    """A forward's cache, with or without `past`, as one (B, L, W) array: at each
+    of its positions the fields of `CACHE_FIELDS` in order, the attention as H
+    rows of C keys, zero past the position's keys."""
     B, L = cache["ids"].shape
-    H, C = config.n_heads, config.context_len
     parts = []
-    for c in cache["layers"]:
-        att = np.zeros((B, L, H, C))
-        att[..., : c["att"].shape[-1]] = c["att"].transpose(0, 2, 1, 3)
-        parts += [*c["ln1"][:2], c["h"], c["q"], c["k"], c["v"], att.reshape(B, L, H * C),
-                  c["ctx"], *c["ln2"][:2], c["h2"], c["u"], c["cdf"]]
-    parts += [cache["xf"], *cache["lnf"][:2], tail]
+    for c, name, _ in _fields(config, cache):
+        part = c[name]
+        if name == "att":
+            part = np.zeros((B, L, config.n_heads, config.context_len))
+            part[..., : c["att"].shape[-1]] = c["att"].transpose(0, 2, 1, 3)
+        parts.append(part.reshape(B, L, -1))
     return np.concatenate(parts, axis=-1)
 
 
-def stitch_cache(params: ParameterSet, ids: np.ndarray, rows: list) -> tuple[dict, np.ndarray]:
+def stitch_cache(params: ParameterSet, ids: np.ndarray, rows: list) -> dict:
     """The backward cache of `ids` (B, L), built from packed forwards, not by one.
 
     rows[b] = (calls, r) says where row b was computed: `calls` lists, in
     order, one (packed, at) pair per forward that extended a set of
-    sequences, `packed` the call's `pack_positions` (R, L_c, ·) and at[r] the
+    sequences, `packed` the call's `pack_positions` (R, L_c, W) and at[r] the
     row of it that continued sequence r, -1 once r had ended. Row b is
     sequence r: its positions are the L_c positions of row at[r] of each call
     in turn. Every call of the distinct `calls` lists is laid end to end, and
     one gather takes each (b, l) its position, or zeros past the row's end:
     there, as in a padded forward, the upstream gradient is exactly zero, so
     those positions add nothing. Every field of the cache is a view of that
-    one (B, L, ·) array. Returns (cache, tail), tail the columns after
-    `_packed_widths`.
+    one (B, L, W) array, at the offset `CACHE_FIELDS` gives it.
     """
-    cfg, t = params.config, params.tensors
+    cfg = params.config
     B, L = ids.shape
-    H, C = cfg.n_heads, cfg.context_len
     blocks, paths, start = [], {}, 0
     index = np.full((B, L), -1, dtype=np.int64)  # -1 is the zero row below
     for b, (calls, r) in enumerate(rows):
@@ -407,21 +414,15 @@ def stitch_cache(params: ParameterSet, ids: np.ndarray, rows: list) -> tuple[dic
         path = paths[id(calls)][r, :L]
         index[b, : path.size] = path
     blocks.append(np.zeros((1, blocks[0].shape[1])))
-    fields = iter(np.split(np.concatenate(blocks)[index], np.cumsum(_packed_widths(cfg)), axis=-1))
+    gathered = np.concatenate(blocks)[index]
 
-    cache: dict = {"ids": ids, "layers": []}
-    for i in range(cfg.n_layers):
-        p = f"layer{i}."
-        xhat1, inv1, h, q, k, v, att, ctx, xhat2, inv2, h2, u, cdf = (next(fields) for _ in range(13))
-        cache["layers"].append(
-            {"ln1": (xhat1, inv1, t[p + "ln1.g"]), "h": h, "q": q, "k": k, "v": v,
-             "att": att.reshape(B, L, H, C)[..., :L].transpose(0, 2, 1, 3), "ctx": ctx,
-             "ln2": (xhat2, inv2, t[p + "ln2.g"]), "h2": h2, "u": u, "cdf": cdf}
-        )
-    xf, xhat, inv, tail = fields
-    cache["xf"] = xf
-    cache["lnf"] = (xhat, inv, t["lnf.g"])
-    return cache, tail
+    cache: dict = {"ids": ids, "layers": [{} for _ in range(cfg.n_layers)]}
+    start = 0
+    for c, name, width in _fields(cfg, cache):
+        c[name], start = gathered[..., start : start + width], start + width
+    for c in cache["layers"]:
+        c["att"] = c["att"].reshape(B, L, cfg.n_heads, -1)[..., :L].transpose(0, 2, 1, 3)
+    return cache
 
 
 # -----------------------------------------------------------------------------

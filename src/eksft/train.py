@@ -13,19 +13,18 @@ RL stage: group rollouts per prompt, binary verifier rewards, group-mean
 normalized advantages, and an asymmetrically clipped policy-gradient
 surrogate with the fixed band [1 - CLIP_LOW, 1 + CLIP_HIGH]. No
 reference/KL term. Each rollout batch serves one update, made with the
-parameters that sampled it, so the update runs no forward: its new
-log-probs are the sampled ones, the importance ratio is exactly 1 and the
-band never binds, and its backward reads the activations the sampler
-recorded (`model.stitch_cache`); its logit gradient is `objective.nll_sum`
-weighted by -dL/dlog p. A rollout whose advantage is zero (its
-group is reward-uniform) has an exactly zero gradient, so the backward runs
-over the other rollouts only; a step with no other rollout runs no
-backward or AdamW step, so parameters stay bit-identical. `metrics.csv`'s
-`update_tokens` counts the tokens trained, 0 on a skipped step. The band
-binds only once a rollout batch serves more than one update; until then it
-is a constant, not a setting, and the later epochs over a batch will need a
-forward of their own, since their parameters are no longer the sampler's,
-but no new gradient code.
+parameters that sampled it, so the update runs no forward: its backward
+reads the activations the sampler recorded (`model.stitch_cache`), and its
+log-probs are the head and log_softmax(logits / T) over the recorded `xf`,
+the sampled ones bit for bit, so the importance ratio is exactly 1 and the
+band never binds. The logit gradient is `objective.nll_sum` weighted by
+-dL/dlog p. A rollout of a reward-uniform group has a zero advantage and an
+exactly zero gradient, so the backward runs over the other rollouts only; a
+step with no other rollout runs no backward or AdamW step, so parameters
+stay bit-identical. `metrics.csv`'s `update_tokens` counts the tokens
+trained, 0 on a skipped step. Later epochs over one batch, whose
+parameters are no longer the sampler's, will need a forward of their own
+but no new gradient code; until then the band is a constant, not a setting.
 
 Wall-clock timings go to a separate timings.csv: metrics.csv must stay
 byte-identical across reruns of the same config. An RL step's row there also
@@ -45,6 +44,7 @@ import numpy as np
 
 from . import files
 from . import model as mdl
+from . import numerics as nk
 from . import objective as obj
 from . import selection as sel
 from .errors import ConfigError, InputError, LengthError, NumericError, check_field_types
@@ -160,16 +160,16 @@ def _write_run_outputs(
     records: Sequence,
     timing_columns: list[str],
     timings: list[tuple],
-    dump_rows: Sequence[dict] = (),
+    dumps: Sequence[tuple] = (),
 ) -> None:
-    """metrics.csv, mask_dump.jsonl (removed if there are no rows), timings.csv and
-    checkpoints/final."""
+    """metrics.csv, mask_dump.jsonl (removed if there are no `dumps`, each a step's
+    `selection.mask_dump_rows` arguments), timings.csv and checkpoints/final."""
     out_dir.mkdir(parents=True, exist_ok=True)
     files.write_csv(out_dir / "metrics.csv", columns,
                     ([getattr(rec, col) for col in columns] for rec in records))
     dump = out_dir / "mask_dump.jsonl"
-    if dump_rows:
-        files.write_jsonl(dump, dump_rows)
+    if dumps:
+        files.write_jsonl(dump, (row for entry in dumps for row in sel.mask_dump_rows(*entry)))
     else:
         dump.unlink(missing_ok=True)  # a forced re-run must not leave an earlier run's dump
     files.write_csv(out_dir / "timings.csv", timing_columns, timings)
@@ -271,7 +271,7 @@ def train_sft(
         if len(s.tokens) - 1 > limit:
             raise LengthError(f"sample {i} has {len(s.tokens)} tokens, limit is {limit}")
 
-    dump_rows: list[dict] = []
+    dumps: list[tuple] = []  # (step, stats, mask) per masked step; rows built as the dump is written
     records: list[SftMetricsRecord] = []
     timings: list[tuple[int, float]] = []
     lengths = np.array([len(s.tokens) - 1 for s in dataset])
@@ -320,7 +320,7 @@ def train_sft(
             if mask is not None:
                 n_masked = int(mask.m_union.sum())
                 n_both = int((mask.m_entropy & mask.m_kl).sum())
-                dump_rows.extend(sel.mask_dump_rows(step, terms.stats, mask))
+                dumps.append((step, terms.stats, mask))
             grad = np.zeros_like(params.flat)
             if terms.dlogits is not None:
                 grad += mdl.backward(params, cache, terms.dlogits)
@@ -348,7 +348,7 @@ def train_sft(
 
     if run_dir is not None:
         _write_run_outputs(Path(run_dir), params, SFT_METRICS_COLUMNS, records,
-                           ["step", "seconds"], timings, dump_rows)
+                           ["step", "seconds"], timings, dumps)
     return params, records
 
 
@@ -475,11 +475,12 @@ def _rl_update(params, opt, groups, config: RlConfig) -> tuple[float, int]:
     ratio is exactly 1, and the surrogate takes every generated token, so its
     token mean is the loss. A row trains iff it generated tokens and has a
     nonzero advantage: those rows alone are batchified, padded to the longest
-    of them, and `model.stitch_cache` gathers their backward cache, and the
-    temperature log-probs each token was drawn from, out of the records.
-    The logit gradient is `objective.nll_sum`'s weighted by -dL/dlog p, which
-    carries the ratio and the clip. With no such row no backward or AdamW
-    step runs; the loss is -0.0, or 0.0 when no row generated a token.
+    of them, and `model.stitch_cache` gathers their backward cache out of the
+    records; the head over its `xf` gives the log-probs each token was drawn
+    from, as a later epoch's forward would. The logit gradient is
+    `objective.nll_sum`'s weighted by -dL/dlog p, which carries the ratio and
+    the clip. With no such row no backward or AdamW step runs; the loss is
+    -0.0, or 0.0 when no row generated a token.
     """
     old_lp = np.array([lp for _, group, *_ in groups for g in group for lp in g.logprobs])
     if not old_lp.size:
@@ -493,8 +494,9 @@ def _rl_update(params, opt, groups, config: RlConfig) -> tuple[float, int]:
         return loss, 0
 
     inputs, targets, valid = batchify([(s.prompt_tokens, toks) for s, toks, _ in kept])
-    cache, log_probs = mdl.stitch_cache(params, inputs, [where for *_, where in kept])
-    # log_probs = log_softmax(logits / T), hence the 1/T
+    cache = mdl.stitch_cache(params, inputs, [where for *_, where in kept])
+    # the sampler's log_softmax(logits / T) over its own xf, bit for bit: hence the 1/T
+    log_probs = nk.log_softmax(nk.matmul(cache["xf"], params.tensors["head.w"]) / config.temperature)
     dlogits = obj.nll_sum(log_probs, targets, valid, -d_lp[adv != 0.0])[1] / config.temperature
 
     grad = mdl.backward(params, cache, dlogits)

@@ -116,7 +116,8 @@ def test_incremental_forward_matches_full_prefix(prefill):
 def test_stitched_cache_gives_the_backward_of_a_full_forward():
     """`stitch_cache` over `sample_group` records gives `backward` the gradient that
     a forward over the padded batch gives, within 1e-12 relative on the flat
-    vector, and the tail holds the temperature log-probs of that forward. The
+    vector. The head over the stitched `xf` gives the log-probs each token was
+    sampled with, bit for bit, and those of that forward within 1e-12. The
     rows come from three prompts of different lengths: some stop at EOS, one
     fills the context, and some share histories. The gradient reaches every
     real position, prompt ones included; padding gets none."""
@@ -130,7 +131,7 @@ def test_stitched_cache_gives_the_backward_of_a_full_forward():
     params.tensors["lnf.b"][0] = 1.0
     params.tensors["head.w"][0, tasks.EOS] = 3.0
     temperature = 0.8
-    rows, pairs = [], []
+    rows, pairs, drawn = [], [], []
     for j, text in enumerate(("1+2=", "12+34=", "9" * 20)):
         prompt = [tasks.BOS] + tasks.VOCAB.tokenize(text)
         record: list = []
@@ -139,27 +140,49 @@ def test_stitched_cache_gives_the_backward_of_a_full_forward():
             if g.tokens and i != 3:  # a row the update would not train
                 rows.append((record, i))
                 pairs.append((prompt, g.tokens))
+                drawn += g.logprobs
     lengths = [len(p) + len(t) for p, t in pairs]
     assert cfg.context_len in lengths
     # kept rows that share the node after their first token: one history, one cache row
     continued = [(tuple(p), t[0]) for p, t in pairs if len(t) > 1]
     assert len(set(continued)) < len(continued)
     assert any(t[-1] == tasks.EOS for _, t in pairs) and len({len(p) for p, _ in pairs}) == 3
-    ids, _, _ = tr.batchify(pairs)
+    ids, targets, sampled = tr.batchify(pairs)
     real = np.arange(ids.shape[1]) < np.array(lengths)[:, None] - 1
 
-    cache, tail = mdl.stitch_cache(params, ids, rows)
+    cache = mdl.stitch_cache(params, ids, rows)
     logits, full = mdl.forward(params, ids)
     assert cache["ids"] is ids
+    stitched = nk.log_softmax(nk.matmul(cache["xf"], params.tensors["head.w"]) / temperature)
+    b, l = np.nonzero(sampled)
+    assert np.array_equal(stitched[b, l, targets[b, l]], drawn)
     log_probs = nk.log_softmax(logits / temperature)
-    last_prompt = np.array([len(p) - 1 for p, _ in pairs])[:, None]
-    sampled = real & (np.arange(ids.shape[1]) >= last_prompt)
-    assert np.abs(tail[sampled] - log_probs[sampled]).max() <= 1e-12
-    assert not tail[~sampled].any()
+    assert np.abs(stitched[sampled] - log_probs[sampled]).max() <= 1e-12
     dlogits = np.where(real[..., None], rng.normal(size=logits.shape), 0.0)
     want = mdl.backward(params, full, dlogits)
     got = mdl.backward(params, cache, dlogits)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_stitch_of_a_forwards_own_packing_gives_back_its_cache(tiny_config):
+    """`pack_positions` then `stitch_cache`, each row the call's own, returns every
+    field of a plain forward's cache bit for bit: one layout, `CACHE_FIELDS`,
+    writes and reads the record."""
+    params = mdl.init(tiny_config)
+    ids = np.random.default_rng(3).integers(0, tiny_config.vocab_size, size=(3, 6))
+    _, cache = mdl.forward(params, ids)  # fewer positions than context_len: padded keys
+    calls = [(mdl.pack_positions(tiny_config, cache), np.arange(3))]
+    stitched = mdl.stitch_cache(params, ids, [(calls, b) for b in range(3)])
+    layer_names = list(mdl.CACHE_FIELDS["layer"])
+    final_names = list(mdl.CACHE_FIELDS["final"])
+    assert sorted(cache) == sorted(stitched) == sorted(["ids", "layers", *final_names])
+    for name in final_names:
+        assert np.array_equal(stitched[name], cache[name])
+    assert len(stitched["layers"]) == len(cache["layers"]) == tiny_config.n_layers
+    for got, want in zip(stitched["layers"], cache["layers"]):
+        assert sorted(got) == sorted(want) == sorted(layer_names)
+        for name in layer_names:
+            assert np.array_equal(got[name], want[name]), name
 
 
 def einsum_forward_backward(params: mdl.ParameterSet, ids: np.ndarray, dlogits=None):

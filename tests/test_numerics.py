@@ -86,7 +86,7 @@ def test_matmul_training_shapes_match_stacked_matmul_and_tensordot(k, n):
 
 def test_log_softmax_symmetric_pair():
     out = nk.log_softmax(np.array([0.0, 0.0]))
-    assert np.allclose(out, [-np.log(2), -np.log(2)], atol=1e-15)
+    assert np.allclose(out, [-np.log(2), -np.log(2)], atol=1e-15, rtol=0)
 
 
 def test_log_softmax_no_overflow():

@@ -81,7 +81,7 @@ def test_sft_logit_gradient_is_softmax_minus_onehot():
     p = np.exp(nk.log_softmax(logits))[0, 0]
     e = np.zeros(9)
     e[4] = 1.0
-    assert np.allclose(d[0, 0], p - e, atol=1e-15)
+    assert np.allclose(d[0, 0], p - e, atol=1e-15, rtol=0)
     assert _fd_logits(lambda z: _terms("sft", z, targets, valid), logits) <= 1e-5
 
 
@@ -177,7 +177,7 @@ def test_entropy_reg_gradient_formula_and_fd():
     for (b, t) in [(0, 0), (0, 2)]:
         h = -(p[b, t] * lp[b, t]).sum()
         expected = -p[b, t] * (lp[b, t] + h) / 2.0  # d(mean entropy) over the 2 rows
-        assert np.allclose(-d[b, t], expected, atol=1e-14)
+        assert np.allclose(-d[b, t], expected, atol=1e-14, rtol=0)
     assert np.all(d[0, 1] == 0.0)
     objective = lambda z: _sums(z, constants, lambda_h=1.0, lambda_kl=0.0)  # noqa: E731
     assert _fd_logits(objective, logits) <= 1e-5

@@ -8,6 +8,7 @@ from scipy import special
 
 from eksft import evaluation as ev
 from eksft import model as mdl
+from eksft import numerics as nk
 from eksft import objective as obj
 from eksft import tasks
 from eksft import train as tr
@@ -55,7 +56,7 @@ def test_adamw_first_step_closed_form():
     tr.adamw_step(params, np.full_like(params.flat, g), tr.adamw_init(params), lr=1e-3)
     # t=1: m_hat = g, v_hat = g^2 -> update = lr * g / (|g| + eps)
     expected = before - 1e-3 * g / (abs(g) + 1e-8)
-    assert np.allclose(params.tensors["tok_emb"], expected, atol=1e-15)
+    assert np.allclose(params.tensors["tok_emb"], expected, atol=1e-15, rtol=0)
 
 
 def test_adamw_weight_decay_shrinks_zero_grad_weight():
@@ -63,7 +64,7 @@ def test_adamw_weight_decay_shrinks_zero_grad_weight():
     before = params.tensors["head.w"].copy()
     tr.adamw_step(params, np.zeros_like(params.flat), tr.adamw_init(params), lr=0.01,
                   weight_decay=0.1)
-    assert np.allclose(params.tensors["head.w"], before - 0.01 * 0.1 * before, atol=1e-15)
+    assert np.allclose(params.tensors["head.w"], before - 0.01 * 0.1 * before, atol=1e-15, rtol=0)
 
 
 def test_adamw_rejects_nonfinite_gradient():
@@ -561,7 +562,8 @@ def test_rl_update_gradient_is_the_one_hot_chain_rule_through_log_softmax(monkey
                                           if a != 0.0])
     kept = [(record, row) for _, _, adv, record in groups
             for row, a in enumerate(adv) if a != 0.0]
-    _, log_probs = mdl.stitch_cache(params, inputs, kept)
+    stitched = mdl.stitch_cache(params, inputs, kept)
+    log_probs = nk.log_softmax(nk.matmul(stitched["xf"], params.tensors["head.w"]) / temperature)
     old = np.concatenate([lps for _, _, lps, _ in rows])
     adv_tok = np.repeat([a for *_, a in rows], [len(toks) for _, toks, *_ in rows])
     _, d_lp = tr.clipped_pg_loss(old, old, adv_tok, tr.CLIP_LOW, tr.CLIP_HIGH)
